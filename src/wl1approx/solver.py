@@ -1,18 +1,29 @@
 """Solvers for the four fitting problems on sampled data.
 
-Weighted l1 minimization comes in two modes.  Equality mode finds the
-minimum-weighted-l1 coefficient vector interpolating the data exactly; it
-runs a splitting method whose iterates stay on the constraint set, so only
-the objective needs to converge.  Inequality mode relaxes the constraint to
-a Euclidean ball of radius eta around the data and runs a primal-dual
-scheme.  Both report a rigorous duality gap; equality mode additionally
-tries to certify an exact sparse optimum by checking the optimality system
-on the active support, which typically terminates it in a few hundred
-iterations.
+Weighted l1 minimization, min sum_i w_i |z_i|, comes in two modes:
+equality mode asks for A z = y exactly, inequality mode for
+||A z - y|| <= eta.  Both modes, on real or complex data, pose one cone
+program in the scaled variable zt = w z and solve it with one dense
+primal-dual interior-point method (Mehrotra predictor-corrector,
+Nesterov-Todd scaling).  The economy SVD U S Vh of A / w replaces the rows
+of A by the independent rows of S Vh, so coinciding sample rows drop out:
+
+* real data: zt = p - q with p, q >= 0, minimizing sum (p + q);
+* complex data: one second-order cone (t_i, Re zt_i, Im zt_i) per
+  coefficient, minimizing sum t_i;
+* noise ball: one more cone (eta', U^H y - S Vh zt), where
+  eta' = sqrt(eta^2 - ||y - U U^H y||^2), clamped at 0.
+
+Data farther than eta from the range of A (one test for both modes) are
+reported infeasible without iterating.  One stopping rule ends every
+solve: the method's primal residual is at most tol_feas ||y||, its dual
+residual at most tol_feas, its complementarity x.s at most
+tol_gap max(1, c.x), and the residual and duality gap recomputed in data
+space from z and the dual vector pass the same tolerances.
 
 Least squares (plain and oracle) and synthesis round out the toolbox.  A
-tiny-instance linear-programming oracle is included for cross-checking the
-l1 path on real data.
+tiny-instance linear-programming oracle (HiGHS) is included for
+cross-checking the l1 path on real data.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import numpy as np
 import numpy.linalg as la
 from dataclasses import dataclass
 
-from .basis import BasisSpec, eval_table
+from .basis import BasisSpec, eval_table, leading_indices
 from .sampling import SamplingMatrix, WeightVector, make_weights
 
 STATUS_CONVERGED = "converged"
@@ -57,9 +68,9 @@ class SolveResult:
     duality_gap: float
     iterations: int
     status: str
-    # Objective values of the running-average iterate at each progress
-    # check; decreasing up to small oscillations once past the warmup.
-    objective_history: tuple = ()
+    # The interior-point complementarity x.s at the start and after each
+    # Newton step.
+    gap_history: tuple = ()
 
 
 def make_problem(A: SamplingMatrix, samples, weights, eta: float = 0.0,
@@ -95,188 +106,122 @@ def l1_objective(z, w) -> float:
     return float(w @ np.abs(np.asarray(z)))
 
 
-def _soft(z: np.ndarray, t) -> np.ndarray:
-    """Modulus soft-thresholding; works for real and complex entries."""
-    m = np.abs(z)
-    scale = np.maximum(0.0, 1.0 - t / np.where(m > 0, m, 1.0))
-    return z * scale
+def _ipm(G, h, c, cones):
+    """Iterates of a primal-dual interior-point method for
 
+        minimize c.x  subject to  G x = h,  x in C,
 
-def _certificate(A, Ah, y, w, support, feas_abs):
-    """Try to certify an exact optimum on a candidate support.
+    C a product of second-order cones stored in x one after another;
+    `cones` lists them in blocks of (count, dim), dim 1 being a half-line.
+    Newton steps use Nesterov-Todd scaling W (W^-1 x = W s = lam) and
+    Mehrotra's predictor-corrector, solving the normal equations through
+    a QR factor R of W G^T.  The corrector gets two rounds of iterative
+    refinement against all three linearized equations, which recover the
+    accuracy that R^T R alone loses on ill-conditioned steps.
 
-    Solves the constraint restricted to the support, then looks for a dual
-    vector reproducing the weighted sign pattern there while staying within
-    the weight bound elsewhere.  Returns (z, objective, gap) on success,
-    None if any optimality condition fails.
+    Yields (x, y, x.s, ||h - G x||, max |c - G^T y - s|) before each
+    Newton step, the first at the starting point.  Returns when a step
+    cannot make progress: its length falls below 1e-8 or x.s below 1e-14
+    of max(1, c.x), where rounding outweighs what is left to gain.
     """
-    K = A.shape[1]
-    S = np.asarray(support)
-    zs = None
-    # Shrink away numerically-zero entries so the sign pattern is stable.
-    for _ in range(4):
-        if not len(S):
-            return None
-        zs, *_ = la.lstsq(A[:, S], y, rcond=None)
-        keep = np.abs(zs) > 1e-10 * max(1e-300, np.abs(zs).max())
-        if keep.all():
-            break
-        S = S[keep]
-    if not len(S) or la.norm(A[:, S] @ zs - y) > feas_abs:
-        return None
-    sgn = zs / np.abs(zs)
-    AS = A[:, S]
-    target = w[S] * sgn
-    vc, *_ = la.lstsq(AS.conj().T, target, rcond=None)
-    if la.norm(AS.conj().T @ vc - target) > 1e-9 * max(1.0, la.norm(w[S])):
-        return None
-    gv = np.abs(Ah @ vc) / w
-    off = np.ones(K, bool)
-    off[S] = False
-    if off.any() and gv[off].max() > 1 + 1e-9:
-        return None
-    zp = np.zeros(K, dtype=A.dtype)
-    zp[S] = zs
-    objp = float(w[S] @ np.abs(zs))
-    dval = float(np.real(np.vdot(y, vc / max(1.0, gv.max()))))
-    return zp, objp, objp - dval
+    from scipy.linalg.lapack import dgeqrf, dtrtrs
 
+    dims = np.repeat([d for _, d in cones], [k for k, _ in cones])
+    heads = np.cumsum(dims) - dims
+    cid = np.repeat(np.arange(len(dims)), dims)
+    sign = -np.ones(len(c))
+    sign[heads] = 1.0
+    e = (sign > 0).astype(float)     # identity element of C
+    tail = 1.0 - e
 
-def _solve_equality(A, y, w, tol_feas, tol_gap, max_iter,
-                    check_every=25, relax=1.7):
-    """Interpolating weighted-l1 solve.
+    def seg(u):                      # sums over each cone, along the last axis
+        return np.add.reduceat(u, heads, axis=-1)
 
-    Works in the column-scaled variable zt = w*z, where the objective is the
-    plain l1 norm and thresholds are uniform.  Each iterate is projected
-    exactly onto the affine constraint set through a cached factorization,
-    so feasibility holds throughout and the first of the two stopping rules
-    to fire (generic duality gap from the running multiplier, or the exact
-    support certificate) ends the run.
-    """
-    N, K = A.shape
-    At = A / w[None, :]
-    Ath = At.conj().T
-    # One economy SVD serves the affine projection, the reachability screen
-    # and the running dual.  Factoring At itself, instead of the Gram matrix
-    # At At^H, keeps the attainable accuracy linear in the condition number;
-    # the rank cut absorbs grids with coinciding rows, such as period-aliased
-    # endpoint pairs.
-    Us, Sv, Vh = la.svd(At, full_matrices=False)
-    keep = Sv > (Sv[0] * 1e-12 if Sv[0] > 0 else 0)
-    Ur = Us[:, keep]
-    Sr = Sv[keep]
-    Vr = Vh[keep]
-    Uy = Ur.conj().T @ y
-    q = Vr.conj().T @ (Uy / Sr)
-    ynorm = la.norm(y)
-    feas_abs = tol_feas * max(ynorm, 1e-300)
-    base_res = la.norm(y - Ur @ Uy)
-    if base_res > max(10 * feas_abs, 1e-12):
-        # y is not reachable: no feasible point exists.
-        return (q / w, 0, STATUS_INFEASIBLE, float(w @ np.abs(q / w)),
-                base_res, np.inf, ())
-    Ah = A.conj().T
-    rho = 1.0 / max(np.abs(q).max(), 1e-300)
-    s = np.zeros(K, dtype=A.dtype)
-    u = np.zeros(K, dtype=A.dtype)
-    xsum = np.zeros(K, dtype=A.dtype)
-    hist = []
-    obj = gap = np.inf
-    x = q.copy()
-    for k in range(1, max_iter + 1):
-        d = s - u
-        x = d - Vr.conj().T @ (Vr @ d) + q
-        xr = relax * x + (1 - relax) * s
-        s_old = s
-        s = _soft(xr + u, 1.0 / rho)
-        u = u + xr - s
-        xsum += x
-        if k % check_every == 0:
-            # In the scaled variable the objective is the plain l1 norm.
-            obj = float(np.abs(x).sum())
-            hist.append(float(np.abs(xsum).sum() / k))
-            nu = Ur @ ((Vr @ (rho * u)) / Sr)
-            gnu = np.abs(Ath @ nu)
-            dval = float(np.real(np.vdot(y, nu / max(1.0, gnu.max()))))
-            gap = obj - dval
-            if gap <= tol_gap * max(1.0, obj):
-                z = x / w
-                return (z, k, STATUS_CONVERGED, obj,
-                        la.norm(A @ z - y), gap, tuple(hist))
-            S = np.flatnonzero(np.abs(s) > 0)
-            if len(S):
-                got = _certificate(A, Ah, y, w, S, feas_abs)
-                if got is not None and got[2] <= tol_gap * max(1.0, got[1]):
-                    zp, objp, gapp = got
-                    return (zp, k, STATUS_CONVERGED, objp,
-                            la.norm(A @ zp - y), gapp, tuple(hist))
-            # Rebalance the penalty when primal/dual residuals drift apart.
-            rp = la.norm(x - s)
-            rd = rho * la.norm(s - s_old)
-            if rp > 10 * rd and rp > 1e-14:
-                rho *= 2
-                u /= 2
-            elif rd > 10 * rp and rd > 1e-14:
-                rho /= 2
-                u *= 2
-    z = x / w
-    return (z, max_iter, STATUS_MAX_ITER, obj,
-            la.norm(A @ z - y), gap, tuple(hist))
+    def prod(u, v):                  # Jordan product u o v
+        out = u[heads][cid] * v + v[heads][cid] * u
+        out[heads] = seg(u * v)
+        return out
 
+    def mul(W, u):                   # W u, or the rows of u times W, for
+        v, bv2, bj = W               # W = beta (2 v v^T - J) per cone
+        return bv2 * seg(v * u)[..., cid] - bj * u
 
-def _solve_inequality(A, y, w, eta, tol_feas, tol_gap, max_iter,
-                      check_every=50):
-    """Primal-dual solve of the ball-constrained problem (eta > 0)."""
-    N, K = A.shape
-    L = la.norm(A, 2)
-    sig = tau = 0.99 / L
-    z = np.zeros(K, dtype=A.dtype)
-    v = np.zeros(N, dtype=A.dtype)
-    zbar = z.copy()
-    zsum = np.zeros(K, dtype=A.dtype)
-    Ah = A.conj().T
-    feas_abs = tol_feas * max(la.norm(y), 1e-300)
-    wt = tau * w
-    # Minimum-norm correction used to push the running average inside the
-    # residual ball before its objective is recorded, so the monitored
-    # sequence is made of attainable values and decreases toward the
-    # optimum instead of creeping up from below.
-    Us, Sv, Vh = la.svd(A, full_matrices=False)
-    keep = Sv > (Sv[0] * 1e-12 if Sv[0] > 0 else 0)
-    Urk, Srk, Vrk = Us[:, keep], Sv[keep], Vh[keep]
+    def jnorm(u):                    # sqrt(u0^2 - |u1|^2) without cancellation
+        n1 = np.sqrt(seg(tail * u * u))
+        return np.sqrt((u[heads] - n1) * (u[heads] + n1))
 
-    def feasible_objective(za):
-        r = A @ za - y
-        rn = la.norm(r)
-        if rn > eta:
-            corr = (r * (eta / rn if eta > 0 else 0.0)) - r
-            za = za + Vrk.conj().T @ ((Urk.conj().T @ corr) / Srk)
-        return l1_objective(za, w)
+    def step(d):                     # largest a with lam + a d in C
+        t = seg(jlb * d)
+        rho = tail * (d - ((t + d[heads]) / lb1)[cid] * lb)
+        worst = np.max((np.sqrt(seg(rho * rho)) - t) / lnorm)
+        return 1.0 / worst if worst > 0 else np.inf
 
-    hist = []
-    obj = feas = gap = np.inf
-    for k in range(1, max_iter + 1):
-        r = v + sig * (A @ zbar) - sig * y
-        nr = la.norm(r) / sig
-        shrink = min(1.0, eta / nr) if nr > 0 else 0.0
-        v = (1.0 - shrink) * r
-        znew = _soft(z - tau * (Ah @ v), wt)
-        zbar = 2 * znew - z
-        z = znew
-        zsum += z
-        if k % check_every == 0:
-            res = la.norm(A @ z - y)
-            feas = max(res - eta, 0.0)
-            obj = float(w @ np.abs(z))
-            hist.append(feasible_objective(zsum / k))
-            g = Ah @ v
-            scale = max(1.0, np.max(np.abs(g) / w))
-            vt = v / scale
-            dval = -float(np.real(np.vdot(y, vt))) - eta * la.norm(vt)
-            gap = obj - dval
-            if feas <= feas_abs and gap <= tol_gap * max(1.0, obj):
-                return z, k, STATUS_CONVERGED, obj, feas, gap, tuple(hist)
-    return z, max_iter, STATUS_MAX_ITER, obj, feas, gap, tuple(hist)
+    def newton(rp, rd, rc):          # G dx = rp, G^T dy + ds = rd,
+        u0 = seg(jlam * rc)          # lam o (W^-1 dx + W ds) = rc
+        u = (rc - u0[cid] * lam) * ilam0     # lam o u = rc
+        u[heads] = u0
+        u -= mul(W, rd)
+        t = dtrtrs(R, rp - M.T @ u, trans=1)[0]
+        dy = dtrtrs(R, t)[0]
+        wdx = u + M @ dy
+        ds = rd - G.T @ dy
+        return mul(W, wdx), dy, ds, wdx, mul(W, ds)
+
+    def solve(rp, rd, rc):           # also returns W^-1 dx and W ds
+        d = newton(rp, rd, rc)
+        for _ in range(2):
+            dx, dy, ds, wdx, wds = d
+            f = newton(rp - G @ dx, rd - G.T @ dy - ds,
+                       rc - prod(lam, wdx + wds))
+            d = tuple(a + b for a, b in zip(d, f))
+        return d
+
+    def setup(v, beta, lam_):        # scaling W, lam, QR factor of W G^T
+        nonlocal W, M, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1
+        bc = beta[cid]
+        W = (v, 2 * bc * v, bc * sign)
+        lam = lam_
+        det = seg(sign * lam * lam)
+        jlam, ilam0 = sign * lam / det[cid], 1.0 / lam[heads][cid]
+        lnorm = np.sqrt(det)
+        lb = lam / lnorm[cid]
+        jlb, lb1 = sign * lb, lb[heads] + 1
+        M = mul(W, G).T
+        R = np.triu(dgeqrf(M)[0][:M.shape[1]])
+
+    W = M = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
+    # Start from the least-norm solutions of the two equality systems,
+    # shifted into the cone (W = I).
+    setup(e, np.ones(len(dims)), e)
+    zero = np.zeros_like(c)
+    x = newton(h, zero, zero)[0]
+    _, y, s = newton(np.zeros_like(h), c, zero)[:3]
+    x, s = (u + max(0.0, 1.0 + np.max(np.sqrt(seg(tail * u * u)) - u[heads]))
+            * e for u in (x, s))
+    while True:
+        xs = float(x @ s)
+        rd = c - G.T @ y - s
+        yield x, y, xs, float(la.norm(h - G @ x)), float(np.abs(rd).max())
+        if not xs > 1e-14 * max(1.0, c @ x):     # also stops on NaN
+            return
+        a, b = jnorm(x), jnorm(s)
+        xb, sb = x / a[cid], s / b[cid]
+        gam = np.sqrt((1 + seg(xb * sb)) / 2)
+        v = (xb + sign * sb) / (2 * gam)[cid]     # the scaling point
+        lam = ((gam + sb[heads])[cid] * xb + (gam + xb[heads])[cid] * sb) \
+            / (xb[heads] + sb[heads] + 2 * gam)[cid]
+        lam[heads] = gam
+        setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
+              lam * np.sqrt(a * b)[cid])
+        rp, ll = h - G @ x, prod(lam, lam)
+        _, _, _, wx, ws = newton(rp, rd, -ll)     # predictor
+        sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
+        dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
+                                     - prod(wx, ws))
+        alpha = min(1.0, 0.99 * step(wdx), 0.99 * step(wds))
+        if not alpha >= 1e-8:
+            return
+        x, y, s = x + alpha * dx, y + alpha * dy, s + alpha * ds
 
 
 def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
@@ -285,9 +230,19 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     """Minimize sum_i w_i |z_i| over the selected constraint set.
 
     equality:   A z = y exactly (eta ignored).
-    inequality: ||A z - y|| <= eta; with eta = 0 this reduces to the
-                equality path, which handles the limit far better than the
-                ball projection does.
+    inequality: ||A z - y|| <= eta; eta = 0 gives the equality problem.
+
+    Status is infeasible_detected, after 0 iterations, when y lies farther
+    than eta from the range of A; converged when the check below passes;
+    max_iter otherwise, after max_iter Newton steps or when a step can no
+    longer make progress.  The check recomputes, from the returned z and
+    the dual vector v mapped to data space and scaled so that
+    max_i |(A^H v)_i| / w_i <= 1, the residual max(||A z - y|| - eta, 0)
+    and the duality gap sum w|z| - Re<y, v> + max(eta, ||A z - y||) ||v||;
+    it passes when the residual is at most tol_feas ||y|| and the gap at
+    most tol_gap max(1, objective).  The gap is that of the constraint
+    z satisfies, radius max(eta, ||A z - y||), so by weak duality it is
+    nonnegative for every status, up to rounding.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -296,38 +251,88 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     w = np.asarray(p.weight_array, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("data contains NaN or infinity")
+    eta = p.eta if mode == "inequality" else 0.0
+    K = A.shape[1]
+    ynorm = la.norm(y)
+    if ynorm == 0:
+        # z = 0 is optimal, certified by the dual vector 0.
+        return SolveResult(z=np.zeros(K, np.result_type(A, y)), objective=0.0,
+                           feasibility_residual=0.0, duality_gap=0.0,
+                           iterations=0, status=STATUS_CONVERGED)
+    U, S, Vh = la.svd(A / w, full_matrices=False)
+    keep = S > (S[0] * 1e-12 if S[0] > 0 else 0)
+    U, S, Vh = U[:, keep], S[keep], Vh[keep]
+    Uy = U.conj().T @ y
+    y_off = y - U @ Uy
+    y_off -= U @ (U.conj().T @ y_off)    # once leaves eps ||y|| in range(A)
+    off = la.norm(y_off)
+    eta_r = np.sqrt(max(eta ** 2 - off ** 2, 0.0))
+    feas_abs = tol_feas * ynorm
 
-    if mode == "inequality" and p.eta > 0:
-        # Quick reachability screen: even the best l2 fit may sit outside
-        # the ball, in which case the feasible set is empty.
-        res_min = _min_residual(A, y)
-        if res_min > p.eta + 10 * tol_feas * max(la.norm(y), 1e-300):
-            return SolveResult(
-                z=np.zeros(A.shape[1], dtype=A.dtype),
-                objective=0.0,
-                feasibility_residual=max(la.norm(y) - p.eta, 0.0),
-                duality_gap=np.inf, iterations=0,
-                status=STATUS_INFEASIBLE)
-        out = _solve_inequality(A, y, w, p.eta, tol_feas, tol_gap, max_iter)
-        eta = p.eta
-    else:
-        out = _solve_equality(A, y, w, tol_feas, tol_gap, max_iter)
-        eta = 0.0
-    z, its, status, obj, res, gap, hist = out
-    if status == STATUS_INFEASIBLE:
-        feas = res
-    else:
+    def result(zt, mu, its, hist):   # mu is None for unreachable data
+        z = zt / w
+        obj = l1_objective(z, w)
+        res = float(la.norm(A @ z - y))
+        gap, status = np.inf, STATUS_INFEASIBLE
+        if mu is not None:
+            nu = U @ mu
+            if eta_r > 0:
+                nu = nu + y_off * (la.norm(mu) / eta_r)
+            nu = nu / max(1.0, np.max(np.abs(A.conj().T @ nu) / w))
+            gap = obj - float(np.real(np.vdot(y, nu))) \
+                + max(eta, res) * la.norm(nu)
+            ok = res - eta <= feas_abs and gap <= tol_gap * max(1.0, obj)
+            status = STATUS_CONVERGED if ok else STATUS_MAX_ITER
         feas = max(res - eta, 0.0)
-    return SolveResult(z=z, objective=float(obj),
-                       feasibility_residual=float(feas),
-                       duality_gap=float(gap), iterations=its,
-                       status=status, objective_history=hist)
+        return SolveResult(z=z, objective=obj, feasibility_residual=feas,
+                           duality_gap=float(gap), iterations=its,
+                           status=status, gap_history=tuple(hist))
 
+    if off > eta + 10 * feas_abs:
+        return result(Vh.conj().T @ (Uy / S), None, 0, ())
+    # One cone program in the scaled variable zt = w z, with the rows of
+    # A / w replaced by S Vh: A z = y becomes S Vh zt = U^H y, and
+    # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  The data
+    # enter divided by ||y||, so that the starting point, which sits at
+    # unit distance from the cone boundary, matches their scale.
+    r = len(S)
+    B = S[:, None] * Vh
+    b = Uy / ynorm
+    if np.iscomplexobj(B) or np.iscomplexobj(y):
+        # A cone (t_i, Re zt_i, Im zt_i) per coefficient; the rows hold the
+        # real parts of the constraint, then the imaginary parts.
+        Bc = np.block([[B.real, -B.imag], [B.imag, B.real]])
+        G = np.zeros((2 * r, K, 3))
+        G[:, :, 1], G[:, :, 2] = Bc[:, :K], Bc[:, K:]
+        G, h = G.reshape(2 * r, 3 * K), np.concatenate([b.real, b.imag])
+        c, cones = np.tile([1.0, 0.0, 0.0], K), [(K, 3)]
 
-def _min_residual(A, y) -> float:
-    """Distance from y to the range of A."""
-    zhat, *_ = la.lstsq(A, y, rcond=None)
-    return float(la.norm(A @ zhat - y))
+        def unpack(x, yd):
+            return (ynorm * (x[1:3 * K:3] + 1j * x[2:3 * K:3]),
+                    yd[:r] + 1j * yd[r:2 * r])
+    else:
+        # zt = p - q with p, q >= 0.
+        G, h, c, cones = np.hstack([B, -B]), b, np.ones(2 * K), [(2 * K, 1)]
+
+        def unpack(x, yd):
+            return ynorm * (x[:K] - x[K:2 * K]), yd[:r]
+    if eta_r > 0:
+        m, n = G.shape
+        G = np.block([[G, np.zeros((m, 1)), np.eye(m)],
+                      [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, m))]])
+        h, c = np.append(h, eta_r / ynorm), np.append(c, np.zeros(m + 1))
+        cones.append((1, m + 1))
+    hist = []
+    for its, (x, yd, xs, rp, rd) in enumerate(_ipm(G, h, c, cones)):
+        hist.append(ynorm * xs)
+        if rp <= tol_feas and rd <= tol_feas \
+                and hist[-1] <= tol_gap * max(1.0, ynorm * (c @ x)):
+            res = result(*unpack(x, yd), its, hist)
+            if res.status == STATUS_CONVERGED:
+                return res
+        if its >= max_iter:
+            break
+    return result(*unpack(x, yd), its, hist)
 
 
 def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:
@@ -369,19 +374,13 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     best = (np.inf, None, None)
     for M in range(1, min(n, K) + 1):
         z = solve_least_squares(A, y, M)
-        approx = _leading_block(table, A.basis, M) @ z
+        # The leading indices are contiguous; a slice avoids copying.
+        lead = leading_indices(A.basis, table.shape[1], M)
+        approx = table[:, lead[0]:lead[-1] + 1] @ z
         err = float(np.max(np.abs(approx - fg)))
         if err < best[0]:
             best = (err, M, z)
     return best[1], best[2]
-
-
-def _leading_block(table, basis, M):
-    K = table.shape[1]
-    if basis.is_complex:
-        lo = K // 2 - M // 2
-        return table[:, lo:lo + M]
-    return table[:, :M]
 
 
 def synthesize(z, basis: BasisSpec, t):

@@ -8,15 +8,17 @@ for every run (interpolation, scaling covariance, monotone monitoring).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wl1approx.basis import eval_basis, eval_table, fourier, frequencies, legendre
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
-                              SamplingProblem, SolveResult, l1_objective,
-                              lp_oracle, make_problem, oracle_least_squares,
-                              save_result, solve_least_squares,
-                              solve_weighted_l1, sup_error, synthesize)
+                              STATUS_MAX_ITER, TOL_GAP, SamplingProblem,
+                              SolveResult, l1_objective, lp_oracle,
+                              make_problem, oracle_least_squares, save_result,
+                              solve_least_squares, solve_weighted_l1,
+                              sup_error, synthesize)
 
 
 def cospi_expsin(t):
@@ -136,11 +138,10 @@ def test_scaling_covariance():
 
 
 def test_monitored_objective_decreases():
+    # gap_history holds the interior-point complementarity x.s at the start
+    # and after each Newton step; it falls to the gap tolerance.
     p, _ = small_problem(N=40, K=160)
     res = solve_weighted_l1(p)
-    hist = np.array(res.objective_history)
-    assert len(hist) >= 3
-    assert np.all(np.diff(hist) <= 1e-6 * hist[0])
 
     spec = fourier()
     ps = build_pointset(generate("equispaced", 20), spec)
@@ -148,11 +149,12 @@ def test_monitored_objective_decreases():
     W = make_weights(spec, 80, scheme="fourier_gamma", gamma=0.5)
     pin = make_problem(A, cospi_expsin(ps.points), W, eta=1e-2)
     rin = solve_weighted_l1(pin, mode="inequality")
-    h2 = np.array(rin.objective_history)
-    assert len(h2) >= 3
-    assert np.all(np.diff(h2) <= 1e-6 * h2[0])
-    # every recorded value is attainable, so none sits below the optimum
-    assert h2.min() >= rin.objective - 1e-6 * max(1.0, rin.objective)
+    for r in (res, rin):
+        assert r.status == STATUS_CONVERGED
+        hist = np.array(r.gap_history)
+        assert len(hist) >= 3
+        assert np.all(np.diff(hist) <= 1e-6 * hist[0])
+        assert hist[-1] <= TOL_GAP * max(1.0, r.objective)
 
 
 def test_aliasing_family_prefers_zero_frequency():
@@ -233,6 +235,54 @@ def test_max_iter_is_honest():
     assert res.iterations <= 30
     assert res.status in ("converged", "max_iter")
     assert MAX_ITER == 200000
+
+
+@pytest.mark.parametrize("max_iter", [2, MAX_ITER])
+@pytest.mark.parametrize("eta", [0.0, 1e-2])
+@pytest.mark.parametrize("basis", ["legendre", "fourier"])
+def test_result_fields_are_recomputed_from_z(basis, eta, max_iter):
+    # The reported residual is max(||A z - y|| - eta, 0) for the returned z,
+    # capped or not, and a converged result never carries a negative gap.
+    spec = legendre() if basis == "legendre" else fourier()
+    ps = build_pointset(generate("equispaced", 20), spec)
+    A = build_matrix(spec, ps, 80)
+    if spec.is_complex:
+        W = make_weights(spec, 80, scheme="fourier_gamma", gamma=0.5)
+        f = cospi_expsin
+    else:
+        W = make_weights(spec, 80, scheme="poly_gamma", gamma=1.0, relax=True)
+        f = lambda t: 1.0 / (1.0 + 50 * t ** 2)
+    p = make_problem(A, f(ps.points), W, eta=eta)
+    res = solve_weighted_l1(p, mode="inequality" if eta else "equality",
+                            max_iter=max_iter)
+    true = max(np.linalg.norm(A.entries @ res.z - p.y) - eta, 0.0)
+    assert res.feasibility_residual == pytest.approx(true, rel=1e-12,
+                                                     abs=1e-15)
+    assert res.objective == pytest.approx(l1_objective(res.z, W.w),
+                                          rel=1e-14)
+    if max_iter == 2:
+        assert res.status == STATUS_MAX_ITER and res.iterations == 2
+    else:
+        assert res.status == STATUS_CONVERGED
+        assert 0.0 <= res.duality_gap <= TOL_GAP * max(1.0, res.objective)
+
+
+def test_stalled_solve_stops_early():
+    # A zero gap tolerance cannot be met; the solve stops once its steps
+    # make no progress instead of running on toward max_iter.
+    p, _ = small_problem(N=20, K=80)
+    res = solve_weighted_l1(p, tol_gap=0.0)
+    assert res.status == STATUS_MAX_ITER
+    assert res.iterations <= 100
+    assert 0.0 <= res.duality_gap <= 1e-10 * res.objective
+
+
+def test_zero_data_gives_zero_solution():
+    p, _ = small_problem(N=10, K=20, f=lambda t: 0.0 * t)
+    for mode in ("equality", "inequality"):
+        res = solve_weighted_l1(p, mode=mode)
+        assert res.status == STATUS_CONVERGED
+        assert not np.any(res.z) and res.objective == 0.0
 
 
 def test_least_squares_recovery_and_min_norm():
@@ -365,3 +415,87 @@ def test_save_result_roundtrip(tmp_path):
     assert abs(float(lines[1].split()[1]) - res.objective) == 0.0
     assert len(lines) == 5 + len(res.z)
     assert isinstance(res, SolveResult)
+
+
+# Property tests: small real instances on a grid of spacing 0.05, so that
+# no two sample points nearly coincide.
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=20)
+
+
+@st.composite
+def real_instances(draw):
+    K = draw(st.integers(1, 16))
+    grid = draw(st.lists(st.integers(-20, 20), min_size=1,
+                         max_size=min(8, K), unique=True))
+    coef = draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K))
+    w = draw(st.lists(st.floats(0.5, 2.0), min_size=K, max_size=K))
+    spec = legendre()
+    ps = build_pointset(np.sort(grid) / 20.0, spec)
+    A = build_matrix(spec, ps, K)
+    samples = (A.entries @ np.array(coef)) / np.sqrt(ps.tau)
+    return A, samples, np.array(w)
+
+
+@PROPERTY
+@given(real_instances())
+def test_property_matches_lp_oracle(inst):
+    A, samples, w = inst
+    p = make_problem(A, samples, w)
+    res = solve_weighted_l1(p)
+    _, obj_lp = lp_oracle(A, p.y, w)
+    assert res.status == STATUS_CONVERGED
+    assert abs(res.objective - obj_lp) <= 1e-6 * max(1.0, obj_lp)
+
+
+@PROPERTY
+@given(real_instances(), st.floats(1.0, 3.0))
+def test_property_ball_around_zero_gives_zero(inst, factor):
+    A, samples, w = inst
+    p = make_problem(A, samples, w)
+    res = solve_weighted_l1(make_problem(A, samples, w,
+                                         eta=factor * np.linalg.norm(p.y)),
+                            mode="inequality")
+    assert res.status == STATUS_CONVERGED
+    assert res.objective <= 1e-7
+
+
+@PROPERTY
+@given(real_instances())
+def test_property_tiny_ball_matches_equality(inst):
+    A, samples, w = inst
+    r_eq = solve_weighted_l1(make_problem(A, samples, w))
+    r_in = solve_weighted_l1(make_problem(A, samples, w, eta=1e-10),
+                             mode="inequality")
+    assert r_in.status == STATUS_CONVERGED
+    assert abs(r_in.objective - r_eq.objective) \
+        <= 1e-6 * max(1.0, r_eq.objective)
+
+
+@PROPERTY
+@given(real_instances(), st.floats(0.1, 10.0), st.booleans())
+def test_property_objective_scales_with_data(inst, c, negate):
+    A, samples, w = inst
+    c = -c if negate else c
+    r1 = solve_weighted_l1(make_problem(A, samples, w))
+    r2 = solve_weighted_l1(make_problem(A, c * samples, w))
+    assert r2.status == STATUS_CONVERGED
+    assert abs(r2.objective - abs(c) * r1.objective) \
+        <= 1e-6 * max(1.0, r2.objective)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.lists(st.floats(-1.0, 1.0), min_size=4,
+                                   max_size=4),
+       st.floats(0.5, 1.0), st.sampled_from(["equality", "inequality"]))
+def test_property_off_range_data_is_infeasible(P, inner, jump, mode):
+    # Period-2 exponentials take equal values at t = -1 and t = 1, so
+    # samples that differ there lie off the range of A.
+    spec = fourier()
+    ps = build_pointset(np.linspace(-1.0, 1.0, 6), spec)
+    A = build_matrix(spec, ps, 2 * P + 1)
+    samples = np.array([0.0] + inner + [jump])
+    res = solve_weighted_l1(
+        make_problem(A, samples, np.ones(2 * P + 1), eta=1e-3), mode=mode)
+    assert res.status == STATUS_INFEASIBLE
+    assert res.iterations == 0
