@@ -31,9 +31,8 @@ from .sampling import (
     WeightVector,
     build_matrix,
     choose_K,
+    default_weights,
     make_weights,
-    min_singular_value,
-    save_matrix,
     smallest_nonzero_singular_value,
 )
 from .solver import (

@@ -278,6 +278,13 @@ def linf_norm(spec: BasisSpec, i: int) -> float:
     return float(linf_norms(spec, i)[-1])
 
 
+def chebyshev_extrema(n: int) -> np.ndarray:
+    """The n Chebyshev extrema cos(pi k / (n - 1)) in ascending order."""
+    if n < 2:
+        raise ValueError("resolution must be at least 2")
+    return np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
+
+
 def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     """Sup norms of the first K basis functions (storage order)."""
     if spec.kind == FOURIER:
@@ -291,7 +298,7 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
         return np.exp(scale + np.maximum(log_at_plus1, log_at_minus1))
     # both parameters < -1/2: interior maximum, grid plus refinement
     out = np.empty(K)
-    grid = np.cos(np.pi * np.arange(4096) / 4095.0)[::-1]
+    grid = chebyshev_extrema(4096)
     table = np.abs(eval_table(spec, K, grid))
     for idx in range(K):
         best = int(np.argmax(table[:, idx]))

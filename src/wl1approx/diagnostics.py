@@ -18,12 +18,13 @@ import numpy.linalg as la
 from dataclasses import dataclass
 
 from .basis import BasisSpec, leading_indices, nested_rank
-from .grid import build_pointset, generate
+from .grid import PointSet, build_pointset, generate
 from .sampling import (
     SamplingMatrix,
     WeightVector,
     build_matrix,
-    make_weights,
+    default_weights,
+    smallest_nonzero_singular_value,
 )
 
 REPORT_COLUMNS = ("h", "xi", "N", "M", "R", "K", "E2", "Einf", "F",
@@ -169,18 +170,35 @@ def truncation_bound(U: SamplingMatrix, weights_ext, coeffs_ext,
     if not tail.any():
         return 0.0
     tail_l1w = float(w[tail] @ np.abs(x[tail]))
-    s = la.svd(U.entries, compute_uv=False)
-    if s[0] == 0.0:
-        return np.inf
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-    sigma = float(s[rank - 1])
-    if sigma <= 0.0:
+    try:
+        sigma = smallest_nonzero_singular_value(U)
+    except ValueError:  # U is zero
         return np.inf
     if wtilde_mode:
         wt = np.sqrt(nested_rank(U.basis, L)) * w ** 2
         return tail_l1w + float(wt[tail] @ np.abs(x[tail])) / sigma
     lead_norm = float(la.norm(w[lead]))
     return tail_l1w * (1.0 + lead_norm / sigma)
+
+
+def surrogate_quantities(basis: BasisSpec, ps: PointSet, M: int,
+                         gamma: float):
+    """Gram deviations, coherence and certificate on the finite surrogate.
+
+    The surrogate has K = 4M columns, the coherence tail starts after the
+    leading R = 2M, the weights are default_weights(basis, K, gamma), and
+    the certificate is checked on the leading M.  Returns the surrogate
+    matrix and the DiagnosticsReport fields R, E2, Einf, F, alpha, theta.
+    """
+    R = 2 * M
+    K = 2 * R
+    U = build_matrix(basis, ps, K)
+    W = default_weights(basis, K, gamma)
+    E2, Einf = compute_E(U, M)
+    F = compute_F(U, W, M, R)
+    cert = check_dual_certificate(U, W, leading_indices(basis, K, M))
+    return U, dict(R=R, E2=E2, Einf=Einf, F=F, alpha=cert.alpha,
+                   theta=cert.theta)
 
 
 def _admissible(basis: BasisSpec, h: float, M: int) -> bool:
@@ -217,8 +235,6 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
         raise ValueError("need at least 5 refinement levels")
     if N0 is None:
         N0 = 33 if basis.is_complex else 65
-    R = 2 * M
-    K = 2 * R
     children = np.random.SeedSequence(seed).spawn(n_levels)
     rows = []
     for lvl in range(n_levels):
@@ -227,22 +243,11 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
         ps = build_pointset(pts, basis)
         if not _admissible(basis, ps.h, M):
             continue
-        U = build_matrix(basis, ps, K)
-        if basis.is_complex:
-            W = make_weights(basis, K, "fourier_gamma", gamma=weight_gamma)
-        else:
-            W = make_weights(basis, K, "poly_gamma", gamma=weight_gamma)
-        E2, Einf = compute_E(U, M)
-        F = compute_F(U, W, M, R)
-        s = la.svd(U.entries, compute_uv=False)
-        r = int(np.count_nonzero(s > 1e-10 * s[0])) if s[0] > 0 else 0
-        sigma = float(s[r - 1]) if r else 0.0
-        cert = check_dual_certificate(
-            U, W, leading_indices(basis, K, M))
+        U, fields = surrogate_quantities(basis, ps, M, weight_gamma)
         rows.append(DiagnosticsReport(
-            h=ps.h, xi=ps.xi, N=n, M=M, R=R, K=K, E2=E2, Einf=Einf, F=F,
-            sigma_min=sigma, alpha=cert.alpha, theta=cert.theta,
-            trunc_w=float("nan"), trunc_wtilde=float("nan")))
+            h=ps.h, xi=ps.xi, N=n, M=M, K=U.n_columns,
+            sigma_min=smallest_nonzero_singular_value(U),
+            trunc_w=float("nan"), trunc_wtilde=float("nan"), **fields))
     if len(rows) < 5:
         raise ValueError(
             "only %d levels admissible; start from a finer grid" % len(rows))

@@ -24,12 +24,12 @@ from dataclasses import dataclass, asdict
 
 from . import basis as _basis
 from . import solver as _solver
-from .basis import BasisSpec, leading_indices, nested_rank, project_coefficients
+from .basis import BasisSpec, nested_rank, project_coefficients
 from .grid import build_pointset, generate, load_points
-from .sampling import build_matrix, choose_K, make_weights, \
+from .sampling import build_matrix, choose_K, default_weights, make_weights, \
     smallest_nonzero_singular_value
-from .diagnostics import check_dual_certificate, compute_E, compute_F, \
-    DiagnosticsReport, scaling_study, truncation_bound, write_report_csv
+from .diagnostics import DiagnosticsReport, scaling_study, \
+    surrogate_quantities, truncation_bound, write_report_csv
 from .solver import make_problem, oracle_least_squares, save_result, \
     solve_least_squares, solve_weighted_l1, sup_error, synthesize
 
@@ -137,6 +137,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
+        if not self.m_list:
+            raise ValueError("m_list must be nonempty")
         if self.eval_resolution < 100:
             raise ValueError("eval_resolution must be at least 100")
 
@@ -430,37 +432,19 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
             ss = np.random.SeedSequence([cfg.seed, N, M])
             pts = _points_for(cfg, N, ss)
             ps = build_pointset(pts, basis)
-            R = 2 * M
-            K_diag = 2 * R
-            U_diag = build_matrix(basis, ps, K_diag)
-            if basis.is_complex:
-                w_diag = make_weights(basis, K_diag, "fourier_gamma",
-                                      gamma=cfg.gamma)
-            else:
-                w_diag = make_weights(basis, K_diag, "poly_gamma",
-                                      gamma=cfg.gamma)
-            E2, Einf = compute_E(U_diag, M)
-            F = compute_F(U_diag, w_diag, M, R)
-            cert = check_dual_certificate(
-                U_diag, w_diag, leading_indices(basis, K_diag, M))
+            _, fields = surrogate_quantities(basis, ps, M, cfg.gamma)
             K = _k_for(cfg, basis, ps)
             U_K = build_matrix(basis, ps, K)
             sigma = smallest_nonzero_singular_value(U_K)
             L = 2 * K
-            if basis.is_complex:
-                w_ext = make_weights(basis, L, "fourier_gamma",
-                                     gamma=cfg.gamma)
-            else:
-                w_ext = make_weights(basis, L, "poly_gamma",
-                                     gamma=cfg.gamma)
+            w_ext = default_weights(basis, L, cfg.gamma)
             proj = project_coefficients(f, basis, L)
             reports.append(DiagnosticsReport(
-                h=ps.h, xi=ps.xi, N=ps.n, M=M, R=R, K=K, E2=E2,
-                Einf=Einf, F=F, sigma_min=sigma, alpha=cert.alpha,
-                theta=cert.theta,
+                h=ps.h, xi=ps.xi, N=ps.n, M=M, K=K, sigma_min=sigma,
                 trunc_w=truncation_bound(U_K, w_ext, proj.coeffs),
                 trunc_wtilde=truncation_bound(U_K, w_ext, proj.coeffs,
-                                              wtilde_mode=True)))
+                                              wtilde_mode=True),
+                **fields))
     csv_path = _out(cfg, "diagnostics.csv")
     write_report_csv(csv_path, reports)
 
@@ -497,11 +481,7 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
     ps = build_pointset(pts, basis)
     K = _k_for(cfg, basis, ps)
     U = build_matrix(basis, ps, K)
-    if basis.is_complex:
-        wv = make_weights(basis, K, "fourier_gamma", gamma=cfg.gamma)
-    else:
-        wv = make_weights(basis, K, "poly_gamma", gamma=cfg.gamma,
-                          relax=cfg.relax_weights)
+    wv = default_weights(basis, K, cfg.gamma, relax=cfg.relax_weights)
     prob = make_problem(U, samples, wv, eta=cfg.eta)
     mode = "inequality" if cfg.eta > 0 else "equality"
     res = solve_weighted_l1(prob, mode)

@@ -5,16 +5,14 @@ weighted point values of the synthesized function: entry (n, i) equals
 sqrt(tau_n) * phi_i(t_n).  Rows are scaled so that the Euclidean norm on data
 space matches the discrete inner product induced by the cell measures.
 
-Degree selection offers two policies.  The search policy doubles K until the
-numerical rank of the matrix stops growing and its smallest nonzero singular
-value clears the requested threshold.  The formula policy evaluates a closed
-form in the mesh parameters, with a constant calibrated once per basis so the
-two policies agree on a reference grid.
+Degree selection depends on the point set alone, not on the sampled
+function: K doubles from N until the numerical rank of the matrix stops
+growing and its smallest nonzero singular value clears the requested
+threshold.  RANK_RTOL is the one cutoff below which singular values count as
+zero.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -26,7 +24,7 @@ from .basis import (
     leading_indices,
     linf_norms,
 )
-from .grid import DegenerateGridError, PointSet, build_pointset
+from .grid import PointSet
 
 # Relative cutoff below which singular values count as zero.
 RANK_RTOL = 1e-10
@@ -132,19 +130,6 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def min_singular_value(A) -> float:
-    """Smallest singular value of A viewed as an operator on K-vectors.
-
-    A wide matrix (more columns than rows) necessarily annihilates part of
-    its domain, so the result is exactly 0 in that case.
-    """
-    entries = _entries(A)
-    n, k = entries.shape
-    if k > n:
-        return 0.0
-    return float(_singular_values(entries)[-1])
-
-
 def smallest_nonzero_singular_value(A) -> float:
     """Smallest singular value above the numerical-rank cutoff."""
     s = _singular_values(_entries(A))
@@ -174,6 +159,7 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
 
+    sup = linf_norms(basis, K)
     if scheme == "custom":
         if custom is None:
             raise ValueError("custom scheme requires a weight array")
@@ -190,7 +176,6 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
         if basis.is_complex and scheme == "poly_gamma":
             raise ValueError("poly_gamma weights are position-based; "
                              "use fourier_gamma for the Fourier system")
-        sup = linf_norms(basis, K)
         if scheme == "unit":
             w = sup.copy()
             gval = None
@@ -203,70 +188,34 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
 
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be positive and finite")
-    sup = linf_norms(basis, K)
     violates = bool(np.any(w < sup * (1.0 - 1e-12)))
     w.setflags(write=False)
     return WeightVector(w=w, scheme=scheme, gamma=gval,
                         violates_growth=violates)
 
 
-# Calibrated constants for the formula policy, keyed by basis label.
-_FORMULA_CONSTANTS: dict = {}
+def default_weights(basis: BasisSpec, K: int, gamma: float,
+                    relax: bool = False) -> WeightVector:
+    """The growth-gamma weights of the basis family.
 
-# Reference grid used for calibration: 20 cell midpoints, so the fill
-# distance and the ghost-padded separation both equal 1/20.
-_CALIBRATION_N = 20
-_CALIBRATION_EPS = 0.5
-
-
-def _formula_value(C: float, eps: float, r: float, h: float, xi: float) -> float:
-    base = math.sqrt(2.0) * C * (1.0 + 1.0 / eps)
-    return base ** (1.0 / r) * h ** (1.0 / (2.0 * r)) * xi ** (-1.0 - 1.0 / r)
-
-
-def _calibration_constant(basis: BasisSpec) -> float:
-    key = basis.label()
-    if key not in _FORMULA_CONSTANTS:
-        n = _CALIBRATION_N
-        pts = -1.0 + (2.0 * np.arange(1, n + 1) - 1.0) / n
-        ps = build_pointset(pts, basis)
-        K0 = choose_K(basis, ps, _CALIBRATION_EPS, policy="sigma_search")
-        # Invert the r=1 formula so it reproduces K0 on this grid.
-        raw = _formula_value(1.0, _CALIBRATION_EPS, 1.0, ps.h, ps.xi)
-        _FORMULA_CONSTANTS[key] = K0 / raw
-    return _FORMULA_CONSTANTS[key]
+    fourier_gamma for the exponentials, poly_gamma for Jacobi systems;
+    relax only affects the latter.
+    """
+    scheme = "fourier_gamma" if basis.is_complex else "poly_gamma"
+    return make_weights(basis, K, scheme, gamma=gamma, relax=relax)
 
 
 def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float,
-             policy: str = "sigma_search", r: float = 1.0,
              max_K: int = MAX_TRUNCATION) -> int:
-    """Pick the truncation degree K for a given point set.
+    """Pick the truncation degree K from the point set alone.
 
-    sigma_search doubles K from N upward and stops once the numerical rank
-    of the sampling matrix matches that at 2K and the smallest nonzero
-    singular value exceeds 1 - epsilon.  theorem_formula evaluates the
-    calibrated closed form; it needs a positive separation parameter and a
-    smoothness order r.
+    Doubles K from N upward and stops once the numerical rank of the
+    sampling matrix matches that at 2K and the smallest nonzero singular
+    value exceeds 1 - epsilon.  Raises TruncationSearchError when no K
+    below max_K qualifies.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-
-    if policy == "theorem_formula":
-        if r <= 0:
-            raise ValueError("smoothness order r must be positive")
-        if ps.degenerate or ps.xi <= 0.0:
-            raise DegenerateGridError(
-                "formula policy needs separated points away from the ends; "
-                "use sigma_search on this grid")
-        C = _calibration_constant(basis)
-        K = int(math.ceil(_formula_value(C, epsilon, r, ps.h, ps.xi)))
-        K = max(K, 1)
-        if K > max_K:
-            raise TruncationSearchError(
-                "formula policy requests K=%d beyond the cap %d" % (K, max_K))
-        return K
-    if policy != "sigma_search":
-        raise ValueError("unknown policy %r" % (policy,))
 
     K = max(1, ps.n)
     s = _singular_values(build_matrix(basis, ps, K).entries)
@@ -281,38 +230,3 @@ def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float,
                 and s[rank - 1] > 1.0 - epsilon:
             return K
         K, s = 2 * K, s2
-
-
-def save_matrix(path, A) -> None:
-    """Write a matrix as plain text: header line "N K", then one row per line.
-
-    Real matrices store K numbers per row.  Complex matrices store 2K, the
-    real and imaginary parts of each entry adjacent, so files stay diffable
-    across implementations.
-    """
-    entries = _entries(A)
-    n, k = entries.shape
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % (n, k))
-        for row in entries:
-            if np.iscomplexobj(entries):
-                flat = np.empty(2 * k)
-                flat[0::2], flat[1::2] = row.real, row.imag
-            else:
-                flat = row
-            fh.write(" ".join("%.17g" % v for v in flat) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by save_matrix; dtype inferred from row width."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        n, k = int(header[0]), int(header[1])
-        rows = [np.array(fh.readline().split(), dtype=float)
-                for _ in range(n)]
-    out = np.vstack(rows)
-    if out.shape[1] == 2 * k:
-        return out[:, 0::2] + 1j * out[:, 1::2]
-    if out.shape[1] != k:
-        raise ValueError("row width %d matches neither K nor 2K" % out.shape[1])
-    return out

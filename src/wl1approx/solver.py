@@ -32,7 +32,7 @@ import numpy as np
 import numpy.linalg as la
 from dataclasses import dataclass
 
-from .basis import BasisSpec, eval_table, leading_indices
+from .basis import BasisSpec, chebyshev_extrema, eval_table, leading_indices
 from .sampling import SamplingMatrix, WeightVector, make_weights
 
 STATUS_CONVERGED = "converged"
@@ -368,7 +368,7 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     so this is an expository tool, not a practical method.
     """
     n, K = A.shape
-    grid = _cheb_grid(resolution)
+    grid = chebyshev_extrema(resolution)
     fg = np.asarray(f_true(grid))
     table = eval_table(A.basis, min(n, K), grid)
     best = (np.inf, None, None)
@@ -393,19 +393,13 @@ def synthesize(z, basis: BasisSpec, t):
     return vals
 
 
-def _cheb_grid(resolution: int) -> np.ndarray:
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    return np.cos(np.pi * np.arange(resolution) / (resolution - 1))[::-1]
-
-
 def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     """Max pointwise error of the synthesized approximant on a dense grid.
 
     The grid clusters near the ends, where polynomial approximants
     misbehave first.
     """
-    grid = _cheb_grid(resolution)
+    grid = chebyshev_extrema(resolution)
     approx = synthesize(z, basis, grid)
     return float(np.max(np.abs(approx - np.asarray(f_true(grid)))))
 

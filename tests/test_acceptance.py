@@ -232,7 +232,7 @@ def test_criterion_5_truncation_rule():
         ps = build_pointset(generate("equispaced", N), bas)
         A = build_matrix(bas, ps, 4 * N)
         sig = smallest_nonzero_singular_value(A)
-        K = choose_K(bas, ps, 0.5, policy="sigma_search")
+        K = choose_K(bas, ps, 0.5)
         details.append("N=%d sigma %.3f K %d" % (N, sig, K))
         if sig < 0.5:
             failures.append("N=%d: sigma %.4f < 0.5" % (N, sig))

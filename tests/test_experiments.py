@@ -66,6 +66,8 @@ def test_config_validation_and_hash():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="compare", n_list=())
     with pytest.raises(ValueError):
+        ExperimentConfig(experiment="diagnostics", m_list=())
+    with pytest.raises(ValueError):
         ExperimentConfig(experiment="compare", eval_resolution=10)
     a = ExperimentConfig(experiment="compare", n_list=(10,))
     b = ExperimentConfig(experiment="compare", n_list=(10,))
@@ -236,6 +238,8 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 def test_cli_failure_paths(tmp_path):
     assert cli.main(["compare", "--n", "0", "--out", str(tmp_path)]) == 2
     assert cli.main(["compare", "--functions", "missing_fn",
+                     "--out", str(tmp_path)]) == 2
+    assert cli.main(["diagnostics", "--m", ",", "--n", "20",
                      "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         cli.main(["not_an_experiment"])

@@ -8,14 +8,14 @@ search against its own advertised postcondition plus small frozen cases.
 import numpy as np
 import pytest
 
+from wl1approx import sampling
 from wl1approx.basis import (eval_basis, eval_table, fourier, frequencies,
-                             legendre, linf_norms, nested_rank)
-from wl1approx.grid import DegenerateGridError, build_pointset, generate
+                             jacobi, legendre, linf_norms, nested_rank)
+from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import (MAX_TRUNCATION, SamplingMatrix,
                                 TruncationSearchError, WeightVector,
-                                build_matrix, choose_K, load_matrix,
-                                make_weights, min_singular_value, save_matrix,
-                                smallest_nonzero_singular_value)
+                                build_matrix, choose_K, default_weights,
+                                make_weights, smallest_nonzero_singular_value)
 
 
 def test_single_point_row():
@@ -23,7 +23,6 @@ def test_single_point_row():
     A = build_matrix(legendre(), ps, 2)
     assert A.shape == (1, 2)
     np.testing.assert_allclose(A.entries, [[1.0, 0.0]], atol=1e-15)
-    assert min_singular_value(build_matrix(legendre(), ps, 1).entries) == 1.0
 
 
 def test_entries_are_scaled_evaluations():
@@ -85,13 +84,6 @@ def test_aliased_fourier_columns_identical():
         assert np.max(np.abs(cj - c0)) <= 1e-15
 
 
-def test_min_singular_value_conventions():
-    assert min_singular_value(np.eye(2)) == 1.0
-    assert min_singular_value(np.array([[1.0, 0.0]])) == 0.0
-    with pytest.raises(ValueError):
-        min_singular_value(np.zeros((0, 0)))
-
-
 def test_smallest_nonzero_singular_value():
     A = np.diag([3.0, 2.0, 0.0])
     assert abs(smallest_nonzero_singular_value(A) - 2.0) < 1e-14
@@ -126,6 +118,34 @@ def test_weight_scheme_values():
                                * np.sqrt(2 * np.arange(1, 5) - 1),
                                rtol=1e-14)
     assert not wp.violates_growth
+
+    # default_weights picks the family's growth scheme and passes relax on
+    df = default_weights(fourier(), 9, 0.5)
+    assert df.scheme == "fourier_gamma"
+    np.testing.assert_array_equal(df.w, wf.w)
+    dp = default_weights(legendre(), 4, 1.0)
+    assert dp.scheme == "poly_gamma"
+    np.testing.assert_array_equal(dp.w, wp.w)
+    dr = default_weights(legendre(), 4, 1.0, relax=True)
+    np.testing.assert_array_equal(dr.w, np.arange(1.0, 5.0))
+
+
+@pytest.mark.parametrize("spec,scheme,gamma", [
+    (jacobi(-0.75, -0.75), "poly_gamma", 1.0),
+    (legendre(), "unit", 0.0),
+    (fourier(), "fourier_gamma", 0.5),
+])
+def test_make_weights_computes_sup_norms_once(monkeypatch, spec, scheme,
+                                              gamma):
+    calls = []
+
+    def counting(basis, K):
+        calls.append(K)
+        return linf_norms(basis, K)
+
+    monkeypatch.setattr(sampling, "linf_norms", counting)
+    make_weights(spec, 12, scheme, gamma=gamma)
+    assert calls == [12]
 
 
 def test_relaxed_weights_flagged():
@@ -185,8 +205,6 @@ def test_choose_k_validation():
         choose_K(legendre(), ps, 0.0)
     with pytest.raises(ValueError):
         choose_K(legendre(), ps, 1.0)
-    with pytest.raises(ValueError):
-        choose_K(legendre(), ps, 0.5, policy="guess")
 
 
 def test_choose_k_cap():
@@ -194,39 +212,6 @@ def test_choose_k_cap():
     with pytest.raises(TruncationSearchError):
         choose_K(legendre(), ps, 0.5, max_K=16)
     assert MAX_TRUNCATION == 2 ** 16
-
-
-def test_formula_policy_matches_search_on_reference_grid():
-    n = 20
-    pts = -1.0 + (2.0 * np.arange(1, n + 1) - 1.0) / n
-    ps = build_pointset(pts, legendre())
-    k_search = choose_K(legendre(), ps, 0.5)
-    k_formula = choose_K(legendre(), ps, 0.5, policy="theorem_formula", r=1.0)
-    assert k_formula == k_search
-
-
-def test_formula_policy_errors():
-    # endpoint-inclusive grid has zero separation
-    ps = build_pointset(generate("equispaced", 10), legendre())
-    with pytest.raises(DegenerateGridError):
-        choose_K(legendre(), ps, 0.5, policy="theorem_formula")
-    clustered = build_pointset([-1e-6, 1e-6], legendre())
-    with pytest.raises(TruncationSearchError):
-        choose_K(legendre(), clustered, 0.5, policy="theorem_formula")
-    mid = build_pointset(-1.0 + (2.0 * np.arange(1, 5) - 1.0) / 4, legendre())
-    with pytest.raises(ValueError):
-        choose_K(legendre(), mid, 0.5, policy="theorem_formula", r=0.0)
-
-
-@pytest.mark.parametrize("spec,K", [(legendre(), 7), (fourier(), 6)])
-def test_save_load_roundtrip(tmp_path, spec, K):
-    ps = build_pointset(generate("uniform_random", 5, seed=8), spec)
-    A = build_matrix(spec, ps, K)
-    path = tmp_path / "mat.txt"
-    save_matrix(path, A)
-    back = load_matrix(path)
-    assert back.dtype == A.entries.dtype
-    np.testing.assert_array_equal(back, A.entries)
 
 
 def test_sampling_matrix_is_frozen():
