@@ -159,20 +159,21 @@ def _log_phi_scale(alpha: float, beta: float, j) -> np.ndarray:
 
 
 def _jacobi_raw_table(alpha: float, beta: float, n_max: int, t: np.ndarray) -> np.ndarray:
-    """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t,
-    columns by degree, via the three-term recurrence."""
+    """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
+    three-term recurrence, one contiguous row per degree: shape
+    (n_max + 1, len(t))."""
     t = np.asarray(t, dtype=float)
     ab = alpha + beta
-    P = np.empty((t.size, n_max + 1))
-    P[:, 0] = 1.0
+    P = np.empty((n_max + 1, t.size))
+    P[0] = 1.0
     if n_max >= 1:
-        P[:, 1] = (alpha + 1.0) + (ab + 2.0) * (t - 1.0) / 2.0
+        P[1] = (alpha + 1.0) + (ab + 2.0) * (t - 1.0) / 2.0
     for j in range(2, n_max + 1):
         c1 = 2.0 * j * (j + ab) * (2.0 * j + ab - 2.0)
         c2 = (2.0 * j + ab - 1.0) * (alpha**2 - beta**2)
         c3 = (2.0 * j + ab - 2.0) * (2.0 * j + ab - 1.0) * (2.0 * j + ab)
         c4 = 2.0 * (j + alpha - 1.0) * (j + beta - 1.0) * (2.0 * j + ab)
-        P[:, j] = ((c2 + c3 * t) * P[:, j - 1] - c4 * P[:, j - 2]) / c1
+        P[j] = ((c2 + c3 * t) * P[j - 1] - c4 * P[j - 2]) / c1
     return P
 
 
@@ -190,7 +191,11 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     Returns
     -------
     ndarray of shape (len(t), K), real for Jacobi, complex for the
-    exponential system.
+    exponential system.  The Jacobi table is Fortran-ordered: the
+    recurrence fills one contiguous row per degree and the result is the
+    transpose of that (K, len(t)) array.  The exponential table is
+    C-ordered.  Callers that need C order (for example, for sums with a
+    fixed summation order) ask for it with np.ascontiguousarray.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(t)
@@ -199,8 +204,8 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     if spec.kind == FOURIER:
         return np.exp(1j * np.pi * _reduced_phase(t, frequencies(K)))
     P = _jacobi_raw_table(spec.alpha, spec.beta, K - 1, t)
-    scale = np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(K)))
-    return P * scale
+    P *= np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(K)))[:, None]
+    return P.T
 
 
 def _reduced_phase(t: np.ndarray, freqs) -> np.ndarray:
@@ -257,10 +262,10 @@ def eval_deriv(spec: BasisSpec, i: int, t, order: int = 1) -> np.ndarray:
     for _ in range(order):
         factor *= _deriv_factor(a, b, jj)
         a, b, jj = a + 1.0, b + 1.0, jj - 1
-    return factor * _jacobi_raw_table(a, b, jj, t)[:, jj]
+    return factor * _jacobi_raw_table(a, b, jj, t)[jj]
 
 
-def _log_binom(x: float, k: float) -> float:
+def _log_binom(x, k):
     return gammaln(x + 1.0) - gammaln(k + 1.0) - gammaln(x - k + 1.0)
 
 
@@ -293,8 +298,8 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     j = np.arange(K, dtype=float)
     scale = _log_phi_scale(a, b, j)
     if max(a, b) >= -0.5:
-        log_at_plus1 = np.array([_log_binom(jj + a, jj) for jj in j])
-        log_at_minus1 = np.array([_log_binom(jj + b, jj) for jj in j])
+        log_at_plus1 = _log_binom(j + a, j)
+        log_at_minus1 = _log_binom(j + b, j)
         return np.exp(scale + np.maximum(log_at_plus1, log_at_minus1))
     # both parameters < -1/2: interior maximum, grid plus refinement
     out = np.empty(K)
@@ -361,8 +366,11 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int,
         else:
             x, w = _legendre_rule(Q)
         fx = np.asarray(f(x))
-        table = eval_table(spec, M, x)
-        return table.conj().T @ (w * fx)
+        # C order fixes the summation order of the product below.
+        table = np.ascontiguousarray(eval_table(spec, M, x))
+        if spec.kind == FOURIER:
+            table = table.conj()
+        return table.T @ (w * fx)
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)

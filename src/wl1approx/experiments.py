@@ -427,6 +427,9 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
          else get_function("runge25" if not basis.is_complex
                            else "peaks500"))
     reports = []
+    # L = 2K repeats across M; a prefix of a larger-L projection would
+    # change the quadrature order, so each L is projected on its own.
+    projections = {}
     for N in cfg.n_list:
         for M in cfg.m_list:
             ss = np.random.SeedSequence([cfg.seed, N, M])
@@ -438,7 +441,9 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
             sigma = smallest_nonzero_singular_value(U_K)
             L = 2 * K
             w_ext = default_weights(basis, L, cfg.gamma)
-            proj = project_coefficients(f, basis, L)
+            if L not in projections:
+                projections[L] = project_coefficients(f, basis, L)
+            proj = projections[L]
             reports.append(DiagnosticsReport(
                 h=ps.h, xi=ps.xi, N=ps.n, M=M, K=K, sigma_min=sigma,
                 trunc_w=truncation_bound(U_K, w_ext, proj.coeffs),

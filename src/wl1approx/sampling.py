@@ -103,7 +103,8 @@ def build_matrix(basis: BasisSpec, ps: PointSet, K: int) -> SamplingMatrix:
             "point set was built for measure %s, not %s"
             % (ps.basis.label(), basis.label()))
     table = eval_table(basis, K, ps.points)
-    entries = np.sqrt(ps.tau)[:, None] * table
+    # C order keeps the summation order of every product and solve on A.
+    entries = np.ascontiguousarray(np.sqrt(ps.tau)[:, None] * table)
     entries.setflags(write=False)
     return SamplingMatrix(entries=entries, basis=basis, pointset=ps)
 

@@ -8,7 +8,7 @@ special cases, and exact discrete Fourier orthogonality on periodic grids.
 
 import numpy as np
 import pytest
-from scipy.special import roots_jacobi, eval_jacobi
+from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
                              eval_basis, eval_deriv, eval_table, fourier,
@@ -16,6 +16,7 @@ from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
                              leading_indices, legendre, linf_norm, linf_norms,
                              log_weight_mass, nested_rank,
                              project_coefficients)
+from wl1approx.basis import _log_phi_scale
 
 PARAM_GRID = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, 0.5),
               (0.5, 0.5), (1.0, 0.0), (1.0, 1.0), (0.5, -0.5)]
@@ -116,6 +117,24 @@ def test_eval_table_consistent_with_eval_basis():
             col = eval_basis(spec, int(i), t)
             np.testing.assert_allclose(T[:, pos], col, rtol=1e-13,
                                        atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [legendre(), chebyshev(), jacobi(1.0, 0.0),
+                                  jacobi(-0.75, -0.75)],
+                         ids=lambda s: s.label())
+@pytest.mark.parametrize("K", [1, 2, 200])
+def test_eval_table_matches_scipy_jacobi(spec, K):
+    # scipy's eval_jacobi supplies the raw polynomials; only the unit-norm
+    # factor comes from the package.
+    t = np.concatenate([[-1.0, 0.0, 1.0],
+                        np.random.default_rng(3).uniform(-1, 1, 300)])
+    j = np.arange(K)
+    expect = (eval_jacobi(j, spec.alpha, spec.beta, t[:, None])
+              * np.exp(_log_phi_scale(spec.alpha, spec.beta, j)))
+    T = eval_table(spec, K, t)
+    assert T.shape == (t.size, K) and T.flags.f_contiguous
+    sup = np.max(np.abs(expect), axis=0)
+    assert np.all(np.abs(T - expect) <= 1e-11 * sup)
 
 
 def test_eval_rejects_outside_domain():
@@ -256,3 +275,22 @@ def test_projection_reconstructs_smooth_function():
     t = np.linspace(-1, 1, 501)
     approx = eval_table(spec, 120, t) @ res.coeffs
     assert np.max(np.abs(approx - f(t))) < 1e-8
+
+
+@pytest.mark.parametrize("spec,f,M", [
+    (jacobi(1.0, 0.0), lambda t: 1.0 / (1.0 + 25 * t ** 2), 130),
+    (fourier(), lambda t: np.exp(np.sin(3 * np.pi * t)) / (1.1 - t), 40),
+], ids=["jacobi:1,0", "fourier"])
+def test_projection_sums_in_c_order(spec, f, M):
+    # The tail of a projection sits at rounding level, so the summation
+    # order is part of its value: the coefficients must equal, bit for bit,
+    # the product with a C-ordered table at the reported node count.
+    res = project_coefficients(f, spec, M)
+    if spec.is_complex:
+        x, w = roots_legendre(res.nodes)
+        w = 0.5 * w
+    else:
+        x, w = roots_jacobi(res.nodes, spec.alpha, spec.beta)
+        w = w * np.exp(-log_weight_mass(spec.alpha, spec.beta))
+    table = np.ascontiguousarray(eval_table(spec, M, x))
+    np.testing.assert_array_equal(res.coeffs, table.conj().T @ (w * f(x)))

@@ -8,7 +8,7 @@ the numerics, which the dedicated module tests already pin down.
 import numpy as np
 import pytest
 
-from wl1approx import cli
+from wl1approx import cli, experiments
 from wl1approx.diagnostics import REPORT_COLUMNS
 from wl1approx.experiments import (POLY_C_GRID, SWEEP_GAMMAS, TRIG_C_GRID,
                                    ExperimentConfig, TEST_FUNCTIONS,
@@ -187,6 +187,24 @@ def test_diagnostics_runner(tmp_path):
     assert len(scaling) >= 6
     meta = open(out["meta"]).read()
     assert "slope_E2" in meta
+
+
+def test_diagnostics_projects_once_per_length(tmp_path, monkeypatch):
+    # L = 2K depends on N only under the default K = 4N, so two values of M
+    # share each N's projection.
+    lengths = []
+    project = experiments.project_coefficients
+
+    def counting(f, basis, L):
+        lengths.append(L)
+        return project(f, basis, L)
+
+    monkeypatch.setattr(experiments, "project_coefficients", counting)
+    cfg = ExperimentConfig(experiment="diagnostics", n_list=(10, 20),
+                           m_list=(3, 4), out_dir=str(tmp_path),
+                           eval_resolution=2000)
+    run_diagnostics(cfg)
+    assert lengths == [80, 160]
 
 
 def test_approximate_runner(tmp_path):

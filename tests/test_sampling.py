@@ -32,6 +32,7 @@ def test_entries_are_scaled_evaluations():
     np.testing.assert_array_equal(A.entries, expect)
     assert A.n_points == 9 and A.n_columns == 6
     assert not A.entries.flags.writeable
+    assert A.entries.flags.c_contiguous
 
 
 def test_matrix_rejects_mismatched_measure():
