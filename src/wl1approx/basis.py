@@ -68,16 +68,6 @@ def fourier() -> BasisSpec:
     return BasisSpec(FOURIER)
 
 
-def growth_exponent(spec: BasisSpec) -> float:
-    """Exponent q such that the sup norms grow like index^(q + 1/2).
-
-    For the exponentials the sup norms are constant, matching q = -1/2.
-    """
-    if spec.kind == FOURIER:
-        return -0.5
-    return max(spec.alpha, spec.beta, -0.5)
-
-
 def frequencies(K: int) -> np.ndarray:
     """Stored frequencies for a size-K exponential basis, ascending."""
     if K < 1:
@@ -113,7 +103,7 @@ def nested_rank(spec: BasisSpec, K: int) -> np.ndarray:
 
 
 def _check_domain(t: np.ndarray):
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    if not np.all(np.abs(t) <= 1.0 + 1e-12):
         raise ValueError("evaluation points must lie in [-1, 1]")
 
 
@@ -269,20 +259,6 @@ def _log_binom(x, k):
     return gammaln(x + 1.0) - gammaln(k + 1.0) - gammaln(x - k + 1.0)
 
 
-def linf_norm(spec: BasisSpec, i: int) -> float:
-    """Sup norm over [-1, 1] of basis function i.
-
-    When max(alpha, beta) >= -1/2 the maximum of a Jacobi polynomial sits
-    at an endpoint, where closed forms exist.  Otherwise the maximum is
-    interior and is located numerically.
-    """
-    if spec.kind == FOURIER:
-        return 1.0
-    if i < 1:
-        raise ValueError("storage index must be >= 1")
-    return float(linf_norms(spec, i)[-1])
-
-
 def chebyshev_extrema(n: int) -> np.ndarray:
     """The n Chebyshev extrema cos(pi k / (n - 1)) in ascending order."""
     if n < 2:
@@ -291,7 +267,14 @@ def chebyshev_extrema(n: int) -> np.ndarray:
 
 
 def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
-    """Sup norms of the first K basis functions (storage order)."""
+    """Sup norms over [-1, 1] of the first K basis functions (storage order).
+
+    When max(alpha, beta) >= -1/2 the maximum of a Jacobi polynomial sits
+    at an endpoint, where closed forms exist.  Otherwise the maximum is
+    interior: a Chebyshev grid brackets each function's maximum, and one
+    golden-section search refines all K brackets at once, evaluating the
+    recurrence at one new point per function in each step.
+    """
     if spec.kind == FOURIER:
         return np.ones(K)
     a, b = spec.alpha, spec.beta
@@ -301,34 +284,32 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
         log_at_plus1 = _log_binom(j + a, j)
         log_at_minus1 = _log_binom(j + b, j)
         return np.exp(scale + np.maximum(log_at_plus1, log_at_minus1))
-    # both parameters < -1/2: interior maximum, grid plus refinement
-    out = np.empty(K)
     grid = chebyshev_extrema(4096)
-    table = np.abs(eval_table(spec, K, grid))
-    for idx in range(K):
-        best = int(np.argmax(table[:, idx]))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, grid.size - 1)]
-        out[idx] = _golden_max(lambda x: abs(eval_basis(spec, idx + 1, x)[0]), lo, hi)
-    return out
+    best = np.argmax(np.abs(eval_table(spec, K, grid)), axis=0)
+    lo = grid[np.maximum(best - 1, 0)]
+    hi = grid[np.minimum(best + 1, grid.size - 1)]
+    factor = np.exp(scale)
+    cols = np.arange(K)
 
+    def fn(x):  # |phi_i(x_i)| for every column i
+        return np.abs(factor * _jacobi_raw_table(a, b, K - 1, x)[cols, cols])
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> float:
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-    return max(f1, f2)
+    active = hi - lo > 1e-10
+    while active.any():
+        up = active & (f1 < f2)
+        down = active & ~up
+        lo[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        hi[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x = np.where(up, lo + invphi * (hi - lo), hi - invphi * (hi - lo))
+        fx = fn(x)
+        x2[up], f2[up] = x[up], fx[up]
+        x1[down], f1[down] = x[down], fx[down]
+        active = hi - lo > 1e-10
+    return np.maximum(f1, f2)
 
 
 class ProjectionResult(NamedTuple):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.linalg as la
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .basis import BasisSpec, leading_indices, nested_rank
 from .grid import PointSet, build_pointset, generate
@@ -26,9 +26,6 @@ from .sampling import (
     default_weights,
     smallest_nonzero_singular_value,
 )
-
-REPORT_COLUMNS = ("h", "xi", "N", "M", "R", "K", "E2", "Einf", "F",
-                  "sigma_min", "alpha", "theta", "trunc_w", "trunc_wtilde")
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,8 @@ class DiagnosticsReport:
     trunc_w: float
     trunc_wtilde: float
 
-    def astuple(self):
-        return (self.h, self.xi, self.N, self.M, self.R, self.K, self.E2,
-                self.Einf, self.F, self.sigma_min, self.alpha, self.theta,
-                self.trunc_w, self.trunc_wtilde)
+
+REPORT_COLUMNS = tuple(f.name for f in fields(DiagnosticsReport))
 
 
 def _weight_array(W, K: int) -> np.ndarray:
@@ -266,7 +261,7 @@ def write_report_csv(path, reports) -> None:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         for rep in reports:
             cells = []
-            for name, val in zip(REPORT_COLUMNS, rep.astuple()):
+            for name, val in zip(REPORT_COLUMNS, astuple(rep)):
                 if name in ("N", "M", "R", "K"):
                     cells.append("%d" % val)
                 else:

@@ -4,7 +4,7 @@ A point set carries the Voronoi cells of its nodes, the measure of each
 cell under the basis's probability measure (quadrature weights tau), the
 fill distance h, and the half minimal separation xi.  The separation
 includes ghost points reflecting the interval endpoints; the reflection
-rule is selectable and defaults to the one matching the basis family.
+rule follows the basis family and is not selectable.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +17,6 @@ from .basis import BasisSpec, FOURIER, legendre
 
 class DegenerateGridError(ValueError):
     """Raised for point sets that violate the strict-ordering requirements."""
-
-
-GHOST_REFLECT = "reflect"    # t_0 = -t_1 - 2, t_{N+1} = 2 - t_N
-GHOST_ENDPOINT = "endpoint"  # t_0 = -1, t_{N+1} = 1
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,6 @@ class PointSet:
     xi : float, half minimal separation including ghost points
     degenerate : bool, True when xi == 0 (points touching an endpoint
         under the reflect rule); flagged rather than fatal
-    ghost_rule : which endpoint reflection produced xi
     """
 
     points: np.ndarray
@@ -45,7 +40,6 @@ class PointSet:
     h: float
     xi: float
     degenerate: bool
-    ghost_rule: str
     basis: BasisSpec = field(default_factory=legendre)
 
     @property
@@ -57,7 +51,7 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float).ravel()
     if pts.size == 0:
         raise DegenerateGridError("empty point set")
-    if np.any(np.abs(pts) > 1.0):
+    if not np.all(np.abs(pts) <= 1.0):
         raise ValueError("points must lie in [-1, 1]")
     if pts.size > 1:
         gaps = np.diff(pts)
@@ -84,7 +78,7 @@ def cell_measures(basis: BasisSpec, edges: np.ndarray) -> np.ndarray:
     return np.diff(cdf)
 
 
-def build_pointset(points, basis: BasisSpec, ghost_rule: str | None = None) -> PointSet:
+def build_pointset(points, basis: BasisSpec) -> PointSet:
     """Assemble a PointSet with cells, weights and density metrics.
 
     Parameters
@@ -92,16 +86,11 @@ def build_pointset(points, basis: BasisSpec, ghost_rule: str | None = None) -> P
     points : array_like
         Strictly increasing values in [-1, 1].
     basis : BasisSpec
-        Determines the measure for the quadrature weights and, when
-        ghost_rule is None, the endpoint reflection convention
-        ("endpoint" for the exponential system, "reflect" otherwise).
-    ghost_rule : {"reflect", "endpoint"}, optional
+        Determines the measure for the quadrature weights and the ghost
+        points: t_0 = -1, t_{N+1} = 1 for the exponential system (endpoint
+        rule), t_0 = -t_1 - 2, t_{N+1} = 2 - t_N otherwise (reflect rule).
     """
     pts = _validate_points(points)
-    if ghost_rule is None:
-        ghost_rule = GHOST_ENDPOINT if basis.kind == FOURIER else GHOST_REFLECT
-    if ghost_rule not in (GHOST_REFLECT, GHOST_ENDPOINT):
-        raise ValueError(f"unknown ghost rule {ghost_rule!r}")
 
     mids = (pts[1:] + pts[:-1]) / 2.0
     edges = np.concatenate([[-1.0], mids, [1.0]])
@@ -109,13 +98,13 @@ def build_pointset(points, basis: BasisSpec, ghost_rule: str | None = None) -> P
 
     gaps = np.diff(pts)
     h = max(pts[0] + 1.0, 1.0 - pts[-1], gaps.max() / 2.0 if gaps.size else 0.0)
-    if ghost_rule == GHOST_REFLECT:
-        ghost_gaps = [pts[0] + 1.0, 1.0 - pts[-1]]  # t_1 - t_0 over 2 etc.
-    else:
+    if basis.kind == FOURIER:
         ghost_gaps = [(pts[0] + 1.0) / 2.0, (1.0 - pts[-1]) / 2.0]
+    else:
+        ghost_gaps = [pts[0] + 1.0, 1.0 - pts[-1]]  # t_1 - t_0 over 2 etc.
     xi = min(list(gaps / 2.0) + ghost_gaps)
     return PointSet(points=pts, edges=edges, tau=tau, h=float(h), xi=float(xi),
-                    degenerate=(xi == 0.0), ghost_rule=ghost_rule, basis=basis)
+                    degenerate=(xi == 0.0), basis=basis)
 
 
 def generate(kind: str, N: int, seed: int | None = None,
@@ -148,24 +137,6 @@ def generate(kind: str, N: int, seed: int | None = None,
     if kind == "chebyshev":
         return np.cos((2.0 * np.arange(N, 0, -1) - 1.0) * np.pi / (2.0 * N))
     raise ValueError(f"unknown point family {kind!r}")
-
-
-def discrete_inner_product(ps: PointSet, f_values, g_values) -> complex:
-    """Quadrature inner product sum tau_n f(t_n) conj(g(t_n))."""
-    f = np.asarray(f_values).ravel()
-    g = np.asarray(g_values).ravel()
-    if f.size != ps.n or g.size != ps.n:
-        raise ValueError("value vectors must match the number of points")
-    out = np.sum(ps.tau * f * np.conj(g))
-    return complex(out) if np.iscomplexobj(out) else float(out)
-
-
-def save_points(path, points):
-    """One point per line, 17 significant digits."""
-    pts = np.asarray(points, dtype=float).ravel()
-    with open(path, "w") as fh:
-        for p in pts:
-            fh.write(f"{p:.17g}\n")
 
 
 def load_points(path) -> np.ndarray:

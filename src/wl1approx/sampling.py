@@ -87,7 +87,6 @@ class WeightVector:
 
     w: np.ndarray
     scheme: str
-    gamma: float | None = None
     violates_growth: bool = False
 
     def __len__(self) -> int:
@@ -167,32 +166,27 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
         w = np.asarray(custom, dtype=float).copy()
         if len(w) != K:
             raise ValueError("custom weights must have length K")
-        gval = None
     elif scheme == "fourier_gamma":
         if not basis.is_complex:
             raise ValueError("fourier_gamma weights need the Fourier system")
         w = 1.0 + np.abs(frequencies(K)) ** float(gamma)
-        gval = float(gamma)
     else:
         if basis.is_complex and scheme == "poly_gamma":
             raise ValueError("poly_gamma weights are position-based; "
                              "use fourier_gamma for the Fourier system")
         if scheme == "unit":
             w = sup.copy()
-            gval = None
         else:
             pos = np.arange(1, K + 1, dtype=float)
             w = pos ** float(gamma)
             if not relax:
                 w = w * sup
-            gval = float(gamma)
 
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be positive and finite")
     violates = bool(np.any(w < sup * (1.0 - 1e-12)))
     w.setflags(write=False)
-    return WeightVector(w=w, scheme=scheme, gamma=gval,
-                        violates_growth=violates)
+    return WeightVector(w=w, scheme=scheme, violates_growth=violates)
 
 
 def default_weights(basis: BasisSpec, K: int, gamma: float,

@@ -55,10 +55,6 @@ class SamplingProblem:
     w: WeightVector
     eta: float = 0.0
 
-    @property
-    def weight_array(self) -> np.ndarray:
-        return self.w.w
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -248,7 +244,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         raise ValueError("unknown mode %r" % (mode,))
     A = p.A.entries
     y = np.asarray(p.y)
-    w = np.asarray(p.weight_array, dtype=float)
+    w = np.asarray(p.w.w, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("data contains NaN or infinity")
     eta = p.eta if mode == "inequality" else 0.0

@@ -12,10 +12,10 @@ from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
                              eval_basis, eval_deriv, eval_table, fourier,
-                             frequencies, growth_exponent, jacobi, kappa,
-                             leading_indices, legendre, linf_norm, linf_norms,
-                             log_weight_mass, nested_rank,
-                             project_coefficients)
+                             frequencies, jacobi, kappa, leading_indices,
+                             legendre, linf_norms, log_weight_mass,
+                             nested_rank, project_coefficients)
+from wl1approx import basis
 from wl1approx.basis import _log_phi_scale
 
 PARAM_GRID = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, 0.5),
@@ -48,13 +48,6 @@ def test_labels():
     assert legendre().label() == "jacobi:0,0"
     assert chebyshev().label() == "jacobi:-0.5,-0.5"
     assert fourier().label() == "fourier"
-
-
-def test_growth_exponent():
-    assert growth_exponent(legendre()) == 0.0
-    assert growth_exponent(chebyshev()) == -0.5
-    assert growth_exponent(fourier()) == -0.5
-    assert growth_exponent(jacobi(1.0, 0.25)) == 1.0
 
 
 def test_weight_mass_closed_forms():
@@ -142,6 +135,10 @@ def test_eval_rejects_outside_domain():
         eval_table(legendre(), 4, np.array([1.5]))
     with pytest.raises(ValueError):
         eval_basis(fourier(), 1, np.array([-1.01]))
+    with pytest.raises(ValueError):
+        eval_table(legendre(), 4, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        eval_deriv(legendre(), 3, np.array([np.nan]))
 
 
 def test_fourier_exact_discrete_orthogonality():
@@ -235,7 +232,8 @@ def test_linf_norm_closed_forms():
     np.testing.assert_allclose(linf_norms(fourier(), 7), 1.0, rtol=1e-14)
 
 
-@pytest.mark.parametrize("ab", [(0.25, 0.75), (1.0, 0.0), (-0.4, 0.3)])
+@pytest.mark.parametrize("ab", [(0.25, 0.75), (1.0, 0.0), (-0.4, 0.3),
+                                (-0.75, -0.75), (-0.9, -0.6)])
 def test_linf_norm_bounds_dense_grid(ab):
     spec = jacobi(*ab)
     t = np.cos(np.pi * np.arange(4001) / 4000)
@@ -245,7 +243,56 @@ def test_linf_norm_bounds_dense_grid(ab):
     # A sup norm can exceed a grid max, never undercut it.
     assert np.all(norms >= dense * (1 - 1e-9))
     np.testing.assert_allclose(norms, dense, rtol=1e-4)
-    assert abs(linf_norm(spec, 3) - norms[2]) < 1e-12
+
+
+def _scalar_golden_max(fn, lo, hi, tol=1e-10):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = fn(x1)
+    return max(f1, f2)
+
+
+@pytest.mark.parametrize("ab", [(-0.75, -0.75), (-0.9, -0.6), (-0.55, -0.99)])
+def test_interior_linf_norms_match_scalar_search(ab):
+    # Reference: one golden-section search per function on eval_basis,
+    # from the bracket around its maximum on the same Chebyshev grid.  The
+    # arithmetic is the same, so the values must agree exactly.
+    spec, K = jacobi(*ab), 17
+    grid = np.cos(np.pi * np.arange(4096) / 4095)[::-1]
+    table = np.abs(eval_table(spec, K, grid))
+    expect = []
+    for i in range(K):
+        best = int(np.argmax(table[:, i]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        expect.append(_scalar_golden_max(
+            lambda x: abs(eval_basis(spec, i + 1, x)[0]), lo, hi))
+    np.testing.assert_array_equal(linf_norms(spec, K), expect)
+
+
+def test_interior_linf_norms_evaluate_all_columns_per_step(monkeypatch):
+    # Both parameters below -1/2 put the maxima inside the interval; one
+    # golden-section step refines every column with one recurrence call.
+    calls = []
+    raw = basis._jacobi_raw_table
+
+    def counted(*args):
+        calls.append(args[2])
+        return raw(*args)
+
+    monkeypatch.setattr(basis, "_jacobi_raw_table", counted)
+    norms = linf_norms(jacobi(-0.75, -0.75), 80)
+    assert len(calls) <= 100
+    assert norms.shape == (80,) and np.all(norms >= 1.0)
 
 
 def test_projection_recovers_basis_functions():

@@ -261,3 +261,15 @@ def test_cli_failure_paths(tmp_path):
                      "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         cli.main(["not_an_experiment"])
+
+
+def test_cli_names_nan_points(tmp_path, capsys):
+    # A NaN abscissa must be rejected as a point, not later as bad data.
+    samples = tmp_path / "samples.txt"
+    samples.write_text("-0.5 1.0\nnan 2.0\n0.5 3.0\n")
+    points = tmp_path / "points.txt"
+    points.write_text("-0.5\nnan\n0.5\n")
+    for argv in (["approximate", str(samples)],
+                 ["compare", "--points", "file:%s" % points, "--n", "3"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "points must lie in [-1, 1]" in capsys.readouterr().err

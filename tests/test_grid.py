@@ -12,10 +12,8 @@ import pytest
 from scipy.special import betainc
 
 from wl1approx.basis import chebyshev, eval_basis, fourier, jacobi, legendre
-from wl1approx.grid import (DegenerateGridError, GHOST_ENDPOINT,
-                            GHOST_REFLECT, PointSet, build_pointset,
-                            cell_measures, discrete_inner_product, generate,
-                            load_points, save_points)
+from wl1approx.grid import (DegenerateGridError, PointSet, build_pointset,
+                            cell_measures, generate, load_points)
 
 
 def test_two_point_symmetric_cells():
@@ -25,7 +23,6 @@ def test_two_point_symmetric_cells():
     assert ps.h == 0.5
     assert ps.xi == 0.5
     assert not ps.degenerate
-    assert ps.ghost_rule == GHOST_REFLECT
     assert ps.n == 2
 
 
@@ -52,17 +49,19 @@ def test_validation_errors():
         build_pointset([0.1, 0.1, 0.2], legendre())
     with pytest.raises(ValueError):
         build_pointset([-1.2, 0.0], legendre())
-    with pytest.raises(ValueError):
-        build_pointset([0.0, 0.5], legendre(), ghost_rule="mirror")
+    # NaN compares False against any bound, so it must not pass as inside.
+    for pts in ([0.0, np.nan], [np.nan, 0.0], [np.nan]):
+        with pytest.raises(ValueError, match=r"points must lie in \[-1, 1\]"):
+            build_pointset(pts, legendre())
 
 
-def test_ghost_rule_defaults_and_override():
+def test_ghost_rule_follows_basis_family():
     pts = [-0.5, 0.5]
-    assert build_pointset(pts, fourier()).ghost_rule == GHOST_ENDPOINT
-    assert build_pointset(pts, chebyshev()).ghost_rule == GHOST_REFLECT
-    over = build_pointset(pts, legendre(), ghost_rule=GHOST_ENDPOINT)
-    # Endpoint ghosts halve the boundary gaps: min(1/2, 1/4) = 1/4.
-    assert over.xi == 0.25
+    # Endpoint ghosts (exponentials) halve the boundary gaps:
+    # min(1/2, 1/4) = 1/4; reflected ghosts (Jacobi) keep them at 1/2.
+    assert build_pointset(pts, fourier()).xi == 0.25
+    assert build_pointset(pts, chebyshev()).xi == 0.5
+    assert build_pointset(pts, legendre()).xi == 0.5
 
 
 def test_tau_is_probability_vector():
@@ -142,20 +141,8 @@ def test_inner_product_two_point_example():
     # +-1/2 with half-half cells is 2 * (1/2 * 3/4) = 3/4.
     ps = build_pointset([-0.5, 0.5], legendre())
     vals = eval_basis(legendre(), 2, ps.points)
-    got = discrete_inner_product(ps, vals, vals)
+    got = np.sum(ps.tau * vals * np.conj(vals))
     assert abs(got - 0.75) < 1e-15
-    assert isinstance(got, float)
-
-
-def test_inner_product_complex_and_validation():
-    ps = build_pointset([-0.5, 0.5], fourier())
-    f = eval_basis(fourier(), 1, ps.points)
-    g = eval_basis(fourier(), 1, ps.points)
-    val = discrete_inner_product(ps, f, g)
-    assert isinstance(val, complex)
-    assert abs(val - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        discrete_inner_product(ps, f[:1], g)
 
 
 def test_discrete_gram_approaches_identity():
@@ -170,7 +157,7 @@ def test_discrete_gram_approaches_identity():
             fi = eval_basis(legendre(), i, ps.points)
             for j in range(1, 6):
                 fj = eval_basis(legendre(), j, ps.points)
-                got = discrete_inner_product(ps, fi, fj)
+                got = np.sum(ps.tau * fi * np.conj(fj))
                 worst = max(worst, abs(got - (1.0 if i == j else 0.0)))
         devs.append(worst)
     assert devs[-1] < 0.02
@@ -178,12 +165,19 @@ def test_discrete_gram_approaches_identity():
         assert b < 2.0 * a
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_load_points_reads_17_digit_values(tmp_path):
     pts = generate("uniform_random", 23, seed=9)
     path = tmp_path / "pts.txt"
-    save_points(path, pts)
-    back = load_points(path)
-    np.testing.assert_array_equal(back, pts)
+    lines = ["# abscissae, one per line", ""]
+    lines += ["%.17g" % p for p in pts[:10]] + ["   ", "# more"]
+    lines += ["  %.17g  " % p for p in pts[10:]] + [""]
+    path.write_text("\n".join(lines))
+    np.testing.assert_array_equal(load_points(path), pts)
+
+    only_comments = tmp_path / "empty.txt"
+    only_comments.write_text("# no points\n\n# here either\n")
+    with pytest.raises(DegenerateGridError):
+        load_points(only_comments)
 
 
 def test_pointset_carries_basis():
