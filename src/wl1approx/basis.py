@@ -184,28 +184,57 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     exponential system.  The Jacobi table is Fortran-ordered: the
     recurrence fills one contiguous row per degree and the result is the
     transpose of that (K, len(t)) array.  The exponential table is
-    C-ordered.  Callers that need C order (for example, for sums with a
-    fixed summation order) ask for it with np.ascontiguousarray.
+    C-ordered and built from its non-negative half: only frequencies
+    0 ... floor(K/2) are folded and evaluated, and the column of frequency
+    -j is the exact conjugate of the column of +j.  Callers that need C
+    order (for example, for sums with a fixed summation order) ask for it
+    with np.ascontiguousarray.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(t)
     if K < 1:
         raise ValueError("K must be >= 1")
     if spec.kind == FOURIER:
-        return np.exp(1j * np.pi * _reduced_phase(t, frequencies(K)))
+        half = K // 2
+        angle = _reduced_phase(t, np.arange(half + 1))
+        angle *= np.pi
+        T = np.empty((t.size, K), dtype=complex)
+        pos = T[:, half:]  # frequencies 0 ... K - half - 1
+        np.cos(angle[:, :K - half], out=pos.real)
+        np.sin(angle[:, :K - half], out=pos.imag)
+        # Column -j is the exact conjugate of column +j.
+        neg = T[:, :half][:, ::-1]  # frequencies -1, -2, ..., -half
+        np.conjugate(pos[:, 1:], out=neg[:, :K - half - 1])
+        if K % 2 == 0:  # +half is not stored
+            neg[:, -1] = np.cos(angle[:, half]) - 1j * np.sin(angle[:, half])
+        return T
     P = _jacobi_raw_table(spec.alpha, spec.beta, K - 1, t)
     P *= np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(K)))[:, None]
     return P.T
 
 
 def _reduced_phase(t: np.ndarray, freqs) -> np.ndarray:
-    # Fold t*j into [0, 2) before the complex exponential.  The extended
-    # working precision keeps the fold error below one double ulp even for
-    # large frequencies, where the plain product t*j has absolute error
-    # growing like |j| * eps; aliased frequency pairs then agree to within
-    # an ulp instead of drifting apart.
-    outer = np.multiply.outer(np.asarray(t, dtype=np.longdouble), freqs)
-    return np.remainder(outer, 2.0).astype(float)
+    # t * j folded into [0, 2), entry by entry.  The plain product t * j
+    # has absolute error growing like |j| * eps, and aliased frequency
+    # pairs would drift apart.  Instead t is split (Dekker) as
+    # t_hi + t_lo, with t_hi rounded to 53 - b fractional bits, where
+    # 2^b > max|j|: then t_hi * j is exact, and so is its fold
+    # x - 2 floor(x / 2).  Then t_lo * j is added, with |t_lo| <= 2^(b-54):
+    # for |j| < 2^26 that term is below 1/4 and its rounding lies far below
+    # one ulp, so the phase is within one ulp of the correctly rounded exact
+    # fold.  It may land just outside [0, 2).
+    freqs = np.asarray(freqs)
+    b = int(np.max(np.abs(freqs), initial=0)).bit_length()
+    scale = 2.0 ** (53 - b)
+    t_hi = np.rint(t * scale) / scale
+    x = np.multiply.outer(t_hi, freqs.astype(float))
+    k = np.multiply(x, 0.5)
+    np.floor(k, out=k)
+    k *= 2.0
+    x -= k
+    np.multiply.outer(t - t_hi, freqs, out=k)
+    x += k
+    return x
 
 
 def eval_basis(spec: BasisSpec, i: int, t) -> np.ndarray:

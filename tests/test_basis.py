@@ -6,6 +6,8 @@ scipy.special, closed-form norm constants for the Legendre and Chebyshev
 special cases, and exact discrete Fourier orthogonality on periodic grids.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
@@ -157,6 +159,47 @@ def test_fourier_index_is_frequency():
     for j in (-3, -1, 0, 2):
         np.testing.assert_allclose(eval_basis(fourier(), j, t),
                                    np.exp(1j * np.pi * j * t), rtol=1e-12)
+
+
+PHASE_T = np.concatenate([np.random.default_rng(5).uniform(-1, 1, 200),
+                          [1.0, -1.0, 0.0, -0.8, 0.3, 1e-300]])
+
+
+def exact_phasor(t, j):
+    # exp(i pi r) with r = t * j mod 2 folded in exact rational arithmetic
+    # and rounded once to double.
+    r = np.array([float(Fraction(x) * j % 2) for x in t])
+    return np.exp(1j * np.pi * r)
+
+
+def test_reduced_phase_matches_exact_fold():
+    # Compared through exp(i pi r), not r itself: a fold that lands just
+    # below 0 where the exact one sits just below 2 is the same phase, and
+    # 4.5e-16 leaves room for the rounding of pi * 2 in that case.
+    freqs = [0, 1, -1, 7, -7, 2047, -2047, 2048, -2048, 40961, 300001]
+    r = basis._reduced_phase(PHASE_T, np.array(freqs))
+    for col, j in enumerate(freqs):
+        err = np.abs(np.exp(1j * np.pi * r[:, col]) - exact_phasor(PHASE_T, j))
+        assert np.max(err) <= 4.5e-16, (j, np.max(err))
+
+
+def test_fourier_large_frequency_matches_exact_fold():
+    # A product t * j rounded in double or long double precision is off by
+    # many ulps at these frequencies.
+    for j, tol in ((300001, 1e-15), (10**9 + 7, 1e-13)):
+        err = np.abs(eval_basis(fourier(), j, PHASE_T)
+                     - exact_phasor(PHASE_T, j))
+        assert np.max(err) <= tol, (j, np.max(err))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 21, 160])
+def test_fourier_table_conjugate_pairs(K):
+    T = eval_table(fourier(), K, PHASE_T)
+    assert T.flags.c_contiguous
+    assert np.max(np.abs(np.abs(T) - 1.0)) <= 1e-15
+    fr = frequencies(K)
+    for j in range(1, (K + 1) // 2):
+        np.testing.assert_array_equal(T[:, fr == -j], T[:, fr == j].conj())
 
 
 def test_frequency_layout():
