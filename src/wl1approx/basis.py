@@ -148,23 +148,94 @@ def _log_phi_scale(alpha: float, beta: float, j) -> np.ndarray:
     return -0.5 * (logk - log_weight_mass(alpha, beta))
 
 
+def _jacobi_coeffs(alpha: float, beta: float, n_max: int):
+    """Coefficients of the three-term recurrence
+    c1_j P_j = (c2_j + c3_j t) P_{j-1} - c4_j P_{j-2}, j = 2 ... n_max,
+    as four arrays indexed by j (entries 0 and 1 unused)."""
+    ab = alpha + beta
+    j = np.arange(n_max + 1, dtype=float)
+    c1 = 2.0 * j * (j + ab) * (2.0 * j + ab - 2.0)
+    c2 = (2.0 * j + ab - 1.0) * (alpha**2 - beta**2)
+    c3 = (2.0 * j + ab - 2.0) * (2.0 * j + ab - 1.0) * (2.0 * j + ab)
+    c4 = 2.0 * (j + alpha - 1.0) * (j + beta - 1.0) * (2.0 * j + ab)
+    return c1, c2, c3, c4
+
+
+def _jacobi_p1(alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+    return (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
+
+
 def _jacobi_raw_table(alpha: float, beta: float, n_max: int, t: np.ndarray) -> np.ndarray:
     """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
     three-term recurrence, one contiguous row per degree: shape
     (n_max + 1, len(t))."""
     t = np.asarray(t, dtype=float)
-    ab = alpha + beta
     P = np.empty((n_max + 1, t.size))
     P[0] = 1.0
     if n_max >= 1:
-        P[1] = (alpha + 1.0) + (ab + 2.0) * (t - 1.0) / 2.0
+        P[1] = _jacobi_p1(alpha, beta, t)
+    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n_max)
     for j in range(2, n_max + 1):
-        c1 = 2.0 * j * (j + ab) * (2.0 * j + ab - 2.0)
-        c2 = (2.0 * j + ab - 1.0) * (alpha**2 - beta**2)
-        c3 = (2.0 * j + ab - 2.0) * (2.0 * j + ab - 1.0) * (2.0 * j + ab)
-        c4 = 2.0 * (j + alpha - 1.0) * (j + beta - 1.0) * (2.0 * j + ab)
-        P[j] = ((c2 + c3 * t) * P[j - 1] - c4 * P[j - 2]) / c1
+        P[j] = ((c2[j] + c3[j] * t) * P[j - 1] - c4[j] * P[j - 2]) / c1[j]
     return P
+
+
+def _jacobi_clenshaw(alpha: float, beta: float, c: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """sum_j c_j P_j(t) over the classical Jacobi polynomials, by Clenshaw's
+    backward recurrence on the coefficients of _jacobi_coeffs.  With
+    P_j = A_j P_{j-1} - G_j P_{j-2}, A_j = (c2_j + c3_j t) / c1_j and
+    G_j = c4_j / c1_j, it runs b_j = c_j + A_{j+1} b_{j+1} - G_{j+2} b_{j+2}
+    from b_{n+1} = b_{n+2} = 0 down to j = 1; the sum is
+    c_0 + P_1 b_1 - G_2 b_2."""
+    n = len(c) - 1
+    dtype = np.result_type(c, t)
+    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n + 2)
+    c1[:2] = 1.0  # entries 0 and 1 are unused; avoid dividing by zero
+    a, s, g = c2 / c1, c3 / c1, c4 / c1
+    b1 = np.zeros(t.size, dtype)   # b_{j+1}
+    b2 = np.zeros(t.size, dtype)   # b_{j+2}
+    bj = np.empty(t.size, dtype)
+    for j in range(n, 0, -1):
+        np.multiply(t, s[j + 1], out=bj)
+        bj += a[j + 1]
+        bj *= b1
+        b2 *= g[j + 2]
+        bj -= b2
+        bj += c[j]
+        b1, b2, bj = bj, b1, b2
+    b2 *= g[2]
+    out = _jacobi_p1(alpha, beta, t) * b1
+    out -= b2
+    out += c[0]
+    return out
+
+
+def _fourier_horner(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_i z_i exp(i pi j_i t) over the stored frequencies j_i of a
+    size-len(z) system, by Horner's rule: in w = exp(i pi t) over the
+    frequencies 0 ... K - h - 1, and in conj(w) over -1 ... -h, where
+    h = floor(K / 2).  Each pass costs one complex multiply-add per
+    frequency and point; no phase is folded and no cosine is taken."""
+    K = len(z)
+    h = K // 2
+    angle = np.pi * t
+    w = np.empty(t.size, dtype=complex)
+    np.cos(angle, out=w.real)
+    np.sin(angle, out=w.imag)
+    out = np.full(t.size, z[K - 1], dtype=complex)
+    for i in range(K - 2, h - 1, -1):       # frequencies K - h - 2 ... 0
+        out *= w
+        out += z[i]
+    if h:
+        np.conjugate(w, out=w)
+        neg = np.full(t.size, z[0], dtype=complex)
+        for i in range(1, h):                # frequencies -h + 1 ... -1
+            neg *= w
+            neg += z[i]
+        neg *= w
+        out += neg
+    return out
 
 
 def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
@@ -211,6 +282,20 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     P = _jacobi_raw_table(spec.alpha, spec.beta, K - 1, t)
     P *= np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(K)))[:, None]
     return P.T
+
+
+def _expansion_sum(spec: BasisSpec, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_i z_i phi_i(t) over the first len(z) basis functions, equal to
+    eval_table(spec, len(z), t) @ z up to rounding but built without the
+    table: Clenshaw's recurrence for Jacobi, Horner's rule for the
+    exponentials."""
+    _check_domain(t)
+    if len(z) < 1:
+        raise ValueError("K must be >= 1")
+    if spec.kind == FOURIER:
+        return _fourier_horner(z, t)
+    c = z * np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(len(z))))
+    return _jacobi_clenshaw(spec.alpha, spec.beta, c, t)
 
 
 def _reduced_phase(t: np.ndarray, freqs) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 
 import numpy as np
 from dataclasses import dataclass, asdict
@@ -462,8 +463,17 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
                                   seed=cfg.seed, amplitude=0.75)
     scaling_path = _out(cfg, "scaling.csv")
     write_report_csv(scaling_path, srows)
+    # An unconverged projection still feeds trunc_w and trunc_wtilde with
+    # its finest refinement; the meta file and stderr say how many there were.
+    unconverged = sum(not p.converged for p in projections.values())
+    if unconverged:
+        print("warning: %d of %d coefficient projections of %s did not "
+              "converge; trunc_w and trunc_wtilde use their finest "
+              "refinement" % (unconverged, len(projections), f.id),
+              file=sys.stderr)
     meta_path = _out(cfg, "diagnostics_meta.txt")
     _write_meta(meta_path, cfg, {
+        "projections_unconverged": _fmt(unconverged),
         "reference_function": f.id,
         "scaling_grid": scaling_kind,
         "slope_E2": _fmt(slopes["E2"]),

@@ -207,6 +207,25 @@ def test_diagnostics_projects_once_per_length(tmp_path, monkeypatch):
     assert lengths == [80, 160]
 
 
+@pytest.mark.parametrize("function, unconverged",
+                         [("abs_cubed", 1), ("runge25", 0)])
+def test_diagnostics_counts_unconverged_projections(tmp_path, capsys,
+                                                    function, unconverged):
+    # |t|^3 has slowly decaying coefficients, so its projection never meets
+    # the quadrature tolerance; runge25 at N = 10 does.
+    cfg = ExperimentConfig(experiment="diagnostics", n_list=(10,),
+                           m_list=(2,), functions=(function,),
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    out = run_diagnostics(cfg)
+    meta = open(out["meta"]).read().splitlines()
+    assert "projections_unconverged %d" % unconverged in meta
+    err = capsys.readouterr().err
+    if unconverged:
+        assert "1 of 1 coefficient projections of abs_cubed" in err
+    else:
+        assert err == ""
+
+
 def test_approximate_runner(tmp_path):
     t = np.linspace(-1, 1, 30)
     vals = np.tanh(3 * t)
