@@ -1,9 +1,23 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the canned experiment runners, plus
-`approximate` for fitting user samples from a file.  Options may also be
-supplied through a plain key=value config file; explicit command-line
-flags win over file values.
+`approximate` for fitting user samples from a file.  Each subcommand
+takes only the options its runner reads; every other ExperimentConfig
+field keeps its default.  Besides --config FILE and --out DIR:
+
+    aliasing       --eta --resolution
+    weight-sweep   --basis --n --k --epsilon --gammas --functions
+                   --resolution
+    compare        --basis --points --n --k --epsilon --eta --noise --seed
+                   --amplitude --resolution --functions
+    diagnostics    --basis --points --n --m --k --epsilon --gamma --seed
+                   --amplitude --functions (one function id)
+    approximate    SAMPLES --basis --k --epsilon --gamma --eta
+                   --relax-weights --resolution
+
+Options may also be supplied through a plain key=value config file whose
+keys must be options of the subcommand; explicit command-line flags win
+over file values.
 """
 
 from __future__ import annotations
@@ -18,14 +32,6 @@ from .experiments import (
     run_approximate,
 )
 
-_DEFAULT_BASIS = {
-    "aliasing": "fourier",
-    "weight-sweep": "chebyshev",
-    "compare": "legendre",
-    "diagnostics": "legendre",
-    "approximate": "legendre",
-}
-
 
 def _int_list(text: str):
     return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
@@ -35,13 +41,71 @@ def _float_list(text):
     return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
 
 
+def _names(text):
+    if not text:
+        return None
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
     return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
-def _load_config(path) -> dict:
+# name: (ExperimentConfig field, parser, default, help).  The flag is
+# --name with '-' for '_'; a config-file key may use either spelling.
+_OPTIONS = {
+    "basis": ("basis", str, "legendre",
+              "legendre | chebyshev | fourier | jacobi:a,b"),
+    "points": ("points", str, "equispaced",
+               "equispaced | jittered | uniform_random | chebyshev | "
+               "file:PATH"),
+    "n": ("n_list", _int_list, "10,20,40,80",
+          "comma-separated sample counts"),
+    "m": ("m_list", _int_list, "5,8", "comma-separated block sizes"),
+    "k": ("k_rule", str, "4n", "truncation rule: 4n | choose | an integer"),
+    "gamma": ("gamma", float, "0.5", "weight growth exponent"),
+    "gammas": ("gamma_list", _float_list,
+               ",".join("%g" % g for g in SWEEP_GAMMAS),
+               "comma-separated exponent grid"),
+    "epsilon": ("epsilon", float, "0.5",
+                "singular-value margin for --k choose"),
+    "eta": ("eta", float, "0",
+            "noise-ball radius; 0 solves the equality problem"),
+    "noise": ("noise", float, "1e-8", "uniform perturbation magnitude"),
+    "seed": ("seed", int, "0", "master seed"),
+    "amplitude": ("amplitude", float, "1.0",
+                  "jitter amplitude in cell widths"),
+    "resolution": ("eval_resolution", int, "10000",
+                   "evaluation grid size for error measurement"),
+    "functions": ("functions", _names, None,
+                  "comma-separated test function ids"),
+    "relax_weights": ("relax_weights", _bool, False,
+                      "allow weights below the sup-norm floor"),
+    "out": ("out_dir", str, ".", "output directory"),
+}
+
+# subcommand: (options its runner reads besides out, values that differ
+# from the option or ExperimentConfig default).
+_COMMANDS = {
+    "aliasing": (("eta", "resolution"), {"basis": "fourier"}),
+    "weight-sweep": (("basis", "n", "k", "epsilon", "gammas", "functions",
+                      "resolution"), {"basis": "chebyshev"}),
+    "compare": (("basis", "points", "n", "k", "epsilon", "eta", "noise",
+                 "seed", "amplitude", "resolution", "functions"), {}),
+    "diagnostics": (("basis", "points", "n", "m", "k", "epsilon", "gamma",
+                     "seed", "amplitude", "functions"), {}),
+    "approximate": (("basis", "k", "epsilon", "gamma", "eta",
+                     "relax_weights", "resolution"), {}),
+}
+
+
+def _option_names(command: str) -> tuple:
+    return _COMMANDS[command][0] + ("out",)
+
+
+def _load_config(path, command: str) -> dict:
     """key=value pairs, one per line; '#' starts a comment."""
     out = {}
     with open(path) as fh:
@@ -52,56 +116,12 @@ def _load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError("bad config line %r" % raw.strip())
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _option_names(command):
+                raise ValueError("config key %r is not an option of %s"
+                                 % (key, command))
+            out[key] = val.strip()
     return out
-
-
-def _add_common(sp: argparse.ArgumentParser, command: str, file_vals: dict,
-                ) -> None:
-    def dflt(dest, fallback):
-        return file_vals.get(dest, fallback)
-
-    sp.add_argument("--config", default=None,
-                    help="key=value file supplying option defaults")
-    sp.add_argument("--basis", default=dflt("basis", _DEFAULT_BASIS[command]),
-                    help="legendre | chebyshev | fourier | jacobi:a,b")
-    sp.add_argument("--points", default=dflt("points", "equispaced"),
-                    help="equispaced | jittered | uniform_random | "
-                         "chebyshev | file | file:PATH")
-    sp.add_argument("--points-file", default=dflt("points_file", None),
-                    help="point file used with --points file")
-    sp.add_argument("--n", default=dflt("n", "10,20,40,80"),
-                    help="comma-separated sample counts")
-    sp.add_argument("--m", default=dflt("m", "5,8"),
-                    help="comma-separated block sizes (diagnostics)")
-    sp.add_argument("--k", default=dflt("k", "4n"),
-                    help="truncation rule: 4n | choose | an integer")
-    sp.add_argument("--gamma", default=dflt("gamma", "0.5"),
-                    help="weight growth exponent")
-    sp.add_argument("--gammas",
-                    default=dflt("gammas",
-                                 ",".join("%g" % g for g in SWEEP_GAMMAS)),
-                    help="comma-separated exponent grid (weight-sweep)")
-    sp.add_argument("--epsilon", default=dflt("epsilon", "0.5"),
-                    help="singular-value margin for --k choose")
-    sp.add_argument("--eta", default=dflt("eta", "0"),
-                    help="noise-ball radius; 0 solves the equality problem")
-    sp.add_argument("--noise",
-                    default=dflt("noise",
-                                 "1e-8" if command == "compare" else "0"),
-                    help="uniform perturbation magnitude")
-    sp.add_argument("--seed", default=dflt("seed", "0"), help="master seed")
-    sp.add_argument("--amplitude", default=dflt("amplitude", "1.0"),
-                    help="jitter amplitude in cell widths")
-    sp.add_argument("--resolution", default=dflt("resolution", "10000"),
-                    help="evaluation grid size for error measurement")
-    sp.add_argument("--out", default=dflt("out", "."),
-                    help="output directory")
-    sp.add_argument("--relax-weights", action="store_const", const=True,
-                    default=dflt("relax_weights", False),
-                    help="allow weights below the sup-norm floor")
-    sp.add_argument("--functions", default=dflt("functions", None),
-                    help="comma-separated test function ids")
 
 
 def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
@@ -111,55 +131,50 @@ def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
         description="Function approximation from scattered data by "
                     "weighted l1 minimization and least squares.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command in ("aliasing", "weight-sweep", "compare", "diagnostics"):
+    for command, (_, fixed) in _COMMANDS.items():
         sp = sub.add_parser(command)
-        _add_common(sp, command, file_vals)
-    sp = sub.add_parser("approximate")
-    _add_common(sp, "approximate", file_vals)
-    sp.add_argument("samples", help="two-column file of t and y values")
+        if command == "approximate":
+            sp.add_argument("samples",
+                            help="two-column file of t and y values")
+        sp.add_argument("--config", default=None,
+                        help="key=value file supplying option defaults")
+        for name in _option_names(command):
+            _, _, default, help_ = _OPTIONS[name]
+            default = file_vals.get(name, fixed.get(name, default))
+            flag = "--" + name.replace("_", "-")
+            if name == "relax_weights":
+                sp.add_argument(flag, action="store_true", default=default,
+                                help=help_)
+            else:
+                sp.add_argument(flag, default=default, help=help_)
     return ap
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    experiment = args.command.replace("-", "_")
-    points = args.points
-    points_file = args.points_file
-    if points.startswith("file:"):
-        points_file = points.split(":", 1)[1]
-        points = "file"
-    functions = None
-    if args.functions:
-        functions = tuple(tok.strip() for tok in args.functions.split(",")
-                          if tok.strip())
-    return ExperimentConfig(
-        experiment=experiment,
-        basis=args.basis,
-        points=points,
-        points_file=points_file,
-        n_list=_int_list(args.n),
-        m_list=_int_list(args.m),
-        gamma_list=_float_list(args.gammas),
-        gamma=float(args.gamma),
-        k_rule=str(args.k),
-        epsilon=float(args.epsilon),
-        eta=float(args.eta),
-        noise=float(args.noise),
-        seed=int(args.seed),
-        out_dir=args.out,
-        eval_resolution=int(args.resolution),
-        relax_weights=_bool(args.relax_weights),
-        amplitude=float(args.amplitude),
-        functions=functions,
-    )
+    values = {_OPTIONS[name][0]: value
+              for name, value in _COMMANDS[args.command][1].items()}
+    for name in _option_names(args.command):
+        field, parse = _OPTIONS[name][:2]
+        values[field] = parse(getattr(args, name))
+    if values.get("points", "").startswith("file:"):
+        values["points_file"] = values["points"].split(":", 1)[1]
+        values["points"] = "file"
+    if args.command == "diagnostics" and len(values["functions"] or ()) > 1:
+        raise ValueError("diagnostics uses one reference function, got %s"
+                         % ",".join(values["functions"]))
+    return ExperimentConfig(experiment=args.command.replace("-", "_"),
+                            **values)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    if args.config:
-        # File values become defaults, then explicit flags win on re-parse.
-        args = build_parser(_load_config(args.config)).parse_args(argv)
     try:
+        if args.config:
+            # File values become defaults, then explicit flags win on
+            # re-parse.
+            file_vals = _load_config(args.config, args.command)
+            args = build_parser(file_vals).parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "approximate":
             paths = run_approximate(cfg, args.samples)

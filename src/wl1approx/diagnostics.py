@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.linalg as la
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .basis import BasisSpec, leading_indices, nested_rank
 from .grid import PointSet, build_pointset, generate
@@ -143,15 +143,15 @@ def check_dual_certificate(U: SamplingMatrix, W, delta, signs=None,
 
 
 def truncation_bound(U: SamplingMatrix, weights_ext, coeffs_ext,
-                     wtilde_mode: bool = False) -> float:
-    """Upper bound on the extra error from truncating the expansion at K.
+                     sigma: float):
+    """Upper bounds (plain, wtilde) on the extra error from truncating at K.
 
     coeffs_ext and weights_ext describe the function in a storage longer
-    than K; everything outside the leading K counts as tail.  The plain
-    mode multiplies the weighted tail norm by 1 + ||leading weights|| over
-    the smallest nonzero singular value; the wtilde mode instead reweights
-    the tail by sqrt(position) * w^2, which is sharper when the weights
-    grow.  Returns infinity when the singular value vanishes.
+    than K; everything outside the leading K counts as tail.  sigma is the
+    smallest nonzero singular value of U.  The plain bound multiplies the
+    weighted tail norm by 1 + ||leading weights|| / sigma; the wtilde bound
+    instead reweights the tail by sqrt(position) * w^2, which is sharper
+    when the weights grow.
     """
     K = U.n_columns
     x = np.asarray(coeffs_ext)
@@ -163,17 +163,11 @@ def truncation_bound(U: SamplingMatrix, weights_ext, coeffs_ext,
     tail = np.ones(L, bool)
     tail[lead] = False
     if not tail.any():
-        return 0.0
+        return 0.0, 0.0
     tail_l1w = float(w[tail] @ np.abs(x[tail]))
-    try:
-        sigma = smallest_nonzero_singular_value(U)
-    except ValueError:  # U is zero
-        return np.inf
-    if wtilde_mode:
-        wt = np.sqrt(nested_rank(U.basis, L)) * w ** 2
-        return tail_l1w + float(wt[tail] @ np.abs(x[tail])) / sigma
-    lead_norm = float(la.norm(w[lead]))
-    return tail_l1w * (1.0 + lead_norm / sigma)
+    wt = np.sqrt(nested_rank(U.basis, L)) * w ** 2
+    return (tail_l1w * (1.0 + float(la.norm(w[lead])) / sigma),
+            tail_l1w + float(wt[tail] @ np.abs(x[tail])) / sigma)
 
 
 def surrogate_quantities(basis: BasisSpec, ps: PointSet, M: int,
@@ -253,18 +247,3 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
         "F": _fit_loglog(hs, [r.F for r in rows]),
     }
     return rows, slopes
-
-
-def write_report_csv(path, reports) -> None:
-    """Comma-separated table of diagnostics rows in the documented order."""
-    with open(path, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for rep in reports:
-            cells = []
-            for name, val in zip(REPORT_COLUMNS, astuple(rep)):
-                if name in ("N", "M", "R", "K"):
-                    cells.append("%d" % val)
-                else:
-                    cells.append("%.17g" % val)
-            fh.write(",".join(cells) + "\n")
-    return None

@@ -21,7 +21,7 @@ import os
 import sys
 
 import numpy as np
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 
 from . import basis as _basis
 from . import solver as _solver
@@ -29,8 +29,8 @@ from .basis import BasisSpec, nested_rank, project_coefficients
 from .grid import build_pointset, generate, load_points
 from .sampling import build_matrix, choose_K, default_weights, make_weights, \
     smallest_nonzero_singular_value
-from .diagnostics import DiagnosticsReport, scaling_study, \
-    surrogate_quantities, truncation_bound, write_report_csv
+from .diagnostics import REPORT_COLUMNS, DiagnosticsReport, scaling_study, \
+    surrogate_quantities, truncation_bound
 from .solver import make_problem, oracle_least_squares, save_result, \
     solve_least_squares, solve_weighted_l1, sup_error, synthesize
 
@@ -444,15 +444,13 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
             w_ext = default_weights(basis, L, cfg.gamma)
             if L not in projections:
                 projections[L] = project_coefficients(f, basis, L)
-            proj = projections[L]
+            trunc_w, trunc_wtilde = truncation_bound(
+                U_K, w_ext, projections[L].coeffs, sigma)
             reports.append(DiagnosticsReport(
                 h=ps.h, xi=ps.xi, N=ps.n, M=M, K=K, sigma_min=sigma,
-                trunc_w=truncation_bound(U_K, w_ext, proj.coeffs),
-                trunc_wtilde=truncation_bound(U_K, w_ext, proj.coeffs,
-                                              wtilde_mode=True),
-                **fields))
+                trunc_w=trunc_w, trunc_wtilde=trunc_wtilde, **fields))
     csv_path = _out(cfg, "diagnostics.csv")
-    write_report_csv(csv_path, reports)
+    _write_csv(csv_path, REPORT_COLUMNS, map(astuple, reports))
 
     scaling_kind = cfg.points if cfg.points != "file" else "equispaced"
     if basis.is_complex and scaling_kind == "equispaced":
@@ -462,7 +460,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
     srows, slopes = scaling_study(basis, scaling_kind, M=cfg.m_list[-1],
                                   seed=cfg.seed, amplitude=0.75)
     scaling_path = _out(cfg, "scaling.csv")
-    write_report_csv(scaling_path, srows)
+    _write_csv(scaling_path, REPORT_COLUMNS, map(astuple, srows))
     # An unconverged projection still feeds trunc_w and trunc_wtilde with
     # its finest refinement; the meta file and stderr say how many there were.
     unconverged = sum(not p.converged for p in projections.values())

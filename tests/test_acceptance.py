@@ -323,7 +323,8 @@ def test_criterion_7_error_bound_envelopes():
             diff = x.copy()
             diff[:K] -= res.z
             lhs = float(np.linalg.norm(diff))
-            tb = truncation_bound(A, w_ext, x)
+            tb = truncation_bound(A, w_ext, x,
+                                  smallest_nonzero_singular_value(A))[0]
             for M in (3, 4, 5, 6, 8):
                 sg = np.where(np.abs(x[:M]) > 1e-13, np.sign(x[:M]), 1.0)
                 cert = check_dual_certificate(A, wv, np.arange(M), sg)

@@ -7,17 +7,21 @@ columns); the refinement study is checked for reproducibility and for
 decay exponents clearly above zero.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from wl1approx.basis import (eval_basis, fourier, frequencies,
                              leading_indices, legendre, linf_norms)
 from wl1approx.grid import build_pointset, generate
-from wl1approx.sampling import build_matrix, make_weights
+from wl1approx.sampling import (build_matrix, make_weights,
+                                smallest_nonzero_singular_value)
 from wl1approx.diagnostics import (REPORT_COLUMNS, CertificateResult,
                                    DiagnosticsReport, check_dual_certificate,
                                    compute_E, compute_F, scaling_study,
-                                   truncation_bound, write_report_csv)
+                                   truncation_bound)
+from wl1approx.experiments import _write_csv
 
 
 def brute_gram(U, M):
@@ -178,8 +182,8 @@ def test_truncation_bound_zero_tail():
                          relax=True).w
     x = np.zeros(12)
     x[:8] = np.random.default_rng(3).normal(size=8)
-    assert truncation_bound(U, w_ext, x) == 0.0
-    assert truncation_bound(U, w_ext, x, wtilde_mode=True) == 0.0
+    sigma = smallest_nonzero_singular_value(U)
+    assert truncation_bound(U, w_ext, x, sigma) == (0.0, 0.0)
 
 
 def test_truncation_bound_formula_and_modes():
@@ -197,16 +201,14 @@ def test_truncation_bound_formula_and_modes():
     tail = np.arange(L) >= K
     tail_l1w = w[tail] @ np.abs(x[tail])
     expect_plain = tail_l1w * (1.0 + np.linalg.norm(w[~tail]) / sigma)
-    got_plain = truncation_bound(U, w, x)
-    assert abs(got_plain - expect_plain) < 1e-12 * expect_plain
-
     wt = np.sqrt(np.arange(1, L + 1)) * w ** 2
     expect_tilde = tail_l1w + (wt[tail] @ np.abs(x[tail])) / sigma
-    got_tilde = truncation_bound(U, w, x, wtilde_mode=True)
+    got_plain, got_tilde = truncation_bound(U, w, x, sigma)
+    assert abs(got_plain - expect_plain) < 1e-12 * expect_plain
     assert abs(got_tilde - expect_tilde) < 1e-12 * expect_tilde
 
     with pytest.raises(ValueError):
-        truncation_bound(U, w[:7], x[:7])
+        truncation_bound(U, w[:7], x[:7], sigma)
 
 
 def test_truncation_bound_decreases_with_k():
@@ -219,7 +221,8 @@ def test_truncation_bound_decreases_with_k():
     bounds = []
     for K in (10, 20, 40):
         U = build_matrix(spec, ps, K)
-        bounds.append(truncation_bound(U, w, x))
+        sigma = smallest_nonzero_singular_value(U)
+        bounds.append(truncation_bound(U, w, x, sigma)[0])
     assert bounds[0] > bounds[1] > bounds[2]
 
 
@@ -229,7 +232,7 @@ def test_report_csv_layout(tmp_path):
                               theta=0.6, trunc_w=float("nan"),
                               trunc_wtilde=float("inf"))]
     path = tmp_path / "report.csv"
-    write_report_csv(path, rows)
+    _write_csv(path, REPORT_COLUMNS, map(astuple, rows))
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS) == (
         "h,xi,N,M,R,K,E2,Einf,F,sigma_min,alpha,theta,trunc_w,trunc_wtilde")

@@ -5,6 +5,8 @@ plumbing (row counts, column layout, reproducibility, flag handling), not
 the numerics, which the dedicated module tests already pin down.
 """
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,97 @@ def test_cli_names_nan_points(tmp_path, capsys):
                  ["compare", "--points", "file:%s" % points, "--n", "3"]):
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "points must lie in [-1, 1]" in capsys.readouterr().err
+
+
+# Options each subcommand registers: exactly the ones its runner reads,
+# plus --config and --out.
+CLI_OPTIONS = {
+    "aliasing": {"--config", "--out", "--eta", "--resolution"},
+    "weight-sweep": {"--config", "--out", "--basis", "--n", "--k",
+                     "--epsilon", "--gammas", "--functions", "--resolution"},
+    "compare": {"--config", "--out", "--basis", "--points", "--n", "--k",
+                "--epsilon", "--eta", "--noise", "--seed", "--amplitude",
+                "--resolution", "--functions"},
+    "diagnostics": {"--config", "--out", "--basis", "--points", "--n",
+                    "--m", "--k", "--epsilon", "--gamma", "--seed",
+                    "--amplitude", "--functions"},
+    "approximate": {"--config", "--out", "--basis", "--k", "--epsilon",
+                    "--gamma", "--eta", "--relax-weights", "--resolution"},
+}
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_option_sets():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {command: {flag for action in sp._actions
+                     for flag in action.option_strings
+                     if flag not in ("-h", "--help")}
+           for command, sp in sub.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(len(flags) for flags in got.values()) == 47
+
+
+@pytest.mark.parametrize("argv, offending", [
+    (["weight-sweep", "--n", "10", "--gammas", "1", "--functions",
+      "runge25", "--resolution", "2000", "--points", "jittered"],
+     "--points"),
+    (["aliasing", "--resolution", "2000", "--n", "40"], "--n"),
+    (["compare", "--n", "10", "--functions", "runge25", "--resolution",
+      "2000", "--gamma", "2"], "--gamma"),
+    (["approximate", "SAMPLES", "--resolution", "2000", "--seed", "1"],
+     "--seed"),
+    (["compare", "--n", "12", "--functions", "runge25", "--resolution",
+      "2000", "--points", "file", "--points-file", "SAMPLES"],
+     "--points-file"),
+    (["diagnostics", "--n", "10", "--m", "2",
+      "--functions", "runge25,abs_cubed"], "runge25,abs_cubed"),
+], ids=["weight-sweep-points", "aliasing-n", "compare-gamma",
+        "approximate-seed", "compare-points-file", "diagnostics-functions"])
+def test_cli_rejects_options_the_runner_ignores(tmp_path, capsys, argv,
+                                                offending):
+    samples = tmp_path / "samples.txt"
+    t = np.linspace(-1, 1, 12)
+    np.savetxt(samples, np.column_stack([t, np.tanh(3 * t)]))
+    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert offending in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, line, key", [
+    (["compare", "--n", "10", "--functions", "runge25"], "gama = 3",
+     "gama"),
+    (["weight-sweep", "--n", "10", "--gammas", "1", "--functions",
+      "runge25"], "seed = 1", "seed"),
+    (["compare", "--n", "10", "--functions", "runge25"],
+     "points-file = pts.txt", "points_file"),
+], ids=["compare-gama", "weight-sweep-seed", "compare-points_file"])
+def test_cli_config_rejects_keys_that_are_not_options(tmp_path, capsys,
+                                                      argv, line, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("resolution = 2000\n%s\n" % line)
+    argv = argv + ["--config", str(cfgfile), "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["aliasing"], "ea4594b8038965fd"),
+    (["weight-sweep"], "430f78ce7db0f72b"),
+    (["compare"], "e3e438b2f365bef1"),
+    (["diagnostics"], "5cf85bb6eddf89b6"),
+    (["approximate", "s.txt"], "402c8bc41f8a4d32"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_cli_default_config_hash_unchanged(argv, digest):
+    # Fields a subcommand has no option for keep the values the runs
+    # always recorded, so every default meta file keeps its hash.
+    args = cli.build_parser().parse_args(argv)
+    assert config_hash(cli._config_from_args(args)) == digest
