@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_jacobi, roots_legendre
+from scipy.special import betaln, gammaln, roots_jacobi
 
 JACOBI = "jacobi"
 FOURIER = "fourier"
@@ -438,28 +438,28 @@ def _jacobi_rule(Q: int, alpha: float, beta: float):
     return x, w * np.exp(-log_weight_mass(alpha, beta))
 
 
-@lru_cache(maxsize=64)
-def _legendre_rule(Q: int):
-    x, w = roots_legendre(Q)
-    return x, 0.5 * w
+# Relative agreement of consecutive refinements that ends a projection.
+PROJECTION_TOL = 1e-12
+# Doubling stops, converged or not, at the first quadrature order >= this,
+# which can come near twice it (10240 nodes for M = 80).
+STOP_DOUBLING_AT_ORDER = 8192
 
 
-def project_coefficients(f: Callable, spec: BasisSpec, M: int,
-                         tol: float = 1e-12, max_nodes: int = 8192) -> ProjectionResult:
+def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResult:
     """First M generalized coefficients of f by Gauss quadrature.
 
-    The quadrature order is doubled until two consecutive refinements agree
-    to `tol` (relative, sup over coefficients).  A failure to converge is
-    reported through the `converged` flag, not an exception.
+    The quadrature order doubles from max(64, 2M) until two consecutive
+    refinements agree to PROJECTION_TOL (relative, sup over coefficients)
+    or it reaches STOP_DOUBLING_AT_ORDER or more, which is reported through
+    the `converged` flag, not an exception.  The exponentials use the
+    Legendre rule, the Jacobi rule with alpha = beta = 0.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    ab = (spec.alpha, spec.beta) if spec.kind == JACOBI else (0.0, 0.0)
 
     def coeffs_at(Q: int) -> np.ndarray:
-        if spec.kind == JACOBI:
-            x, w = _jacobi_rule(Q, spec.alpha, spec.beta)
-        else:
-            x, w = _legendre_rule(Q)
+        x, w = _jacobi_rule(Q, *ab)
         fx = np.asarray(f(x))
         # C order fixes the summation order of the product below.
         table = np.ascontiguousarray(eval_table(spec, M, x))
@@ -472,8 +472,9 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int,
     while True:
         Q *= 2
         cur = coeffs_at(Q)
-        if np.max(np.abs(cur - prev)) <= tol * max(1.0, float(np.max(np.abs(cur)))):
+        if np.max(np.abs(cur - prev)) \
+                <= PROJECTION_TOL * max(1.0, float(np.max(np.abs(cur)))):
             return ProjectionResult(cur, True, Q)
-        if Q >= max_nodes:
+        if Q >= STOP_DOUBLING_AT_ORDER:
             return ProjectionResult(cur, False, Q)
         prev = cur

@@ -101,6 +101,10 @@ _COMMANDS = {
 }
 
 
+# Help text where a runner reads an option its own way.
+_HELP = {("aliasing", "eta"): "radius of the noise-ball runs; 0 means 1e-2"}
+
+
 def _option_names(command: str) -> tuple:
     return _COMMANDS[command][0] + ("out",)
 
@@ -140,6 +144,7 @@ def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
                         help="key=value file supplying option defaults")
         for name in _option_names(command):
             _, _, default, help_ = _OPTIONS[name]
+            help_ = _HELP.get((command, name), help_)
             default = file_vals.get(name, fixed.get(name, default))
             flag = "--" + name.replace("_", "-")
             if name == "relax_weights":
@@ -156,6 +161,8 @@ def _config_from_args(args) -> ExperimentConfig:
     for name in _option_names(args.command):
         field, parse = _OPTIONS[name][:2]
         values[field] = parse(getattr(args, name))
+    if values.get("points") == "file":
+        raise ValueError("--points file needs a path: --points file:PATH")
     if values.get("points", "").startswith("file:"):
         values["points_file"] = values["points"].split(":", 1)[1]
         values["points"] = "file"

@@ -197,6 +197,11 @@ def _admissible(basis: BasisSpec, h: float, M: int) -> bool:
     return h * M * M <= 1.0
 
 
+# Weight exponent and jitter amplitude of the scaling study's grids.
+SCALING_GAMMA = 1.0
+SCALING_AMPLITUDE = 0.75
+
+
 def _fit_loglog(hs, vals):
     hs = np.asarray(hs, dtype=float)
     vals = np.asarray(vals, dtype=float)
@@ -208,31 +213,30 @@ def _fit_loglog(hs, vals):
 
 
 def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
-                  n_levels: int = 7, N0: int | None = None, seed: int = 0,
-                  weight_gamma: float = 1.0, amplitude: float = 0.75):
+                  n_levels: int = 7, seed: int = 0):
     """Measure how the Gram deviations decay under grid refinement.
 
-    Runs n_levels grids with N doubling from N0, keeps the levels in the
-    admissible mesh regime, and fits log-log slopes of E2, Einf and F
-    against the fill distance.  Returns (rows, slopes) where slopes maps
-    quantity name to fitted decay exponent.
+    Runs n_levels grids with N doubling from 33 (exponentials) or 65,
+    keeps the levels in the admissible mesh regime, and fits log-log
+    slopes of E2, Einf and F against the fill distance.  Returns (rows,
+    slopes) where slopes maps quantity name to fitted decay exponent.
 
     Jittered grids draw fresh points per level from a seed sequence, so the
     study is reproducible for a fixed seed.
     """
     if n_levels < 5:
         raise ValueError("need at least 5 refinement levels")
-    if N0 is None:
-        N0 = 33 if basis.is_complex else 65
+    N0 = 33 if basis.is_complex else 65
     children = np.random.SeedSequence(seed).spawn(n_levels)
     rows = []
     for lvl in range(n_levels):
         n = N0 * 2 ** lvl
-        pts = generate(grid_kind, n, seed=children[lvl], amplitude=amplitude)
+        pts = generate(grid_kind, n, seed=children[lvl],
+                       amplitude=SCALING_AMPLITUDE)
         ps = build_pointset(pts, basis)
         if not _admissible(basis, ps.h, M):
             continue
-        U, fields = surrogate_quantities(basis, ps, M, weight_gamma)
+        U, fields = surrogate_quantities(basis, ps, M, SCALING_GAMMA)
         rows.append(DiagnosticsReport(
             h=ps.h, xi=ps.xi, N=n, M=M, K=U.n_columns,
             sigma_min=smallest_nonzero_singular_value(U),

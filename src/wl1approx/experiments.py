@@ -458,7 +458,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
         # at machine precision and carry no slope information.
         scaling_kind = "jittered"
     srows, slopes = scaling_study(basis, scaling_kind, M=cfg.m_list[-1],
-                                  seed=cfg.seed, amplitude=0.75)
+                                  seed=cfg.seed)
     scaling_path = _out(cfg, "scaling.csv")
     _write_csv(scaling_path, REPORT_COLUMNS, map(astuple, srows))
     # An unconverged projection still feeds trunc_w and trunc_wtilde with

@@ -200,14 +200,13 @@ def default_weights(basis: BasisSpec, K: int, gamma: float,
     return make_weights(basis, K, scheme, gamma=gamma, relax=relax)
 
 
-def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float,
-             max_K: int = MAX_TRUNCATION) -> int:
+def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float) -> int:
     """Pick the truncation degree K from the point set alone.
 
     Doubles K from N upward and stops once the numerical rank of the
     sampling matrix matches that at 2K and the smallest nonzero singular
     value exceeds 1 - epsilon.  Raises TruncationSearchError when no K
-    below max_K qualifies.
+    below MAX_TRUNCATION qualifies.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -215,10 +214,10 @@ def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float,
     K = max(1, ps.n)
     s = _singular_values(build_matrix(basis, ps, K).entries)
     while True:
-        if 2 * K > max_K:
+        if 2 * K > MAX_TRUNCATION:
             raise TruncationSearchError(
                 "no K below the cap %d reached the singular-value target"
-                % (max_K,))
+                % (MAX_TRUNCATION,))
         s2 = _singular_values(build_matrix(basis, ps, 2 * K).entries)
         rank = _numerical_rank(s)
         if rank > 0 and rank == _numerical_rank(s2) \

@@ -8,18 +8,18 @@ primal-dual interior-point method (Mehrotra predictor-corrector,
 Nesterov-Todd scaling).  The economy SVD U S Vh of A / w replaces the rows
 of A by the independent rows of S Vh, so coinciding sample rows drop out:
 
-* real data: zt = p - q with p, q >= 0, minimizing sum (p + q);
-* complex data: one second-order cone (t_i, Re zt_i, Im zt_i) per
-  coefficient, minimizing sum t_i;
+* one second-order cone (t_i, zt_i) per coefficient, minimizing sum t_i,
+  where zt_i has one real coordinate for real data and two (Re, Im) for
+  complex data;
 * noise ball: one more cone (eta', U^H y - S Vh zt), where
   eta' = sqrt(eta^2 - ||y - U U^H y||^2), clamped at 0.
 
 Data farther than eta from the range of A (one test for both modes) are
 reported infeasible without iterating.  One stopping rule ends every
-solve: the method's primal residual is at most tol_feas ||y||, its dual
-residual at most tol_feas, its complementarity x.s at most
-tol_gap max(1, c.x), and the residual and duality gap recomputed in data
-space from z and the dual vector pass the same tolerances.
+solve: after each Newton step, the residual and duality gap recomputed in
+data space from z and the dual vector are checked against TOL_FEAS ||y||
+and TOL_GAP max(1, objective).  By weak duality this certificate is sound
+at any iterate.
 
 Least squares (plain and oracle) and synthesis round out the toolbox.  A
 tiny-instance linear-programming oracle (HiGHS) is included for
@@ -109,17 +109,17 @@ def _ipm(G, h, c, cones):
         minimize c.x  subject to  G x = h,  x in C,
 
     C a product of second-order cones stored in x one after another;
-    `cones` lists them in blocks of (count, dim), dim 1 being a half-line.
+    `cones` lists them in blocks of (count, dim).
     Newton steps use Nesterov-Todd scaling W (W^-1 x = W s = lam) and
     Mehrotra's predictor-corrector, solving the normal equations through
     a QR factor R of W G^T.  The corrector gets two rounds of iterative
     refinement against all three linearized equations, which recover the
     accuracy that R^T R alone loses on ill-conditioned steps.
 
-    Yields (x, y, x.s, ||h - G x||, max |c - G^T y - s|) before each
-    Newton step, the first at the starting point.  Returns when a step
-    cannot make progress: its length falls below 1e-8 or x.s below 1e-14
-    of max(1, c.x), where rounding outweighs what is left to gain.
+    Yields (x, y, x.s) before each Newton step, the first at the starting
+    point; the caller decides when to stop.  Returns when a step cannot
+    make progress: its length falls below 1e-8 or x.s below 1e-14 of
+    max(1, c.x), where rounding outweighs what is left to gain.
     """
     from scipy.linalg.lapack import dgeqrf, dtrtrs
 
@@ -184,7 +184,8 @@ def _ipm(G, h, c, cones):
         lb = lam / lnorm[cid]
         jlb, lb1 = sign * lb, lb[heads] + 1
         M = mul(W, G).T
-        R = np.triu(dgeqrf(M)[0][:M.shape[1]])
+        # dtrtrs reads only the upper triangle; Fortran order spares copies.
+        R = np.asfortranarray(dgeqrf(M)[0][:M.shape[1]])
 
     W = M = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
     # Start from the least-norm solutions of the two equality systems,
@@ -197,8 +198,7 @@ def _ipm(G, h, c, cones):
             * e for u in (x, s))
     while True:
         xs = float(x @ s)
-        rd = c - G.T @ y - s
-        yield x, y, xs, float(la.norm(h - G @ x)), float(np.abs(rd).max())
+        yield x, y, xs
         if not xs > 1e-14 * max(1.0, c @ x):     # also stops on NaN
             return
         a, b = jnorm(x), jnorm(s)
@@ -210,7 +210,7 @@ def _ipm(G, h, c, cones):
         lam[heads] = gam
         setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
               lam * np.sqrt(a * b)[cid])
-        rp, ll = h - G @ x, prod(lam, lam)
+        rp, rd, ll = h - G @ x, c - G.T @ y - s, prod(lam, lam)
         _, _, _, wx, ws = newton(rp, rd, -ll)     # predictor
         sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
         dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
@@ -222,7 +222,6 @@ def _ipm(G, h, c, cones):
 
 
 def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
-                      tol_feas: float = TOL_FEAS, tol_gap: float = TOL_GAP,
                       max_iter: int = MAX_ITER) -> SolveResult:
     """Minimize sum_i w_i |z_i| over the selected constraint set.
 
@@ -230,16 +229,17 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     inequality: ||A z - y|| <= eta; eta = 0 gives the equality problem.
 
     Status is infeasible_detected, after 0 iterations, when y lies farther
-    than eta from the range of A; converged when the check below passes;
+    than eta from the range of A; converged as soon as the certificate
+    below passes, checked at the start and after every Newton step;
     max_iter otherwise, after max_iter Newton steps or when a step can no
-    longer make progress.  The check recomputes, from the returned z and
-    the dual vector v mapped to data space and scaled so that
+    longer make progress.  The certificate recomputes, from the iterate's
+    z and its dual vector v mapped to data space and scaled so that
     max_i |(A^H v)_i| / w_i <= 1, the residual max(||A z - y|| - eta, 0)
     and the duality gap sum w|z| - Re<y, v> + max(eta, ||A z - y||) ||v||;
-    it passes when the residual is at most tol_feas ||y|| and the gap at
-    most tol_gap max(1, objective).  The gap is that of the constraint
-    z satisfies, radius max(eta, ||A z - y||), so by weak duality it is
-    nonnegative for every status, up to rounding.
+    it passes when the residual is at most TOL_FEAS ||y|| and the gap at
+    most TOL_GAP max(1, objective), both read at call time.  The gap is
+    that of the constraint z satisfies, radius max(eta, ||A z - y||), so
+    by weak duality it is nonnegative for every status, up to rounding.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -264,7 +264,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     y_off -= U @ (U.conj().T @ y_off)    # once leaves eps ||y|| in range(A)
     off = la.norm(y_off)
     eta_r = np.sqrt(max(eta ** 2 - off ** 2, 0.0))
-    feas_abs = tol_feas * ynorm
+    feas_abs = TOL_FEAS * ynorm
 
     def result(zt, mu, its, hist):   # mu is None for unreachable data
         z = zt / w
@@ -278,7 +278,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
             nu = nu / max(1.0, np.max(np.abs(A.conj().T @ nu) / w))
             gap = obj - float(np.real(np.vdot(y, nu))) \
                 + max(eta, res) * la.norm(nu)
-            ok = res - eta <= feas_abs and gap <= tol_gap * max(1.0, obj)
+            ok = res - eta <= feas_abs and gap <= TOL_GAP * max(1.0, obj)
             status = STATUS_CONVERGED if ok else STATUS_MAX_ITER
         feas = max(res - eta, 0.0)
         return SolveResult(z=z, objective=obj, feasibility_residual=feas,
@@ -289,47 +289,35 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         return result(Vh.conj().T @ (Uy / S), None, 0, ())
     # One cone program in the scaled variable zt = w z, with the rows of
     # A / w replaced by S Vh: A z = y becomes S Vh zt = U^H y, and
-    # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  The data
-    # enter divided by ||y||, so that the starting point, which sits at
-    # unit distance from the cone boundary, matches their scale.
-    r = len(S)
-    B = S[:, None] * Vh
-    b = Uy / ynorm
+    # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  Each
+    # coefficient has a cone (t_i, zt_i), zt_i in d = 1 real coordinate or
+    # d = 2 (Re, Im; the rows then hold real parts, then imaginary parts).
+    # The data enter divided by ||y||, so that the starting point, at unit
+    # distance from the cone boundary, matches their scale.
+    B, h = S[:, None] * Vh, Uy / ynorm
+    cols = [B]
     if np.iscomplexobj(B) or np.iscomplexobj(y):
-        # A cone (t_i, Re zt_i, Im zt_i) per coefficient; the rows hold the
-        # real parts of the constraint, then the imaginary parts.
-        Bc = np.block([[B.real, -B.imag], [B.imag, B.real]])
-        G = np.zeros((2 * r, K, 3))
-        G[:, :, 1], G[:, :, 2] = Bc[:, :K], Bc[:, K:]
-        G, h = G.reshape(2 * r, 3 * K), np.concatenate([b.real, b.imag])
-        c, cones = np.tile([1.0, 0.0, 0.0], K), [(K, 3)]
-
-        def unpack(x, yd):
-            return (ynorm * (x[1:3 * K:3] + 1j * x[2:3 * K:3]),
-                    yd[:r] + 1j * yd[r:2 * r])
-    else:
-        # zt = p - q with p, q >= 0.
-        G, h, c, cones = np.hstack([B, -B]), b, np.ones(2 * K), [(2 * K, 1)]
-
-        def unpack(x, yd):
-            return ynorm * (x[:K] - x[K:2 * K]), yd[:r]
+        cols = [np.vstack([B.real, B.imag]), np.vstack([-B.imag, B.real])]
+        h = np.concatenate([h.real, h.imag])
+    d, m = len(cols), len(h)
+    G = np.stack([np.zeros((m, K))] + cols, axis=-1).reshape(m, -1)
+    c, cones = np.tile(np.eye(d + 1)[0], K), [(K, d + 1)]
     if eta_r > 0:
-        m, n = G.shape
+        n = G.shape[1]
         G = np.block([[G, np.zeros((m, 1)), np.eye(m)],
                       [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, m))]])
         h, c = np.append(h, eta_r / ynorm), np.append(c, np.zeros(m + 1))
         cones.append((1, m + 1))
-    hist = []
-    for its, (x, yd, xs, rp, rd) in enumerate(_ipm(G, h, c, cones)):
+    dtype, hist = (float, complex)[d - 1], []
+    for its, (x, yd, xs) in enumerate(_ipm(G, h, c, cones)):
         hist.append(ynorm * xs)
-        if rp <= tol_feas and rd <= tol_feas \
-                and hist[-1] <= tol_gap * max(1.0, ynorm * (c @ x)):
-            res = result(*unpack(x, yd), its, hist)
-            if res.status == STATUS_CONVERGED:
-                return res
-        if its >= max_iter:
+        # zt and the dual mu from their d real coordinates per entry.
+        zt = x[:(d + 1) * K].reshape(K, d + 1)[:, 1:].copy().view(dtype)
+        mu = yd[:m].reshape(d, -1).T.copy().view(dtype)
+        res = result(ynorm * zt[:, 0], mu[:, 0], its, hist)
+        if res.status == STATUS_CONVERGED or its >= max_iter:
             break
-    return result(*unpack(x, yd), its, hist)
+    return res
 
 
 def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:

@@ -358,6 +358,21 @@ def test_cli_rejects_options_the_runner_ignores(tmp_path, capsys, argv,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_aliasing_help_names_its_eta_default(capsys):
+    # run_aliasing solves its noise-ball runs at 1e-2 when --eta is 0.
+    assert _exit_code(["aliasing", "--help"]) == 0
+    assert "0 means 1e-2" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_points_file_without_path_names_the_flag(tmp_path, capsys):
+    argv = ["compare", "--n", "10", "--functions", "runge25", "--points",
+            "file", "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "--points file:PATH" in err and "points_file" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, line, key", [
     (["compare", "--n", "10", "--functions", "runge25"], "gama = 3",
      "gama"),

@@ -208,11 +208,13 @@ def test_choose_k_validation():
         choose_K(legendre(), ps, 1.0)
 
 
-def test_choose_k_cap():
-    ps = build_pointset(generate("equispaced", 20), legendre())
-    with pytest.raises(TruncationSearchError):
-        choose_K(legendre(), ps, 0.5, max_K=16)
+def test_choose_k_cap(monkeypatch):
     assert MAX_TRUNCATION == 2 ** 16
+    # The cap is read when the search runs.
+    monkeypatch.setattr(sampling, "MAX_TRUNCATION", 16)
+    ps = build_pointset(generate("equispaced", 20), legendre())
+    with pytest.raises(TruncationSearchError, match="cap 16"):
+        choose_K(legendre(), ps, 0.5)
 
 
 def test_sampling_matrix_is_frozen():
