@@ -29,8 +29,8 @@ from .basis import BasisSpec, nested_rank, project_coefficients
 from .grid import build_pointset, generate, load_points
 from .sampling import build_matrix, choose_K, default_weights, make_weights, \
     smallest_nonzero_singular_value
-from .diagnostics import REPORT_COLUMNS, DiagnosticsReport, scaling_study, \
-    surrogate_quantities, truncation_bound
+from .diagnostics import REPORT_COLUMNS, SCALING_AMPLITUDE, SCALING_GAMMA, \
+    DiagnosticsReport, scaling_study, surrogate_quantities, truncation_bound
 from .solver import make_problem, oracle_least_squares, save_result, \
     solve_least_squares, solve_weighted_l1, sup_error, synthesize
 
@@ -469,10 +469,14 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
               "converge; trunc_w and trunc_wtilde use their finest "
               "refinement" % (unconverged, len(projections), f.id),
               file=sys.stderr)
+    # scaling.csv uses the study's own weight exponent and jitter, not
+    # --gamma and --amplitude; the meta file records both.
     meta_path = _out(cfg, "diagnostics_meta.txt")
     _write_meta(meta_path, cfg, {
         "projections_unconverged": _fmt(unconverged),
         "reference_function": f.id,
+        "scaling_amplitude": _fmt(SCALING_AMPLITUDE),
+        "scaling_gamma": _fmt(SCALING_GAMMA),
         "scaling_grid": scaling_kind,
         "slope_E2": _fmt(slopes["E2"]),
         "slope_Einf": _fmt(slopes["Einf"]),

@@ -14,6 +14,14 @@ of A by the independent rows of S Vh, so coinciding sample rows drop out:
 * noise ball: one more cone (eta', U^H y - S Vh zt), where
   eta' = sqrt(eta^2 - ||y - U U^H y||^2), clamped at 0.
 
+Each Newton step solves its normal equations through a QR factor of
+d K (+ m + 1 for the ball) rows, d the number of real coordinates of zt_i
+and m the number of constraint rows.  The t_i enter no constraint, so
+coefficient cone i contributes only the zt block of its squared scaling,
+whose closed-form symmetric square root gives its d rows.  Products with
+the constraint matrix touch only its nonzero columns, and the scaled dual
+step W ds is W rd - W G^T dy, without a product of its own.
+
 Data farther than eta from the range of A (one test for both modes) are
 reported infeasible without iterating.  One stopping rule ends every
 solve: after each Newton step, the residual and duality gap recomputed in
@@ -43,6 +51,7 @@ STATUS_INFEASIBLE = "infeasible_detected"
 TOL_FEAS = 1e-9   # relative to ||y||
 TOL_GAP = 1e-8    # relative to max(1, objective)
 MAX_ITER = 100    # Newton steps; solves end on their own within about 25
+LP_TOL = 1e-10    # HiGHS feasibility tolerances of lp_oracle
 
 MODES = ("equality", "inequality")
 
@@ -103,16 +112,30 @@ def l1_objective(z, w) -> float:
     return float(w @ np.abs(np.asarray(z)))
 
 
-def _ipm(G, h, c, cones):
+def _ipm(G, h, d, radius=0.0):
     """Iterates of a primal-dual interior-point method for
 
-        minimize c.x  subject to  G x = h,  x in C,
+        minimize sum_i t_i  subject to  |zt_i| <= t_i  (i = 1, ..., K)
+        and  G zt = h  (radius 0)  or  ||h - G zt|| <= radius,
 
-    C a product of second-order cones stored in x one after another;
-    `cones` lists them in blocks of (count, dim).
+    where each zt_i has d real coordinates and G = [G_1 ... G_d] holds one
+    block of K columns per coordinate.  The iterate x stacks the cones
+    (t_i, zt_i), then, for radius > 0, one ball cone (r, u) with r = radius
+    and G zt + u = h.  In this form, G' x = h' with x in a product C of
+    second-order cones, G' is nonzero only on the zt coordinates and the
+    ball cone, and every product with G' or G'^T touches only those.
+
     Newton steps use Nesterov-Todd scaling W (W^-1 x = W s = lam) and
-    Mehrotra's predictor-corrector, solving the normal equations through
-    a QR factor R of W G^T.  The corrector gets two rounds of iterative
+    Mehrotra's predictor-corrector, solving the normal equations through a
+    QR factor R, R^T R = G' W^2 G'^T.  The t-columns of G' are zero, so
+    coefficient cone i, with W_i = beta_i (2 v v^T - J), contributes only
+    the zt block (W_i^2)_zz = beta_i^2 (I + 8 v0^2 vz vz^T).  Its symmetric
+    square root beta_i (I + c_i vz vz^T), c_i = 8 v0^2 / (sqrt(1 + 8 v0^2
+    |vz|^2) + 1), times the rows of G^T for zt_i gives d rows of the
+    factored matrix; the ball cone adds the m + 1 rows of W_b G_b^T, a
+    column permutation of W_b.  That is d K (+ m + 1) rows, and no matrix
+    W G'^T is formed: a step takes G' (W u) and W (G'^T dy), and
+    W ds = W rd - W G'^T dy.  The corrector gets two rounds of iterative
     refinement against all three linearized equations, which recover the
     accuracy that R^T R alone loses on ill-conditioned steps.
 
@@ -121,27 +144,52 @@ def _ipm(G, h, c, cones):
     make progress: its length falls below 1e-8 or x.s below 1e-14 of
     max(1, c.x), where rounding outweighs what is left to gain.
     """
-    from scipy.linalg.lapack import dgeqrf, dtrtrs
+    from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dtrtrs
 
-    dims = np.repeat([d for _, d in cones], [k for k, _ in cones])
+    m, dK = G.shape
+    K = dK // d
+    nb = m + 1 if radius > 0 else 0  # dimension of the ball cone, if any
+    dims = np.array([d + 1] * K + [nb] * (nb > 0))
     heads = np.cumsum(dims) - dims
     cid = np.repeat(np.arange(len(dims)), dims)
-    sign = -np.ones(len(c))
+    sign = -np.ones(len(cid))
     sign[heads] = 1.0
     e = (sign > 0).astype(float)     # identity element of C
     tail = 1.0 - e
+    c = np.zeros(len(cid))
+    c[heads[:K]] = 1.0
+    # The zt coordinates of x in the column order of G, then the ball cone.
+    cols = np.flatnonzero(tail[:(d + 1) * K]).reshape(K, d).T.ravel()
+    Gc = G                           # G' on the columns cols of x
+    if nb:
+        cols = np.append(cols, np.arange((d + 1) * K, len(cid)))
+        Gc = np.block([[G, np.zeros((m, 1)), np.eye(m)],
+                       [np.zeros((1, dK)), np.ones((1, 1)), np.zeros((1, m))]])
+        h = np.append(h, radius)
+        rb = np.arange(nb)
+        perm = np.roll(rb, -1)       # W_b G_b^T = W_b[:, perm]
+    Gd = G.reshape(m, d, K)
+    lwork = int(dgeqrf_lwork(dK + nb, len(h))[0])
 
-    def seg(u):                      # sums over each cone, along the last axis
-        return np.add.reduceat(u, heads, axis=-1)
+    def gmul(u):                     # G' u
+        return Gc @ u[cols]
+
+    def gtmul(y):                    # G'^T y
+        out = np.zeros(len(cid))
+        out[cols] = y @ Gc
+        return out
+
+    def seg(u):                      # sums over each cone
+        return np.add.reduceat(u, heads)
 
     def prod(u, v):                  # Jordan product u o v
         out = u[heads][cid] * v + v[heads][cid] * u
         out[heads] = seg(u * v)
         return out
 
-    def mul(W, u):                   # W u, or the rows of u times W, for
-        v, bv2, bj = W               # W = beta (2 v v^T - J) per cone
-        return bv2 * seg(v * u)[..., cid] - bj * u
+    def mul(W, u):                   # W u, W = beta (2 v v^T - J) per cone
+        v, bv2, bj = W
+        return bv2 * seg(v * u)[cid] - bj * u
 
     def jnorm(u):                    # sqrt(u0^2 - |u1|^2) without cancellation
         n1 = np.sqrt(seg(tail * u * u))
@@ -153,28 +201,30 @@ def _ipm(G, h, c, cones):
         worst = np.max((np.sqrt(seg(rho * rho)) - t) / lnorm)
         return 1.0 / worst if worst > 0 else np.inf
 
-    def newton(rp, rd, rc):          # G dx = rp, G^T dy + ds = rd,
+    def newton(rp, rd, rc):          # G' dx = rp, G'^T dy + ds = rd,
         u0 = seg(jlam * rc)          # lam o (W^-1 dx + W ds) = rc
         u = (rc - u0[cid] * lam) * ilam0     # lam o u = rc
         u[heads] = u0
-        u -= mul(W, rd)
-        t = dtrtrs(R, rp - M.T @ u, trans=1)[0]
+        wrd = mul(W, rd)
+        u -= wrd
+        t = dtrtrs(R, rp - gmul(mul(W, u)), trans=1)[0]
         dy = dtrtrs(R, t)[0]
-        wdx = u + M @ dy
-        ds = rd - G.T @ dy
-        return mul(W, wdx), dy, ds, wdx, mul(W, ds)
+        gdy = gtmul(dy)
+        wgdy = mul(W, gdy)
+        wdx = u + wgdy
+        return mul(W, wdx), dy, rd - gdy, wdx, wrd - wgdy
 
     def solve(rp, rd, rc):           # also returns W^-1 dx and W ds
         d = newton(rp, rd, rc)
         for _ in range(2):
             dx, dy, ds, wdx, wds = d
-            f = newton(rp - G @ dx, rd - G.T @ dy - ds,
+            f = newton(rp - gmul(dx), rd - gtmul(dy) - ds,
                        rc - prod(lam, wdx + wds))
             d = tuple(a + b for a, b in zip(d, f))
         return d
 
-    def setup(v, beta, lam_):        # scaling W, lam, QR factor of W G^T
-        nonlocal W, M, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1
+    def setup(v, beta, lam_):        # scaling W, lam, QR factor R
+        nonlocal W, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1
         bc = beta[cid]
         W = (v, 2 * bc * v, bc * sign)
         lam = lam_
@@ -183,11 +233,22 @@ def _ipm(G, h, c, cones):
         lnorm = np.sqrt(det)
         lb = lam / lnorm[cid]
         jlb, lb1 = sign * lb, lb[heads] + 1
-        M = mul(W, G).T
+        # The factored matrix, transposed: cone i's rows
+        # beta_i (I + c_i vz vz^T) G_i^T, then W_b[:, perm] for the ball.
+        vz, q = v[cols[:dK]].reshape(d, K), 8 * v[heads[:K]] ** 2
+        ci = q / (np.sqrt(1 + q * np.sum(vz * vz, axis=0)) + 1)
+        Ft = np.zeros((len(h), dK + nb))
+        Ft[:m, :dK] = (beta[:K] * (Gd + (np.einsum("mjk,jk->mk", Gd, vz)
+                                         * ci)[:, None] * vz)).reshape(m, -1)
+        if nb:
+            vb, bb = v[-nb:], beta[K]
+            Ft[:, dK:] = 2 * bb * np.outer(vb[perm], vb)
+            Ft[rb, dK + perm] -= bb * sign[-nb:][perm]
         # dtrtrs reads only the upper triangle; Fortran order spares copies.
-        R = np.asfortranarray(dgeqrf(M)[0][:M.shape[1]])
+        R = np.asfortranarray(dgeqrf(Ft.T, lwork=lwork, overwrite_a=1)[0]
+                              [:len(h)])
 
-    W = M = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
+    W = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
     # Start from the least-norm solutions of the two equality systems,
     # shifted into the cone (W = I).
     setup(e, np.ones(len(dims)), e)
@@ -210,7 +271,7 @@ def _ipm(G, h, c, cones):
         lam[heads] = gam
         setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
               lam * np.sqrt(a * b)[cid])
-        rp, rd, ll = h - G @ x, c - G.T @ y - s, prod(lam, lam)
+        rp, rd, ll = h - gmul(x), c - gtmul(y) - s, prod(lam, lam)
         _, _, _, wx, ws = newton(rp, rd, -ll)     # predictor
         sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
         dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
@@ -300,16 +361,9 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         cols = [np.vstack([B.real, B.imag]), np.vstack([-B.imag, B.real])]
         h = np.concatenate([h.real, h.imag])
     d, m = len(cols), len(h)
-    G = np.stack([np.zeros((m, K))] + cols, axis=-1).reshape(m, -1)
-    c, cones = np.tile(np.eye(d + 1)[0], K), [(K, d + 1)]
-    if eta_r > 0:
-        n = G.shape[1]
-        G = np.block([[G, np.zeros((m, 1)), np.eye(m)],
-                      [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, m))]])
-        h, c = np.append(h, eta_r / ynorm), np.append(c, np.zeros(m + 1))
-        cones.append((1, m + 1))
+    G = np.hstack(cols)
     dtype, hist = (float, complex)[d - 1], []
-    for its, (x, yd, xs) in enumerate(_ipm(G, h, c, cones)):
+    for its, (x, yd, xs) in enumerate(_ipm(G, h, d, eta_r / ynorm)):
         hist.append(ynorm * xs)
         # zt and the dual mu from their d real coordinates per entry.
         zt = x[:(d + 1) * K].reshape(K, d + 1)[:, 1:].copy().view(dtype)
@@ -404,8 +458,12 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
 def lp_oracle(A, y, w):
     """Exact equality-mode objective via linear programming (real data only).
 
-    Splits z into positive and negative parts and hands the result to a
-    simplex/interior solver.  Only for small cross-check instances.
+    Splits z into positive and negative parts and hands the result to
+    HiGHS at primal and dual feasibility tolerances of LP_TOL: its interior
+    point first, then its simplex where the interior point stops without
+    a solution.  At its default tolerances the simplex ends ill-conditioned
+    instances below the optimum, violating the constraints by about 1e-8.
+    Only for small cross-check instances.
     """
     from scipy.optimize import linprog
 
@@ -416,12 +474,15 @@ def lp_oracle(A, y, w):
     w = np.asarray(w, dtype=float)
     cost = np.concatenate([w, w])
     Aeq = np.hstack([entries, -entries])
-    res = linprog(cost, A_eq=Aeq, b_eq=np.asarray(y), method="highs",
-                  bounds=[(0, None)] * (2 * K))
-    if not res.success:
-        raise RuntimeError("LP oracle failed: %s" % (res.message,))
-    z = res.x[:K] - res.x[K:]
-    return z, float(res.fun)
+    for method in ("highs-ipm", "highs"):
+        res = linprog(cost, A_eq=Aeq, b_eq=np.asarray(y), method=method,
+                      bounds=(0, None),
+                      options={"primal_feasibility_tolerance": LP_TOL,
+                               "dual_feasibility_tolerance": LP_TOL})
+        if res.success:
+            z = res.x[:K] - res.x[K:]
+            return z, float(res.fun)
+    raise RuntimeError("LP oracle failed: %s" % (res.message,))
 
 
 def save_result(path, result: SolveResult) -> None:

@@ -209,6 +209,17 @@ def test_diagnostics_projects_once_per_length(tmp_path, monkeypatch):
     assert lengths == [80, 160]
 
 
+def test_diagnostics_meta_records_scaling_weights(tmp_path):
+    # scaling.csv keeps the study's fixed weight exponent and jitter
+    # whatever --gamma and --amplitude say; the meta file must say which.
+    cfg = ExperimentConfig(experiment="diagnostics", n_list=(10,),
+                           m_list=(2,), gamma=0.5, amplitude=1.0,
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    meta = open(run_diagnostics(cfg)["meta"]).read().splitlines()
+    assert "scaling_gamma 1" in meta
+    assert "scaling_amplitude 0.75" in meta
+
+
 @pytest.mark.parametrize("function, unconverged",
                          [("abs_cubed", 1), ("runge25", 0)])
 def test_diagnostics_counts_unconverged_projections(tmp_path, capsys,

@@ -1,7 +1,7 @@
 """Weighted-l1 solver: optimality, feasibility, covariance, degeneracy.
 
 The ground truth for optimality is an exact linear-programming
-reformulation solved by an independent simplex backend; everything else is
+reformulation solved by an independent backend (HiGHS); everything else is
 checked against hand-solvable instances or structural properties that hold
 for every run (interpolation, scaling covariance, monotone monitoring).
 """
@@ -14,7 +14,7 @@ from wl1approx import basis as basis_module, solver as solver_module
 from wl1approx.basis import (chebyshev, eval_basis, eval_table, fourier,
                              frequencies, jacobi, legendre, linf_norms)
 from wl1approx.grid import build_pointset, generate
-from wl1approx.sampling import build_matrix, make_weights
+from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
                               STATUS_MAX_ITER, TOL_GAP, SamplingProblem,
                               SolveResult, l1_objective, lp_oracle,
@@ -100,6 +100,45 @@ def test_lp_oracle_rejects_complex():
     A = build_matrix(spec, ps, 4)
     with pytest.raises(ValueError):
         lp_oracle(A, np.ones(4), np.ones(4))
+
+
+def test_lp_oracle_is_tight_on_an_ill_conditioned_instance():
+    # Random points, jacobi(1, 0), K = 2N: cond(A) is near 1e9.  HiGHS's
+    # simplex at its default tolerances ends 7e-4 below the optimum here by
+    # violating the constraints; the certified solve bounds the optimum.
+    spec = jacobi(1.0, 0.0)
+    pts = generate("uniform_random", 43, seed=3)
+    A = build_matrix(spec, build_pointset(pts, spec), 86)
+    w = default_weights(spec, 86, 1.0)
+    p = make_problem(A, 1.0 / (1.0 + 25.0 * pts ** 2), w)
+    res = solve_weighted_l1(p)
+    _, obj_lp = lp_oracle(A, p.y, w.w)
+    assert res.status == STATUS_CONVERGED
+    assert abs(obj_lp - res.objective) <= 1e-8 * res.objective
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_real_and_complex_paths_agree(eta):
+    # The same real data posed as complex take the d = 2 cone path (two
+    # coordinates per coefficient, twice the constraint rows) instead of
+    # d = 1; the solves must take the same steps to the same optimum.
+    spec = legendre()
+    pts = generate("jittered", 40, seed=7)
+    A = build_matrix(spec, build_pointset(pts, spec), 160)
+    w = default_weights(spec, 160, 0.5)
+    samples = 1.0 / (1.0 + 25.0 * pts ** 2)
+    mode = "inequality" if eta else "equality"
+    p1 = make_problem(A, samples, w, eta=eta)
+    r1 = solve_weighted_l1(p1, mode)
+    r2 = solve_weighted_l1(make_problem(A, samples.astype(complex), w,
+                                        eta=eta), mode)
+    assert r1.status == r2.status == STATUS_CONVERGED
+    assert r1.iterations == r2.iterations
+    assert abs(r2.objective - r1.objective) <= 1e-12 * r1.objective
+    assert np.max(np.abs(r2.z.imag)) <= 1e-12
+    if not eta:
+        _, obj_lp = lp_oracle(A, p1.y, w.w)
+        assert abs(r1.objective - obj_lp) <= 1e-8 * obj_lp
 
 
 def test_feasibility_of_converged_runs():
