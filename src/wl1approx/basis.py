@@ -373,11 +373,15 @@ def _log_binom(x, k):
     return gammaln(x + 1.0) - gammaln(k + 1.0) - gammaln(x - k + 1.0)
 
 
+@lru_cache(maxsize=8)
 def chebyshev_extrema(n: int) -> np.ndarray:
-    """The n Chebyshev extrema cos(pi k / (n - 1)) in ascending order."""
+    """The n Chebyshev extrema cos(pi k / (n - 1)) in ascending order, as
+    a read-only array shared by every call with the same n."""
     if n < 2:
         raise ValueError("resolution must be at least 2")
-    return np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
+    grid = np.ascontiguousarray(np.cos(np.pi * np.arange(n) / (n - 1))[::-1])
+    grid.setflags(write=False)
+    return grid
 
 
 def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:

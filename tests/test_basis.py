@@ -13,7 +13,7 @@ import pytest
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
-                             eval_basis, eval_deriv, eval_table, fourier,
+                             chebyshev_extrema, eval_basis, eval_deriv, eval_table, fourier,
                              frequencies, jacobi, kappa, leading_indices,
                              legendre, linf_norms, log_weight_mass,
                              nested_rank, project_coefficients)
@@ -262,6 +262,16 @@ def test_fourier_derivative_identity():
                                eval_basis(fourier(), 3, t), rtol=1e-13)
     with pytest.raises(ValueError):
         eval_deriv(fourier(), 1, t, order=3)
+
+
+def test_chebyshev_extrema_is_shared_and_read_only():
+    grid = chebyshev_extrema(50)
+    np.testing.assert_array_equal(grid,
+                                  np.cos(np.pi * np.arange(50) / 49)[::-1])
+    assert chebyshev_extrema(50) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        chebyshev_extrema(1)
 
 
 def test_linf_norm_closed_forms():

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wl1approx import basis as basis_module, solver as solver_module
-from wl1approx.basis import (chebyshev, eval_basis, eval_table, fourier,
-                             frequencies, jacobi, legendre, linf_norms)
+from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_basis,
+                             eval_table, fourier, frequencies, jacobi,
+                             legendre, linf_norms)
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
@@ -102,19 +103,37 @@ def test_lp_oracle_rejects_complex():
         lp_oracle(A, np.ones(4), np.ones(4))
 
 
+def ill_conditioned_problem(seed):
+    # Random points, jacobi(1, 0), N = 40 + seed % 41, K = 2N, runge25:
+    # cond(A) is near 1e9.
+    spec, N = jacobi(1.0, 0.0), 40 + seed % 41
+    pts = generate("uniform_random", N, seed=seed)
+    A = build_matrix(spec, build_pointset(pts, spec), 2 * N)
+    w = default_weights(spec, 2 * N, 1.0)
+    return make_problem(A, 1.0 / (1.0 + 25.0 * pts ** 2), w)
+
+
 def test_lp_oracle_is_tight_on_an_ill_conditioned_instance():
-    # Random points, jacobi(1, 0), K = 2N: cond(A) is near 1e9.  HiGHS's
-    # simplex at its default tolerances ends 7e-4 below the optimum here by
-    # violating the constraints; the certified solve bounds the optimum.
-    spec = jacobi(1.0, 0.0)
-    pts = generate("uniform_random", 43, seed=3)
-    A = build_matrix(spec, build_pointset(pts, spec), 86)
-    w = default_weights(spec, 86, 1.0)
-    p = make_problem(A, 1.0 / (1.0 + 25.0 * pts ** 2), w)
+    # HiGHS's simplex at its default tolerances ends 7e-4 below the optimum
+    # here by violating the constraints; the certified solve bounds the
+    # optimum.
+    p = ill_conditioned_problem(3)
     res = solve_weighted_l1(p)
-    _, obj_lp = lp_oracle(A, p.y, w.w)
+    _, obj_lp = lp_oracle(p.A, p.y, p.w.w)
     assert res.status == STATUS_CONVERGED
     assert abs(obj_lp - res.objective) <= 1e-8 * res.objective
+
+
+@pytest.mark.parametrize("seed, steps", [(3, 14), (105, 16), (155, 15)])
+def test_refinement_on_demand_keeps_ill_conditioned_solves(seed, steps):
+    # The corrector refines its Newton solve only while the linearized
+    # residuals exceed TOL_FEAS / 10 of the right-hand side.  These solves
+    # end with gaps near TOL_GAP; with two refinement rounds on every
+    # corrector they converge in these step counts.  With a threshold of
+    # 1e-8, seed 155 ends in max_iter; with 1e-12, it takes one more step.
+    res = solve_weighted_l1(ill_conditioned_problem(seed))
+    assert res.status == STATUS_CONVERGED
+    assert res.iterations == steps
 
 
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
@@ -473,6 +492,68 @@ def test_synthesis_builds_no_table(monkeypatch):
     assert sup_error(f, z, fourier()) < 1e-14
     assert sup_error(f, np.ones(40), legendre()) > 0
     assert synthesize(np.ones(5), chebyshev(), np.zeros(3)).shape == (3,)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n, K", [(10000, 1), (10000, 2), (10000, 23),
+                                  (10000, 24), (10000, 40), (10000, 320),
+                                  (100, 160)])
+@pytest.mark.parametrize("spec", [legendre(), chebyshev(), jacobi(1, 0),
+                                  jacobi(-0.75, -0.75)],
+                         ids=lambda s: s.label())
+def test_chebyshev_grid_sum_matches_table(spec, n, K):
+    # The transform path of sup_error, on both sides of its crossover at
+    # n = 10000 and with every coefficient folded onto an alias (K > n),
+    # agrees with the table product to the bound of the sup_error docstring.
+    z = np.random.default_rng(K).normal(size=K)
+    got = solver_module._chebyshev_grid_sum(z, spec, n)
+    expect = eval_table(spec, K, chebyshev_extrema(n)) @ z
+    bound = 16 * K * EPS * np.sum(np.abs(z) * linf_norms(spec, K))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expect)) <= bound
+
+
+def test_sup_error_of_complex_jacobi_coefficients():
+    spec, K = jacobi(1, 0), 40
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=K) + 1j * rng.normal(size=K)
+    grid = chebyshev_extrema(10000)
+    expect = eval_table(spec, K, grid) @ z
+    got = solver_module._chebyshev_grid_sum(z, spec, 10000)
+    bound = 16 * K * EPS * np.sum(np.abs(z) * linf_norms(spec, K))
+    assert got.dtype == complex
+    assert np.max(np.abs(got - expect)) <= bound
+    f = lambda t: eval_table(spec, K, t) @ z
+    assert sup_error(f, z, spec) <= bound
+
+
+def test_sup_error_takes_the_cheaper_path(monkeypatch):
+    # 6 n K flops for Clenshaw against 6 K^2 + 5 N log2 N, N = 2 (n - 1),
+    # for the transform: at n = 10000 the transform from K = 24 on, never
+    # for K >= n, and never for the exponentials, which keep Horner's rule.
+    transform, horner = [], []
+    grid_sum = solver_module._chebyshev_grid_sum
+    fourier_horner = basis_module._fourier_horner
+    monkeypatch.setattr(solver_module, "_chebyshev_grid_sum",
+                        lambda z, *a: transform.append(len(z))
+                        or grid_sum(z, *a))
+    monkeypatch.setattr(basis_module, "_fourier_horner",
+                        lambda z, *a: horner.append(len(z))
+                        or fourier_horner(z, *a))
+    f = np.zeros_like
+    for K in (1, 2, 23, 24, 320):
+        sup_error(f, np.ones(K), legendre())
+    sup_error(f, np.ones(160), legendre(), resolution=100)
+    sup_error(f, np.ones(160), jacobi(1, 0), resolution=200)
+    assert transform == [24, 320, 160]
+    z = np.random.default_rng(1).normal(size=320) + 0j
+    grid = chebyshev_extrema(10000)
+    assert sup_error(f, z, fourier()) == np.max(np.abs(synthesize(
+        z, fourier(), grid)))
+    assert horner == [320, 320]
+    assert transform == [24, 320, 160]
 
 
 def test_sup_error_zero_for_exact_function():
