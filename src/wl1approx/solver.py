@@ -482,10 +482,9 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     The grid, chebyshev_extrema(resolution), clusters near the ends, where
     polynomial approximants misbehave first, and builds no table.  The
     exponentials take synthesize (Horner's rule).  A Jacobi expansion of
-    K = len(z) terms takes whichever of two paths costs fewer flops on
-    the n = resolution points:
-    synthesize (Clenshaw), about 6 n K, or the transform of
-    _chebyshev_grid_sum, about 6 K^2 for Clenshaw at K points plus
+    K = len(z) terms on n = resolution points takes whichever of two paths
+    costs fewer flops: synthesize (Clenshaw), about 6 n K, or the transform
+    of _chebyshev_grid_sum, about 6 K^2 for Clenshaw at K points plus
     5 N log2(N) for the DCT-I, an FFT of length N = 2 (n - 1).  At
     n = 10000 the transform is taken from K = 24 on, and never for K >= n.
     Either way the approximant agrees with eval_table(basis, K, grid) @ z
