@@ -457,7 +457,9 @@ def _dct1(x):
     """x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n - 1)),
     k = 0 ... n - 1 (the DCT-I), as the FFT of the even extension of x."""
     y = np.concatenate([x, x[-2:0:-1]])
-    return np.fft.fft(y)[:len(x)] if np.iscomplexobj(x) else np.fft.rfft(y).real
+    if np.iscomplexobj(y):
+        return np.fft.fft(y)[:len(x)]
+    return np.fft.rfft(y).real
 
 
 def _chebyshev_grid_sum(z, basis: BasisSpec, n: int) -> np.ndarray:
@@ -466,14 +468,14 @@ def _chebyshev_grid_sum(z, basis: BasisSpec, n: int) -> np.ndarray:
     its values at the K Chebyshev extrema, a DCT-I of size K its Chebyshev
     coefficients, and a DCT-I of size n of those, zero-padded, its values
     on the grid.  On the grid, T_j equals T_r, where r is j mod 2(n - 1)
-    reflected into 0 ... n - 1, so for K > n each coefficient is first
-    added onto its alias."""
+    reflected into 0 ... n - 1, so each coefficient is added onto its
+    alias r, which is j itself for j < n."""
     K = len(z)
     if K == 1:
         return np.full(n, _expansion_sum(basis, z, np.zeros(1))[0])
     vals = _expansion_sum(basis, z, np.cos(np.pi * np.arange(K) / (K - 1)))
     c = _dct1(vals) / (K - 1)
-    c[[0, -1]] /= 2                  # Chebyshev coefficients, degree 0 ... K - 1
+    c[[0, -1]] /= 2                  # Chebyshev coefficients of degree < K
     j = np.arange(K) % (2 * n - 2)
     cn = np.zeros(n, c.dtype)
     np.add.at(cn, np.minimum(j, 2 * n - 2 - j), c)

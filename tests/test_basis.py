@@ -13,10 +13,11 @@ import pytest
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
 from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
-                             chebyshev_extrema, eval_basis, eval_deriv, eval_table, fourier,
-                             frequencies, jacobi, kappa, leading_indices,
-                             legendre, linf_norms, log_weight_mass,
-                             nested_rank, project_coefficients)
+                             chebyshev_extrema, eval_basis, eval_deriv,
+                             eval_table, fourier, frequencies, jacobi, kappa,
+                             leading_indices, legendre, linf_norms,
+                             log_weight_mass, nested_rank,
+                             project_coefficients)
 from wl1approx import basis
 from wl1approx.basis import _log_phi_scale
 

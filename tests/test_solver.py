@@ -505,8 +505,9 @@ EPS = np.finfo(float).eps
                          ids=lambda s: s.label())
 def test_chebyshev_grid_sum_matches_table(spec, n, K):
     # The transform path of sup_error, on both sides of its crossover at
-    # n = 10000 and with every coefficient folded onto an alias (K > n),
-    # agrees with the table product to the bound of the sup_error docstring.
+    # n = 10000 and with degrees n and above folded onto their aliases
+    # (K > n), agrees with the table product to the bound of the sup_error
+    # docstring.
     z = np.random.default_rng(K).normal(size=K)
     got = solver_module._chebyshev_grid_sum(z, spec, n)
     expect = eval_table(spec, K, chebyshev_extrema(n)) @ z
