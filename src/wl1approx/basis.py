@@ -148,16 +148,31 @@ def _log_phi_scale(alpha: float, beta: float, j) -> np.ndarray:
     return -0.5 * (logk - log_weight_mass(alpha, beta))
 
 
+@lru_cache(maxsize=128)
+def _phi_scale(alpha: float, beta: float, K: int) -> np.ndarray:
+    """exp(_log_phi_scale) for degrees 0 ... K - 1, as one read-only array
+    shared by every call with the same (alpha, beta, K)."""
+    scale = np.exp(_log_phi_scale(alpha, beta, np.arange(K)))
+    scale.setflags(write=False)
+    return scale
+
+
+@lru_cache(maxsize=128)
 def _jacobi_coeffs(alpha: float, beta: float, n_max: int):
     """Coefficients of the three-term recurrence
     c1_j P_j = (c2_j + c3_j t) P_{j-1} - c4_j P_{j-2}, j = 2 ... n_max,
-    as four arrays indexed by j (entries 0 and 1 unused)."""
+    as four read-only arrays indexed by j, shared by every call with the
+    same (alpha, beta, n_max).  Entries 0 and 1 are unused; c1 is 1 there,
+    so that ratios by c1 stay finite."""
     ab = alpha + beta
     j = np.arange(n_max + 1, dtype=float)
     c1 = 2.0 * j * (j + ab) * (2.0 * j + ab - 2.0)
+    c1[:2] = 1.0
     c2 = (2.0 * j + ab - 1.0) * (alpha**2 - beta**2)
     c3 = (2.0 * j + ab - 2.0) * (2.0 * j + ab - 1.0) * (2.0 * j + ab)
     c4 = 2.0 * (j + alpha - 1.0) * (j + beta - 1.0) * (2.0 * j + ab)
+    for c in (c1, c2, c3, c4):
+        c.setflags(write=False)
     return c1, c2, c3, c4
 
 
@@ -165,18 +180,45 @@ def _jacobi_p1(alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     return (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
 
 
+def _jacobi_row_blocks(alpha: float, beta: float, n_max: int, t: np.ndarray,
+                       rows: int):
+    """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
+    three-term recurrence, yielded as (j0, P) in blocks of up to `rows`
+    degrees: P holds P_j0 ... P_{j0 + len(P) - 1}, one contiguous row per
+    degree.  Every P is a view of one buffer of rows + 2 rows, which the
+    next block overwrites.  The two rows before P carry the last two
+    degrees of the block into the next one, so the caller may change P in
+    place."""
+    t = np.asarray(t, dtype=float)
+    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n_max)
+    rows = min(rows, n_max + 1)
+    buf = np.empty((rows + 2, t.size))
+    tmp = np.empty(t.size)
+    for j0 in range(0, n_max + 1, rows):
+        n = min(rows, n_max + 1 - j0)
+        for r in range(2, n + 2):
+            j, row = j0 + r - 2, buf[r]
+            if j == 0:
+                row[:] = 1.0
+            elif j == 1:
+                row[:] = _jacobi_p1(alpha, beta, t)
+            else:
+                # ((c2 + c3 t) P_{j-1} - c4 P_{j-2}) / c1, in this order
+                np.multiply(t, c3[j], out=row)
+                row += c2[j]
+                row *= buf[r - 1]
+                np.multiply(buf[r - 2], c4[j], out=tmp)
+                row -= tmp
+                row /= c1[j]
+        buf[:2] = buf[n:n + 2]
+        yield j0, buf[2:n + 2]
+
+
 def _jacobi_raw_table(alpha: float, beta: float, n_max: int, t: np.ndarray) -> np.ndarray:
     """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
     three-term recurrence, one contiguous row per degree: shape
     (n_max + 1, len(t))."""
-    t = np.asarray(t, dtype=float)
-    P = np.empty((n_max + 1, t.size))
-    P[0] = 1.0
-    if n_max >= 1:
-        P[1] = _jacobi_p1(alpha, beta, t)
-    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n_max)
-    for j in range(2, n_max + 1):
-        P[j] = ((c2[j] + c3[j] * t) * P[j - 1] - c4[j] * P[j - 2]) / c1[j]
+    _, P = next(_jacobi_row_blocks(alpha, beta, n_max, t, n_max + 1))
     return P
 
 
@@ -191,7 +233,6 @@ def _jacobi_clenshaw(alpha: float, beta: float, c: np.ndarray,
     n = len(c) - 1
     dtype = np.result_type(c, t)
     c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n + 2)
-    c1[:2] = 1.0  # entries 0 and 1 are unused; avoid dividing by zero
     a, s, g = c2 / c1, c3 / c1, c4 / c1
     b1 = np.zeros(t.size, dtype)   # b_{j+1}
     b2 = np.zeros(t.size, dtype)   # b_{j+2}
@@ -257,9 +298,7 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     transpose of that (K, len(t)) array.  The exponential table is
     C-ordered and built from its non-negative half: only frequencies
     0 ... floor(K/2) are folded and evaluated, and the column of frequency
-    -j is the exact conjugate of the column of +j.  Callers that need C
-    order (for example, for sums with a fixed summation order) ask for it
-    with np.ascontiguousarray.
+    -j is the exact conjugate of the column of +j.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(t)
@@ -280,7 +319,7 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
             neg[:, -1] = np.cos(angle[:, half]) - 1j * np.sin(angle[:, half])
         return T
     P = _jacobi_raw_table(spec.alpha, spec.beta, K - 1, t)
-    P *= np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(K)))[:, None]
+    P *= _phi_scale(spec.alpha, spec.beta, K)[:, None]
     return P.T
 
 
@@ -294,7 +333,7 @@ def _expansion_sum(spec: BasisSpec, z: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise ValueError("K must be >= 1")
     if spec.kind == FOURIER:
         return _fourier_horner(z, t)
-    c = z * np.exp(_log_phi_scale(spec.alpha, spec.beta, np.arange(len(z))))
+    c = z * _phi_scale(spec.alpha, spec.beta, len(z))
     return _jacobi_clenshaw(spec.alpha, spec.beta, c, t)
 
 
@@ -438,8 +477,36 @@ class ProjectionResult(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(Q: int, alpha: float, beta: float):
+    """Q-point Gauss rule for the normalized Jacobi weight, as read-only
+    nodes and weights shared by every projection in the process."""
     x, w = roots_jacobi(Q, alpha, beta)
-    return x, w * np.exp(-log_weight_mass(alpha, beta))
+    w = w * np.exp(-log_weight_mass(alpha, beta))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+# Degrees per block of the recurrence in _projection_table.
+_TABLE_BLOCK = 32
+
+
+def _projection_table(spec: BasisSpec, M: int, x: np.ndarray) -> np.ndarray:
+    """conj(eval_table(spec, M, x)) as one C-ordered (len(x), M) array, the
+    only full-size array built.  Jacobi runs the recurrence _TABLE_BLOCK
+    degrees at a time in a small row buffer, scales each block and
+    transposes it into place; the exponentials conjugate the fresh table in
+    place.  Every entry equals the one of eval_table."""
+    if spec.kind == FOURIER:
+        T = eval_table(spec, M, x)
+        return np.conjugate(T, out=T)
+    scale = _phi_scale(spec.alpha, spec.beta, M)
+    T = np.empty((x.size, M))
+    for j0, P in _jacobi_row_blocks(spec.alpha, spec.beta, M - 1, x,
+                                    _TABLE_BLOCK):
+        j1 = j0 + len(P)
+        P *= scale[j0:j1, None]
+        T[:, j0:j1] = P.T
+    return T
 
 
 # Relative agreement of consecutive refinements that ends a projection.
@@ -457,6 +524,16 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     or it reaches STOP_DOUBLING_AT_ORDER or more, which is reported through
     the `converged` flag, not an exception.  The exponentials use the
     Legendre rule, the Jacobi rule with alpha = beta = 0.
+
+    Each refinement with Q nodes builds the conjugated table once, as a
+    C-ordered (Q, M) array with one row per node (_projection_table), and
+    sums table.T @ (w * f(x)); that fixed layout fixes the summation order,
+    so the coefficients do not depend on how the table was built.  Jacobi
+    tables come from the recurrence in blocks of _TABLE_BLOCK degrees, so
+    the peak memory of a refinement is the table plus a buffer of about
+    _TABLE_BLOCK + 2 node rows.  The exponential table adds its folded
+    phases, half the bytes of a real table of the same shape, for about
+    1.25 times the table in all.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -465,11 +542,7 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     def coeffs_at(Q: int) -> np.ndarray:
         x, w = _jacobi_rule(Q, *ab)
         fx = np.asarray(f(x))
-        # C order fixes the summation order of the product below.
-        table = np.ascontiguousarray(eval_table(spec, M, x))
-        if spec.kind == FOURIER:
-            table = table.conj()
-        return table.T @ (w * fx)
+        return _projection_table(spec, M, x).T @ (w * fx)
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)

@@ -395,3 +395,108 @@ def test_projection_sums_in_c_order(spec, f, M):
         w = w * np.exp(-log_weight_mass(spec.alpha, spec.beta))
     table = np.ascontiguousarray(eval_table(spec, M, x))
     np.testing.assert_array_equal(res.coeffs, table.conj().T @ (w * f(x)))
+
+
+def _two_copy_projection(f, spec, M):
+    # The doubling loop of project_coefficients with the table built as
+    # eval_table's (Q, M) array, copied to C order and, for the
+    # exponentials, conjugated into a second copy.
+    ab = (spec.alpha, spec.beta) if spec.kind == "jacobi" else (0.0, 0.0)
+
+    def coeffs_at(Q):
+        x, w = basis._jacobi_rule(Q, *ab)
+        table = np.ascontiguousarray(eval_table(spec, M, x))
+        if spec.is_complex:
+            table = table.conj()
+        return table.T @ (w * f(x))
+
+    Q = max(64, 2 * M)
+    prev = coeffs_at(Q)
+    while True:
+        Q *= 2
+        cur = coeffs_at(Q)
+        if np.max(np.abs(cur - prev)) \
+                <= basis.PROJECTION_TOL * max(1.0, float(np.max(np.abs(cur)))):
+            return cur, True, Q
+        if Q >= basis.STOP_DOUBLING_AT_ORDER:
+            return cur, False, Q
+        prev = cur
+
+
+def _runge(t):
+    return 1.0 / (1.0 + 25 * t ** 2)
+
+
+@pytest.mark.parametrize("M", [1, 2, basis._TABLE_BLOCK - 1,
+                               basis._TABLE_BLOCK + 1, 520])
+@pytest.mark.parametrize("spec", [legendre(), chebyshev(), jacobi(1.0, 0.0),
+                                  jacobi(-0.75, -0.75), fourier()],
+                         ids=lambda s: s.label())
+def test_projection_is_bit_identical_to_two_copy_table(spec, M):
+    # The blocked (Jacobi) or in-place conjugated (exponential) table holds
+    # the same entries in the same layout, so every coefficient, the node
+    # count and the verdict must match exactly.
+    res = project_coefficients(_runge, spec, M)
+    coeffs, converged, nodes = _two_copy_projection(_runge, spec, M)
+    assert np.array_equal(res.coeffs, coeffs)
+    assert (res.converged, res.nodes) == (converged, nodes)
+
+
+@pytest.mark.parametrize("spec", [jacobi(1.0, 0.0), fourier()],
+                         ids=lambda s: s.label())
+def test_projection_peak_memory_is_one_table(spec):
+    # At M = 520 the projection converges at Q = 2080 nodes.  Only the
+    # table of that refinement may be full size: the Jacobi row buffer and
+    # the exponentials' folded phases stay well below half of it.
+    import tracemalloc
+
+    M, Q = 520, 2080
+    project_coefficients(_runge, spec, M)  # the Gauss rules are cached now
+    tracemalloc.start()
+    try:
+        res = project_coefficients(_runge, spec, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.nodes == Q
+    table_bytes = Q * M * (16 if spec.is_complex else 8)
+    assert peak <= 1.5 * table_bytes
+
+
+def test_jacobi_rule_is_read_only():
+    # A function that writes to its argument must not corrupt the cached
+    # rule that every later projection reads.
+    x, w = basis._jacobi_rule(64, 1.0, 0.0)
+    assert not x.flags.writeable and not w.flags.writeable
+    before = project_coefficients(_runge, jacobi(1.0, 0.0), 8)
+
+    def scribble(t):
+        t *= 0.5
+        return t
+
+    with pytest.raises(ValueError):
+        project_coefficients(scribble, jacobi(1.0, 0.0), 8)
+    after = project_coefficients(_runge, jacobi(1.0, 0.0), 8)
+    assert np.array_equal(before.coeffs, after.coeffs)
+
+
+def test_recurrence_tables_are_shared_and_read_only():
+    # Keyed by exactly (alpha, beta, K): the cached values are those a
+    # fresh computation gives, and callers cannot change them.
+    scale = basis._phi_scale(1.0, 0.0, 9)
+    assert basis._phi_scale(1.0, 0.0, 9) is scale
+    assert np.array_equal(scale, np.exp(_log_phi_scale(1.0, 0.0, np.arange(9))))
+    coeffs = basis._jacobi_coeffs(-0.75, -0.75, 12)
+    assert basis._jacobi_coeffs(-0.75, -0.75, 12) is coeffs
+    for arr in (scale, *coeffs):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 40])
+def test_recurrence_blocks_match_one_block(rows):
+    # Any block size gives the rows of the single-block table, bit for bit.
+    t = np.linspace(-1, 1, 37)
+    full = basis._jacobi_raw_table(0.5, -0.25, 39, t)
+    blocks = [P.copy() for _, P in
+              basis._jacobi_row_blocks(0.5, -0.25, 39, t, rows)]
+    assert np.array_equal(np.concatenate(blocks), full)
