@@ -530,10 +530,10 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     sums table.T @ (w * f(x)); that fixed layout fixes the summation order,
     so the coefficients do not depend on how the table was built.  Jacobi
     tables come from the recurrence in blocks of _TABLE_BLOCK degrees, so
-    the peak memory of a refinement is the table plus a buffer of about
-    _TABLE_BLOCK + 2 node rows.  The exponential table adds its folded
-    phases, half the bytes of a real table of the same shape, for about
-    1.25 times the table in all.
+    the peak memory of a refinement is the table plus a buffer of
+    _TABLE_BLOCK + 2 degree rows of Q values.  While the exponential table
+    is filled, its folded phases (Q x (M // 2 + 1) reals, a quarter of its
+    bytes) are alive too, for about 1.25 times the table in all.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

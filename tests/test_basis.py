@@ -6,6 +6,7 @@ scipy.special, closed-form norm constants for the Legendre and Chebyshev
 special cases, and exact discrete Fourier orthogonality on periodic grids.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -401,7 +402,7 @@ def _two_copy_projection(f, spec, M):
     # The doubling loop of project_coefficients with the table built as
     # eval_table's (Q, M) array, copied to C order and, for the
     # exponentials, conjugated into a second copy.
-    ab = (spec.alpha, spec.beta) if spec.kind == "jacobi" else (0.0, 0.0)
+    ab = (0.0, 0.0) if spec.is_complex else (spec.alpha, spec.beta)
 
     def coeffs_at(Q):
         x, w = basis._jacobi_rule(Q, *ab)
@@ -448,8 +449,6 @@ def test_projection_peak_memory_is_one_table(spec):
     # At M = 520 the projection converges at Q = 2080 nodes.  Only the
     # table of that refinement may be full size: the Jacobi row buffer and
     # the exponentials' folded phases stay well below half of it.
-    import tracemalloc
-
     M, Q = 520, 2080
     project_coefficients(_runge, spec, M)  # the Gauss rules are cached now
     tracemalloc.start()
