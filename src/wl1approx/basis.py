@@ -15,6 +15,7 @@ frequencies -floor(K/2), ..., ceil(K/2) - 1 in ascending order, so that any
 stored frequency j satisfies |j| <= ceil(K/2).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -337,19 +338,23 @@ def _expansion_sum(spec: BasisSpec, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _jacobi_clenshaw(spec.alpha, spec.beta, c, t)
 
 
-def _reduced_phase(t: np.ndarray, freqs) -> np.ndarray:
+def _reduced_phase(t: np.ndarray, freqs, bits=None) -> np.ndarray:
     # t * j folded into [0, 2), entry by entry.  The plain product t * j
     # has absolute error growing like |j| * eps, and aliased frequency
     # pairs would drift apart.  Instead t is split (Dekker) as
-    # t_hi + t_lo, with t_hi rounded to 53 - b fractional bits, where
-    # 2^b > max|j|: then t_hi * j is exact, and so is its fold
-    # x - 2 floor(x / 2).  Then t_lo * j is added, with |t_lo| <= 2^(b-54):
-    # for |j| < 2^26 that term is below 1/4 and its rounding lies far below
-    # one ulp, so the phase is within one ulp of the correctly rounded exact
-    # fold.  It may land just outside [0, 2).
+    # t_hi + t_lo, with t_hi rounded to 53 - bits fractional bits, where
+    # 2^bits > max|j|: then t_hi * j is exact, and so is its fold
+    # x - 2 floor(x / 2).  Then t_lo * j is added, with
+    # |t_lo| <= 2^(bits-54): for |j| < 2^26 that term is below 1/4 and its
+    # rounding lies far below one ulp, so the phase is within one ulp of the
+    # correctly rounded exact fold.  It may land just outside [0, 2).
+    # bits defaults to the bit length of max|freqs|; a table folded a few
+    # frequencies at a time passes the bits of the whole table, so that its
+    # entries are those of one fold of all its frequencies.
     freqs = np.asarray(freqs)
-    b = int(np.max(np.abs(freqs), initial=0)).bit_length()
-    scale = 2.0 ** (53 - b)
+    if bits is None:
+        bits = int(np.max(np.abs(freqs), initial=0)).bit_length()
+    scale = 2.0 ** (53 - bits)
     t_hi = np.rint(t * scale) / scale
     x = np.multiply.outer(t_hi, freqs.astype(float))
     k = np.multiply(x, 0.5)
@@ -486,27 +491,106 @@ def _jacobi_rule(Q: int, alpha: float, beta: float):
     return x, w
 
 
-# Degrees per block of the recurrence in _projection_table.
+# Rows per block of the sums in project_coefficients: a multiple of 4.
 _TABLE_BLOCK = 32
 
 
-def _projection_table(spec: BasisSpec, M: int, x: np.ndarray) -> np.ndarray:
-    """conj(eval_table(spec, M, x)) as one C-ordered (len(x), M) array, the
-    only full-size array built.  Jacobi runs the recurrence _TABLE_BLOCK
-    degrees at a time in a small row buffer, scales each block and
-    transposes it into place; the exponentials conjugate the fresh table in
-    place.  Every entry equals the one of eval_table."""
-    if spec.kind == FOURIER:
-        T = eval_table(spec, M, x)
-        return np.conjugate(T, out=T)
+def _sum_blocks(M: int) -> list:
+    """Bounds (r0, r1) of the row blocks in which project_coefficients sums
+    M coefficients: _TABLE_BLOCK rows each, except that a last block of 1
+    to 3 rows is folded into the block before it."""
+    starts = list(range(0, M, _TABLE_BLOCK))
+    if len(starts) > 1 and M - starts[-1] < 4:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [M]))
+
+
+def _jacobi_projection(spec: BasisSpec, M: int, x: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """eval_table(spec, M, x).T @ v, one block of _sum_blocks at a time.
+    The recurrence runs _TABLE_BLOCK degrees at a time; each block of
+    degree rows is scaled and transposed into one reused (len(x), rows)
+    buffer, whose transpose is multiplied by v."""
+    out = np.empty(M, dtype=np.result_type(float, v))
     scale = _phi_scale(spec.alpha, spec.beta, M)
-    T = np.empty((x.size, M))
+    buf = np.empty((x.size, min(M, _TABLE_BLOCK + 3)))
+    blocks = iter(_sum_blocks(M))
+    r0, r1 = next(blocks)
     for j0, P in _jacobi_row_blocks(spec.alpha, spec.beta, M - 1, x,
                                     _TABLE_BLOCK):
         j1 = j0 + len(P)
         P *= scale[j0:j1, None]
-        T[:, j0:j1] = P.T
-    return T
+        buf[:, j0 - r0:j1 - r0] = P.T
+        if j1 == r1:
+            out[r0:r1] = buf[:, :r1 - r0].T @ v
+            r0, r1 = next(blocks, (M, M))
+    return out
+
+
+def _fourier_projection(M: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """conj(eval_table(fourier(), M, x)).T @ v, one block of _sum_blocks at
+    a time.  Row half + j (half = M // 2) holds exp(-i pi j x): cos - i sin
+    of the folded phase of |j| for j >= 0, cos + i sin for j < 0.  The
+    phases of _TABLE_BLOCK values of |j| are folded at a time, with the
+    split width of the whole table, and one cosine and one sine fill the
+    rows of both +j and -j.  Each side of frequency 0 is filled in order of
+    increasing |j|, and a block is multiplied by v as soon as all its rows
+    are filled, so that two block buffers are in use at a time."""
+    half = M // 2
+    bits = half.bit_length()
+    v = np.asarray(v, dtype=complex)
+    out = np.empty(M, dtype=complex)
+    blocks = _sum_blocks(M)
+    starts = [r0 for r0, _ in blocks]
+    unfilled = [r1 - r0 for r0, r1 in blocks]
+    bufs, spare = {}, []
+
+    def rows_of(b, lo, hi):
+        # Buffer columns of rows lo ... hi - 1 of block b.
+        if b not in bufs:
+            bufs[b] = spare.pop() if spare else np.empty(
+                (x.size, min(M, _TABLE_BLOCK + 3)), dtype=complex)
+        r0 = blocks[b][0]
+        return bufs[b][:, lo - r0:hi - r0]
+
+    def filled(b, rows):
+        unfilled[b] -= rows
+        if not unfilled[b]:
+            r0, r1 = blocks[b]
+            buf = bufs.pop(b)
+            out[r0:r1] = buf[:, :r1 - r0].T @ v
+            spare.append(buf)
+
+    for a in range(0, half + 1, _TABLE_BLOCK):
+        n = min(_TABLE_BLOCK, half + 1 - a)
+        angle = _reduced_phase(x, np.arange(a, a + n), bits)
+        angle *= np.pi
+        cos = np.cos(angle)
+        sin = np.sin(angle, out=angle)
+        # Rows of +j, j = a ... a + n - 1, below M: upward from half + a.
+        lo, stop = half + a, min(half + a + n, M)
+        while lo < stop:
+            b = bisect_right(starts, lo) - 1
+            hi = min(stop, blocks[b][1])
+            cols = slice(lo - half - a, hi - half - a)
+            dst = rows_of(b, lo, hi)
+            dst.real[...] = cos[:, cols]
+            np.negative(sin[:, cols], out=dst.imag)
+            filled(b, hi - lo)
+            lo = hi
+        # Rows of -j, j = max(a, 1) ... a + n - 1: downward from half - a.
+        hi, stop = half + 1 - max(a, 1), half + 1 - a - n
+        while hi > stop:
+            b = bisect_right(starts, hi - 1) - 1
+            lo = max(stop, blocks[b][0])
+            cols = slice(half + 1 - a - hi, half + 1 - a - lo)
+            dst = rows_of(b, lo, hi)
+            dst.real[...] = cos[:, cols][:, ::-1]
+            dst.imag[...] = sin[:, cols][:, ::-1]
+            filled(b, hi - lo)
+            hi = lo
+        del angle, cos, sin  # before the next fold allocates its own
+    return out
 
 
 # Relative agreement of consecutive refinements that ends a projection.
@@ -525,15 +609,33 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     the `converged` flag, not an exception.  The exponentials use the
     Legendre rule, the Jacobi rule with alpha = beta = 0.
 
-    Each refinement with Q nodes builds the conjugated table once, as a
-    C-ordered (Q, M) array with one row per node (_projection_table), and
-    sums table.T @ (w * f(x)); that fixed layout fixes the summation order,
-    so the coefficients do not depend on how the table was built.  Jacobi
-    tables come from the recurrence in blocks of _TABLE_BLOCK degrees, so
-    the peak memory of a refinement is the table plus a buffer of
-    _TABLE_BLOCK + 2 degree rows of Q values.  While the exponential table
-    is filled, its folded phases (Q x (M // 2 + 1) reals, a quarter of its
-    bytes) are alive too, for about 1.25 times the table in all.
+    Each refinement with Q nodes sums conj(T).T @ (w * f(x)), where T is
+    the (Q, M) table eval_table(spec, M, x), without building T.  The sum
+    runs over row blocks of conj(T).T (_sum_blocks): _TABLE_BLOCK rows
+    each, and a last block of 1 to 3 rows is folded into the block before
+    it.  Each block is filled into a small reused (Q, rows) buffer and
+    multiplied by the weighted samples, one BLAS gemv per block.  Jacobi
+    blocks come from the recurrence (_jacobi_projection); the exponentials
+    fold the phases of _TABLE_BLOCK values of |j| at a time and fill the
+    rows of +j and -j from one cosine and one sine (_fourier_projection).
+    The peak memory of a refinement is therefore a few blocks of Q values
+    per row (0.14 times the table for Jacobi and 0.21 for the exponentials
+    at M = 520, Q = 2080), not the table.
+
+    On one BLAS thread the coefficients are bit-identical to one gemv of
+    the whole C-ordered conjugated table.  That rests on the BLAS gemv
+    kernel: OpenBLAS sums the rows of a gemv in groups of 4 and the last 1
+    to 3 rows apart, so each row of a block that starts at a multiple of 4
+    rows and has at least 4 rows gets the bits of that row of the whole
+    product.  A block of 1 to 3 rows on its own can take another kernel (a
+    single row does) and change the last bits, hence the folded tail.  A
+    threaded BLAS splits the rows of each gemv among its threads, so there
+    both the whole product and the block sums can move in the last bits
+    wherever a thread's share is not a multiple of 4 rows.  The tail of a
+    projection sits at rounding level, so the summation order is part of
+    its value; the tests compare with the whole product on one BLAS thread
+    with np.array_equal, so a BLAS that breaks this rule fails them instead
+    of silently moving the truncation bounds of the diagnostics.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -541,8 +643,10 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
 
     def coeffs_at(Q: int) -> np.ndarray:
         x, w = _jacobi_rule(Q, *ab)
-        fx = np.asarray(f(x))
-        return _projection_table(spec, M, x).T @ (w * fx)
+        v = w * np.asarray(f(x))
+        if spec.kind == FOURIER:
+            return _fourier_projection(M, x, v)
+        return _jacobi_projection(spec, M, x, v)
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)

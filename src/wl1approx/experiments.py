@@ -145,7 +145,12 @@ class ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = repr(sorted(asdict(cfg).items())).encode()
+    """First 16 hex digits of the SHA-256 of the config's fields.  out_dir
+    is hashed as its default, so that the same run written to two
+    directories records one hash."""
+    fields = asdict(cfg)
+    fields["out_dir"] = ExperimentConfig.out_dir
+    blob = repr(sorted(fields.items())).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -6,6 +6,7 @@ the numerics, which the dedicated module tests already pin down.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_config_validation_and_hash():
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 16
     assert int(config_hash(a), 16) >= 0
+
+
+def test_config_hash_ignores_out_dir(tmp_path):
+    # The same run written to two directories records one hash, and so
+    # writes byte-identical files; any other field still changes the hash.
+    a = ExperimentConfig(experiment="diagnostics", n_list=(10,), m_list=(2,),
+                         out_dir=str(tmp_path / "a"))
+    b = replace(a, out_dir=str(tmp_path / "b"))
+    c = replace(a, seed=1)
+    assert config_hash(a) == config_hash(b)
+    assert config_hash(a) != config_hash(c)
+    outs = run_diagnostics(a), run_diagnostics(b)
+    assert sorted(outs[0]) == sorted(outs[1])
+    for key in outs[0]:
+        assert open(outs[0][key]).read() == open(outs[1][key]).read(), key
 
 
 def test_grid_constants():
