@@ -15,7 +15,6 @@ frequencies -floor(K/2), ..., ceil(K/2) - 1 in ascending order, so that any
 stored frequency j satisfies |j| <= ceil(K/2).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -530,66 +529,24 @@ def _jacobi_projection(spec: BasisSpec, M: int, x: np.ndarray,
 def _fourier_projection(M: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """conj(eval_table(fourier(), M, x)).T @ v, one block of _sum_blocks at
     a time.  Row half + j (half = M // 2) holds exp(-i pi j x): cos - i sin
-    of the folded phase of |j| for j >= 0, cos + i sin for j < 0.  The
-    phases of _TABLE_BLOCK values of |j| are folded at a time, with the
-    split width of the whole table, and one cosine and one sine fill the
-    rows of both +j and -j.  Each side of frequency 0 is filled in order of
-    increasing |j|, and a block is multiplied by v as soon as all its rows
-    are filled, so that two block buffers are in use at a time."""
+    of the folded phase of |j| for j >= 0, cos + i sin for j < 0.  Each
+    block folds the phases of its own |j| with the split width of the whole
+    table and is filled into one reused (len(x), rows) buffer."""
     half = M // 2
     bits = half.bit_length()
     v = np.asarray(v, dtype=complex)
     out = np.empty(M, dtype=complex)
-    blocks = _sum_blocks(M)
-    starts = [r0 for r0, _ in blocks]
-    unfilled = [r1 - r0 for r0, r1 in blocks]
-    bufs, spare = {}, []
-
-    def rows_of(b, lo, hi):
-        # Buffer columns of rows lo ... hi - 1 of block b.
-        if b not in bufs:
-            bufs[b] = spare.pop() if spare else np.empty(
-                (x.size, min(M, _TABLE_BLOCK + 3)), dtype=complex)
-        r0 = blocks[b][0]
-        return bufs[b][:, lo - r0:hi - r0]
-
-    def filled(b, rows):
-        unfilled[b] -= rows
-        if not unfilled[b]:
-            r0, r1 = blocks[b]
-            buf = bufs.pop(b)
-            out[r0:r1] = buf[:, :r1 - r0].T @ v
-            spare.append(buf)
-
-    for a in range(0, half + 1, _TABLE_BLOCK):
-        n = min(_TABLE_BLOCK, half + 1 - a)
-        angle = _reduced_phase(x, np.arange(a, a + n), bits)
+    buf = np.empty((x.size, min(M, _TABLE_BLOCK + 3)), dtype=complex)
+    for r0, r1 in _sum_blocks(M):
+        freqs = np.abs(np.arange(r0 - half, r1 - half))
+        angle = _reduced_phase(x, freqs, bits)
         angle *= np.pi
-        cos = np.cos(angle)
-        sin = np.sin(angle, out=angle)
-        # Rows of +j, j = a ... a + n - 1, below M: upward from half + a.
-        lo, stop = half + a, min(half + a + n, M)
-        while lo < stop:
-            b = bisect_right(starts, lo) - 1
-            hi = min(stop, blocks[b][1])
-            cols = slice(lo - half - a, hi - half - a)
-            dst = rows_of(b, lo, hi)
-            dst.real[...] = cos[:, cols]
-            np.negative(sin[:, cols], out=dst.imag)
-            filled(b, hi - lo)
-            lo = hi
-        # Rows of -j, j = max(a, 1) ... a + n - 1: downward from half - a.
-        hi, stop = half + 1 - max(a, 1), half + 1 - a - n
-        while hi > stop:
-            b = bisect_right(starts, hi - 1) - 1
-            lo = max(stop, blocks[b][0])
-            cols = slice(half + 1 - a - hi, half + 1 - a - lo)
-            dst = rows_of(b, lo, hi)
-            dst.real[...] = cos[:, cols][:, ::-1]
-            dst.imag[...] = sin[:, cols][:, ::-1]
-            filled(b, hi - lo)
-            hi = lo
-        del angle, cos, sin  # before the next fold allocates its own
+        block = buf[:, :r1 - r0]
+        np.cos(angle, out=block.real)
+        np.sin(angle, out=block.imag)
+        sin_pos = block.imag[:, max(half - r0, 0):]  # rows of j >= 0
+        np.negative(sin_pos, out=sin_pos)
+        out[r0:r1] = block.T @ v
     return out
 
 
@@ -616,11 +573,10 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     it.  Each block is filled into a small reused (Q, rows) buffer and
     multiplied by the weighted samples, one BLAS gemv per block.  Jacobi
     blocks come from the recurrence (_jacobi_projection); the exponentials
-    fold the phases of _TABLE_BLOCK values of |j| at a time and fill the
-    rows of +j and -j from one cosine and one sine (_fourier_projection).
-    The peak memory of a refinement is therefore a few blocks of Q values
-    per row (0.14 times the table for Jacobi and 0.21 for the exponentials
-    at M = 520, Q = 2080), not the table.
+    fold the phases of each block's |j| (_fourier_projection).  The peak
+    memory of a refinement is therefore a few blocks of Q values per row
+    (0.14 times the table for Jacobi and 0.17 for the exponentials at
+    M = 520, Q = 2080), not the table.
 
     On one BLAS thread the coefficients are bit-identical to one gemv of
     the whole C-ordered conjugated table.  That rests on the BLAS gemv
@@ -628,14 +584,24 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     to 3 rows apart, so each row of a block that starts at a multiple of 4
     rows and has at least 4 rows gets the bits of that row of the whole
     product.  A block of 1 to 3 rows on its own can take another kernel (a
-    single row does) and change the last bits, hence the folded tail.  A
-    threaded BLAS splits the rows of each gemv among its threads, so there
-    both the whole product and the block sums can move in the last bits
-    wherever a thread's share is not a multiple of 4 rows.  The tail of a
-    projection sits at rounding level, so the summation order is part of
-    its value; the tests compare with the whole product on one BLAS thread
-    with np.array_equal, so a BLAS that breaks this rule fails them instead
-    of silently moving the truncation bounds of the diagnostics.
+    single row does) and change the last bits, hence the folded tail.
+
+    On a threaded BLAS the coefficients can differ from that whole product
+    in the last bits.  The BLAS splits the rows of each gemv among its
+    threads and sums the last 1 to 3 rows of each share apart, so the
+    whole product itself depends on the thread count wherever a share is
+    not a multiple of 4 rows, and the block sums do not follow it there.
+    On two OpenBLAS threads they differ in 1 to 6 coefficients for
+    jacobi(-0.75, -0.75) and the exponentials at many M from 36 up
+    (coefficients 64 and 112 of the exponentials at M = 130), and match
+    for Legendre, Chebyshev and jacobi(1, 0) at every M checked up to 1040.
+
+    The tail of a projection sits at rounding level, so the summation
+    order is part of its value.  The tests compare with the whole product
+    by np.array_equal, on one BLAS thread for every case and at the default
+    thread count for those that match there, so a BLAS that breaks this
+    rule fails them instead of silently moving the truncation bounds of
+    the diagnostics.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -447,13 +447,16 @@ def _two_copy_failure(spec, M):
     return ""
 
 
-# The bit-identity cases below compare project_coefficients with one gemv
-# of the whole table.  A threaded BLAS splits the rows of one gemv among
-# its threads and sums the last 1 to 3 rows of each share with another
-# kernel, so the whole product itself depends on the thread count wherever
-# a share is not a multiple of 4 rows (OpenBLAS on two threads splits
-# M = 130 complex rows as 65 + 65).  So every case runs in one fresh
-# interpreter limited to one BLAS thread.
+# The bit-identity cases compare project_coefficients with one gemv of the
+# whole table.  A threaded BLAS splits the rows of that gemv among its
+# threads and sums the last 1 to 3 rows of each share with another kernel,
+# so the whole product itself depends on the thread count wherever a share
+# is not a multiple of 4 rows, and the block sums need not follow it there:
+# on two OpenBLAS threads M = 130 splits as 65 + 65, and coefficients 64 and
+# 128 (jacobi(-0.75, -0.75)) or 64 and 112 (exponentials) differ.  So the
+# cases run at the default thread count in this process, and all of them,
+# with M = 130, in a fresh interpreter on one BLAS thread, where the rule of
+# project_coefficients holds for every M.
 C_ORDER_CASES = {"jacobi:1,0": (jacobi(1.0, 0.0), _runge, 130),
                  "fourier": (fourier(), _peaked, 40)}
 TWO_COPY_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
@@ -461,17 +464,23 @@ TWO_COPY_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
 # M = 33, 34, 35 and 130 end in tails of 1, 2, 3 and 2 rows, folded into the
 # block before them.
 TWO_COPY_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
-               130, 520]
+               520]
+ONE_THREAD_MS = TWO_COPY_MS + [130]
 
 
-def _one_thread_failures():
-    failures = {"c-order %s" % key: _c_order_failure(*case)
-                for key, case in C_ORDER_CASES.items()}
+def _one_thread_cases() -> dict:
+    cases = {"c-order %s" % key: (_c_order_failure, case)
+             for key, case in C_ORDER_CASES.items()}
     for spec in TWO_COPY_SPECS:
-        for M in TWO_COPY_MS:
+        for M in ONE_THREAD_MS:
             key = "two-copy %s %d" % (spec.label(), M)
-            failures[key] = _two_copy_failure(spec, M)
-    return failures
+            cases[key] = (_two_copy_failure, (spec, M))
+    return cases
+
+
+def _one_thread_failures() -> dict:
+    return {key: check(*args)
+            for key, (check, args) in _one_thread_cases().items()}
 
 
 @pytest.fixture(scope="module")
@@ -491,16 +500,20 @@ def one_thread_failures():
 
 
 @pytest.mark.parametrize("case", list(C_ORDER_CASES))
-def test_projection_sums_in_c_order(one_thread_failures, case):
-    assert one_thread_failures["c-order %s" % case] == ""
+def test_projection_sums_in_c_order(case):
+    assert _c_order_failure(*C_ORDER_CASES[case]) == ""
 
 
 @pytest.mark.parametrize("M", TWO_COPY_MS)
 @pytest.mark.parametrize("spec", TWO_COPY_SPECS, ids=lambda s: s.label())
-def test_projection_is_bit_identical_to_two_copy_table(one_thread_failures,
-                                                       spec, M):
-    key = "two-copy %s %d" % (spec.label(), M)
-    assert one_thread_failures[key] == ""
+def test_projection_is_bit_identical_to_two_copy_table(spec, M):
+    assert _two_copy_failure(spec, M) == ""
+
+
+@pytest.mark.parametrize("case", list(_one_thread_cases()))
+def test_projection_is_bit_identical_on_one_blas_thread(one_thread_failures,
+                                                        case):
+    assert one_thread_failures[case] == ""
 
 
 @pytest.mark.parametrize("spec", [jacobi(1.0, 0.0), fourier()],
@@ -508,8 +521,8 @@ def test_projection_is_bit_identical_to_two_copy_table(one_thread_failures,
 def test_projection_peak_memory_is_one_table(spec):
     # At M = 520 the projection converges at Q = 2080 nodes.  No (Q, M)
     # table is built: the Jacobi recurrence and block buffers, and the
-    # exponentials' two block buffers and folded phases of 32 frequencies,
-    # stay below a quarter of the table's bytes.
+    # exponentials' block buffer and the folded phases of one block, stay
+    # below a quarter of the table's bytes.
     M, Q = 520, 2080
     project_coefficients(_runge, spec, M)  # the Gauss rules are cached now
     tracemalloc.start()
