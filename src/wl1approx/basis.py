@@ -180,22 +180,20 @@ def _jacobi_p1(alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     return (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
 
 
-def _jacobi_row_blocks(alpha: float, beta: float, n_max: int, t: np.ndarray,
-                       rows: int):
-    """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
-    three-term recurrence, yielded as (j0, P) in blocks of up to `rows`
-    degrees: P holds P_j0 ... P_{j0 + len(P) - 1}, one contiguous row per
-    degree.  Every P is a view of one buffer of rows + 2 rows, which the
+def _jacobi_row_blocks(alpha: float, beta: float, t: np.ndarray, bounds):
+    """Classical (unnormalized) Jacobi polynomials at t via the three-term
+    recurrence, yielded as one block P per (j0, j1) of `bounds`, which
+    must run from 0 in consecutive ranges: P holds P_j0 ... P_{j1 - 1}, one
+    contiguous row per degree.  Every P is a view of one buffer, which the
     next block overwrites.  The two rows before P carry the last two
     degrees of the block into the next one, so the caller may change P in
     place."""
     t = np.asarray(t, dtype=float)
-    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, n_max)
-    rows = min(rows, n_max + 1)
-    buf = np.empty((rows + 2, t.size))
+    c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, bounds[-1][1] - 1)
+    buf = np.empty((max(j1 - j0 for j0, j1 in bounds) + 2, t.size))
     tmp = np.empty(t.size)
-    for j0 in range(0, n_max + 1, rows):
-        n = min(rows, n_max + 1 - j0)
+    for j0, j1 in bounds:
+        n = j1 - j0
         for r in range(2, n + 2):
             j, row = j0 + r - 2, buf[r]
             if j == 0:
@@ -211,15 +209,7 @@ def _jacobi_row_blocks(alpha: float, beta: float, n_max: int, t: np.ndarray,
                 row -= tmp
                 row /= c1[j]
         buf[:2] = buf[n:n + 2]
-        yield j0, buf[2:n + 2]
-
-
-def _jacobi_raw_table(alpha: float, beta: float, n_max: int, t: np.ndarray) -> np.ndarray:
-    """Classical (unnormalized) Jacobi polynomials P_0..P_n_max at t via the
-    three-term recurrence, one contiguous row per degree: shape
-    (n_max + 1, len(t))."""
-    _, P = next(_jacobi_row_blocks(alpha, beta, n_max, t, n_max + 1))
-    return P
+        yield buf[2:n + 2]
 
 
 def _jacobi_clenshaw(alpha: float, beta: float, c: np.ndarray,
@@ -293,12 +283,14 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     Returns
     -------
     ndarray of shape (len(t), K), real for Jacobi, complex for the
-    exponential system.  The Jacobi table is Fortran-ordered: the
-    recurrence fills one contiguous row per degree and the result is the
-    transpose of that (K, len(t)) array.  The exponential table is
-    C-ordered and built from its non-negative half: only frequencies
-    0 ... floor(K/2) are folded and evaluated, and the column of frequency
-    -j is the exact conjugate of the column of +j.
+    exponential system.  Each family has one routine that builds its
+    entries, here and in the sums of project_coefficients alike.  The
+    Jacobi table comes from the recurrence (_jacobi_row_blocks) as one
+    block of K degrees, one contiguous row per degree; it is the transpose
+    of that (K, len(t)) array, so Fortran-ordered.  The exponential table
+    is C-ordered and built from its non-negative half: _phasors folds and
+    evaluates only |j| = 0 ... floor(K/2), and the column of frequency -j
+    is the exact conjugate of the column of +j.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_domain(t)
@@ -306,19 +298,20 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
         raise ValueError("K must be >= 1")
     if spec.kind == FOURIER:
         half = K // 2
-        angle = _reduced_phase(t, np.arange(half + 1))
-        angle *= np.pi
         T = np.empty((t.size, K), dtype=complex)
         pos = T[:, half:]  # frequencies 0 ... K - half - 1
-        np.cos(angle[:, :K - half], out=pos.real)
-        np.sin(angle[:, :K - half], out=pos.imag)
+        if K % 2:
+            _phasors(t, np.arange(K - half), half, pos)
+        else:
+            # +half is not stored: in the same fold its phasor goes to the
+            # column of -1, and from there, conjugated, to the column of -half.
+            _phasors(t, np.r_[half, :half], half, T[:, half - 1:])
+            np.conjugate(T[:, half - 1], out=T[:, 0])
         # Column -j is the exact conjugate of column +j.
         neg = T[:, :half][:, ::-1]  # frequencies -1, -2, ..., -half
         np.conjugate(pos[:, 1:], out=neg[:, :K - half - 1])
-        if K % 2 == 0:  # +half is not stored
-            neg[:, -1] = np.cos(angle[:, half]) - 1j * np.sin(angle[:, half])
         return T
-    P = _jacobi_raw_table(spec.alpha, spec.beta, K - 1, t)
+    P = next(_jacobi_row_blocks(spec.alpha, spec.beta, t, [(0, K)]))
     P *= _phi_scale(spec.alpha, spec.beta, K)[:, None]
     return P.T
 
@@ -365,6 +358,17 @@ def _reduced_phase(t: np.ndarray, freqs, bits=None) -> np.ndarray:
     return x
 
 
+def _phasors(t: np.ndarray, freqs, half: int, out: np.ndarray) -> None:
+    """Write exp(i pi |j| t) into the complex (len(t), len(freqs)) array
+    out, one column per j of freqs.  The phases are folded with the split
+    width of a table whose largest |j| is half, so that any part of that
+    table holds the entries of one fold of all of it."""
+    angle = _reduced_phase(t, np.abs(freqs), int(half).bit_length())
+    angle *= np.pi
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+
+
 def eval_basis(spec: BasisSpec, i: int, t) -> np.ndarray:
     """Evaluate a single basis function at the points t.
 
@@ -409,7 +413,7 @@ def eval_deriv(spec: BasisSpec, i: int, t, order: int = 1) -> np.ndarray:
     for _ in range(order):
         factor *= _deriv_factor(a, b, jj)
         a, b, jj = a + 1.0, b + 1.0, jj - 1
-    return factor * _jacobi_raw_table(a, b, jj, t)[jj]
+    return factor * next(_jacobi_row_blocks(a, b, t, [(0, jj + 1)]))[jj]
 
 
 def _log_binom(x, k):
@@ -433,8 +437,8 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     When max(alpha, beta) >= -1/2 the maximum of a Jacobi polynomial sits
     at an endpoint, where closed forms exist.  Otherwise the maximum is
     interior: a Chebyshev grid brackets each function's maximum, and one
-    golden-section search refines all K brackets at once, evaluating the
-    recurrence at one new point per function in each step.
+    golden-section search refines all K brackets at once, evaluating
+    eval_table at one new point per function in each step.
     """
     if spec.kind == FOURIER:
         return np.ones(K)
@@ -449,11 +453,10 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     best = np.argmax(np.abs(eval_table(spec, K, grid)), axis=0)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
-    factor = np.exp(scale)
     cols = np.arange(K)
 
     def fn(x):  # |phi_i(x_i)| for every column i
-        return np.abs(factor * _jacobi_raw_table(a, b, K - 1, x)[cols, cols])
+        return np.abs(eval_table(spec, K, x)[cols, cols])
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -504,48 +507,32 @@ def _sum_blocks(M: int) -> list:
     return list(zip(starts, starts[1:] + [M]))
 
 
-def _jacobi_projection(spec: BasisSpec, M: int, x: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-    """eval_table(spec, M, x).T @ v, one block of _sum_blocks at a time.
-    The recurrence runs _TABLE_BLOCK degrees at a time; each block of
-    degree rows is scaled and transposed into one reused (len(x), rows)
-    buffer, whose transpose is multiplied by v."""
-    out = np.empty(M, dtype=np.result_type(float, v))
-    scale = _phi_scale(spec.alpha, spec.beta, M)
-    buf = np.empty((x.size, min(M, _TABLE_BLOCK + 3)))
-    blocks = iter(_sum_blocks(M))
-    r0, r1 = next(blocks)
-    for j0, P in _jacobi_row_blocks(spec.alpha, spec.beta, M - 1, x,
-                                    _TABLE_BLOCK):
-        j1 = j0 + len(P)
-        P *= scale[j0:j1, None]
-        buf[:, j0 - r0:j1 - r0] = P.T
-        if j1 == r1:
-            out[r0:r1] = buf[:, :r1 - r0].T @ v
-            r0, r1 = next(blocks, (M, M))
-    return out
-
-
-def _fourier_projection(M: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """conj(eval_table(fourier(), M, x)).T @ v, one block of _sum_blocks at
-    a time.  Row half + j (half = M // 2) holds exp(-i pi j x): cos - i sin
-    of the folded phase of |j| for j >= 0, cos + i sin for j < 0.  Each
-    block folds the phases of its own |j| with the split width of the whole
-    table and is filled into one reused (len(x), rows) buffer."""
+def _projection(spec: BasisSpec, M: int, x: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
+    """conj(eval_table(spec, M, x)).T @ v, one block of _sum_blocks(M) at
+    a time.  Each block of rows of conj(T).T is filled into one reused
+    (len(x), rows) buffer, whose transpose is multiplied by v.  Jacobi
+    blocks are scaled from the recurrence, run over the same blocks.
+    Exponential row half + j (half = M // 2) holds exp(-i pi j x): the
+    phasor of |j|, conjugated for j >= 0."""
+    blocks = _sum_blocks(M)
     half = M // 2
-    bits = half.bit_length()
-    v = np.asarray(v, dtype=complex)
-    out = np.empty(M, dtype=complex)
-    buf = np.empty((x.size, min(M, _TABLE_BLOCK + 3)), dtype=complex)
-    for r0, r1 in _sum_blocks(M):
-        freqs = np.abs(np.arange(r0 - half, r1 - half))
-        angle = _reduced_phase(x, freqs, bits)
-        angle *= np.pi
+    buf = np.empty((x.size, max(r1 - r0 for r0, r1 in blocks)),
+                   dtype=complex if spec.is_complex else float)
+    if not spec.is_complex:
+        scale = _phi_scale(spec.alpha, spec.beta, M)
+        rows = _jacobi_row_blocks(spec.alpha, spec.beta, x, blocks)
+    out = np.empty(M, dtype=np.result_type(buf, v))
+    for r0, r1 in blocks:
         block = buf[:, :r1 - r0]
-        np.cos(angle, out=block.real)
-        np.sin(angle, out=block.imag)
-        sin_pos = block.imag[:, max(half - r0, 0):]  # rows of j >= 0
-        np.negative(sin_pos, out=sin_pos)
+        if spec.is_complex:
+            _phasors(x, np.arange(r0 - half, r1 - half), half, block)
+            sin_pos = block.imag[:, max(half - r0, 0):]  # rows of j >= 0
+            np.negative(sin_pos, out=sin_pos)
+        else:
+            P = next(rows)
+            P *= scale[r0:r1, None]
+            block[:] = P.T
         out[r0:r1] = block.T @ v
     return out
 
@@ -571,12 +558,14 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     runs over row blocks of conj(T).T (_sum_blocks): _TABLE_BLOCK rows
     each, and a last block of 1 to 3 rows is folded into the block before
     it.  Each block is filled into a small reused (Q, rows) buffer and
-    multiplied by the weighted samples, one BLAS gemv per block.  Jacobi
-    blocks come from the recurrence (_jacobi_projection); the exponentials
-    fold the phases of each block's |j| (_fourier_projection).  The peak
-    memory of a refinement is therefore a few blocks of Q values per row
-    (0.14 times the table for Jacobi and 0.17 for the exponentials at
-    M = 520, Q = 2080), not the table.
+    multiplied by the weighted samples, one BLAS gemv per block
+    (_projection).  The one routine per family that builds eval_table
+    fills these blocks too: the recurrence (_jacobi_row_blocks), run over
+    the same blocks, for Jacobi, and _phasors, which folds the phases of
+    each block's |j|, for the exponentials.  So the blocks hold the
+    table's entries by construction.  The peak memory of a refinement is
+    a few blocks of Q values per row (0.14 times the table for either
+    family at M = 520, Q = 2080), not the table.
 
     On one BLAS thread the coefficients are bit-identical to one gemv of
     the whole C-ordered conjugated table.  That rests on the BLAS gemv
@@ -609,10 +598,7 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
 
     def coeffs_at(Q: int) -> np.ndarray:
         x, w = _jacobi_rule(Q, *ab)
-        v = w * np.asarray(f(x))
-        if spec.kind == FOURIER:
-            return _fourier_projection(M, x, v)
-        return _jacobi_projection(spec, M, x, v)
+        return _projection(spec, M, x, w * np.asarray(f(x)))
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)

@@ -7,7 +7,8 @@ squares), and a diagnostics table over a grid of configurations.  A fifth
 entry point approximates user-supplied samples from a file.
 
 Every run writes a sidecar metadata file recording the configuration hash,
-solver tolerances, truncation sizes, and seed.  Given identical
+solver tolerances, truncation sizes, and seed; `approximate` adds the
+SHA-256 of its samples file, which the hash leaves out.  Given identical
 configuration and seed the CSV output is bit-identical: randomness flows
 through a seed sequence keyed by (seed, function, N) and runs execute
 serially.  The run grid is embarrassingly parallel if throughput ever
@@ -491,7 +492,10 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
 
 
 def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
-    """Fit coefficients to samples from a two-column (t, y) file."""
+    """Fit coefficients to samples from a two-column (t, y) file.  The
+    meta file records the SHA-256 of the file's bytes."""
+    with open(sample_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     data = np.loadtxt(sample_path)
     if data.ndim == 1:
         data = data[None, :]
@@ -522,7 +526,7 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
         "K": _fmt(K), "mode": mode, "status": res.status,
         "objective": _fmt(res.objective),
         "duality_gap": _fmt(res.duality_gap),
-        "samples": _fmt(ps.n),
+        "samples": _fmt(ps.n), "samples_sha256": digest,
     })
     return {"coefficients": coeff_path, "curve": curve_path,
             "meta": meta_path}

@@ -52,10 +52,6 @@ class SamplingMatrix:
         return self.entries.shape
 
     @property
-    def n_points(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_columns(self) -> int:
         return self.entries.shape[1]
 

@@ -512,16 +512,14 @@ def lp_oracle(A, y, w):
     """Exact equality-mode objective via linear programming (real data only).
 
     Splits z into positive and negative parts and hands the result to
-    HiGHS at primal and dual feasibility tolerances of LP_TOL: its interior
-    point first, then its simplex where the interior point stops without
-    a solution.  At its default tolerances the simplex ends ill-conditioned
-    instances below the optimum, violating the constraints by about 1e-8.
-    At LP_TOL it still does where it is needed: on 200 instances with
-    uniform random points, jacobi(1, 0), K = 2N, N = 40 ... 80 (cond(A)
-    near 1e9), the interior point stopped with status 4 on 30, and the
-    simplex then answered below the optimum on all 30, by a median 2.6e-6
-    relative and at most 5.4e-4.  Only for small, well-conditioned
-    cross-check instances.
+    HiGHS's interior point at primal and dual feasibility tolerances of
+    LP_TOL.  Where the interior point stops without a solution it raises
+    RuntimeError.  It does not fall back to the simplex: on 200 instances
+    with uniform random points, jacobi(1, 0), K = 2N, N = 40 ... 80
+    (cond(A) near 1e9), the interior point stopped with status 4 on 30,
+    and the simplex, even at LP_TOL, then answered below the optimum on
+    all 30, by a median 2.6e-6 relative and at most 5.4e-4.  Only for
+    small, well-conditioned cross-check instances.
     """
     from scipy.optimize import linprog
 
@@ -532,15 +530,13 @@ def lp_oracle(A, y, w):
     w = np.asarray(w, dtype=float)
     cost = np.concatenate([w, w])
     Aeq = np.hstack([entries, -entries])
-    for method in ("highs-ipm", "highs"):
-        res = linprog(cost, A_eq=Aeq, b_eq=np.asarray(y), method=method,
-                      bounds=(0, None),
-                      options={"primal_feasibility_tolerance": LP_TOL,
-                               "dual_feasibility_tolerance": LP_TOL})
-        if res.success:
-            z = res.x[:K] - res.x[K:]
-            return z, float(res.fun)
-    raise RuntimeError("LP oracle failed: %s" % (res.message,))
+    res = linprog(cost, A_eq=Aeq, b_eq=np.asarray(y), method="highs-ipm",
+                  bounds=(0, None),
+                  options={"primal_feasibility_tolerance": LP_TOL,
+                           "dual_feasibility_tolerance": LP_TOL})
+    if not res.success:
+        raise RuntimeError("LP oracle failed: %s" % (res.message,))
+    return res.x[:K] - res.x[K:], float(res.fun)
 
 
 def save_result(path, result: SolveResult) -> None:

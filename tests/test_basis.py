@@ -340,17 +340,17 @@ def test_interior_linf_norms_match_scalar_search(ab):
 
 def test_interior_linf_norms_evaluate_all_columns_per_step(monkeypatch):
     # Both parameters below -1/2 put the maxima inside the interval; one
-    # golden-section step refines every column with one recurrence call.
+    # golden-section step refines every column with one eval_table call.
     calls = []
-    raw = basis._jacobi_raw_table
+    table = basis.eval_table
 
     def counted(*args):
-        calls.append(args[2])
-        return raw(*args)
+        calls.append(args[1])
+        return table(*args)
 
-    monkeypatch.setattr(basis, "_jacobi_raw_table", counted)
+    monkeypatch.setattr(basis, "eval_table", counted)
     norms = linf_norms(jacobi(-0.75, -0.75), 80)
-    assert len(calls) <= 100
+    assert len(calls) <= 100 and set(calls) == {80}
     assert norms.shape == (80,) and np.all(norms >= 1.0)
 
 
@@ -545,7 +545,7 @@ def test_fourier_projection_blocks_hold_table_entries(M):
     for k in range(PHASE_T.size):
         v = np.zeros(PHASE_T.size)
         v[k] = 1.0
-        assert np.array_equal(basis._fourier_projection(M, PHASE_T, v),
+        assert np.array_equal(basis._projection(fourier(), M, PHASE_T, v),
                               table[k]), k
 
 
@@ -582,7 +582,8 @@ def test_recurrence_tables_are_shared_and_read_only():
 def test_recurrence_blocks_match_one_block(rows):
     # Any block size gives the rows of the single-block table, bit for bit.
     t = np.linspace(-1, 1, 37)
-    full = basis._jacobi_raw_table(0.5, -0.25, 39, t)
-    blocks = [P.copy() for _, P in
-              basis._jacobi_row_blocks(0.5, -0.25, 39, t, rows)]
+    full = next(basis._jacobi_row_blocks(0.5, -0.25, t, [(0, 40)]))
+    bounds = [(j0, min(j0 + rows, 40)) for j0 in range(0, 40, rows)]
+    blocks = [P.copy() for P in
+              basis._jacobi_row_blocks(0.5, -0.25, t, bounds)]
     assert np.array_equal(np.concatenate(blocks), full)

@@ -6,6 +6,7 @@ the numerics, which the dedicated module tests already pin down.
 """
 
 import argparse
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -271,6 +272,82 @@ def test_approximate_runner(tmp_path):
     curve = open(out["curve"]).read().splitlines()
     assert curve[0] == "t,value"
     assert len(curve) > 100
+
+
+def _write_samples(path, t, vals):
+    with open(path, "w") as fh:
+        for a, b in zip(t, vals):
+            fh.write("%.17g %.17g\n" % (a, b))
+
+
+def test_approximate_meta_names_its_samples(tmp_path):
+    # The config hash leaves the samples file out; its digest tells two
+    # files apart, and a rerun on one file writes the same meta file.
+    t = np.linspace(-1, 1, 5)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    _write_samples(first, t, 1 - t ** 2)
+    _write_samples(second, t, np.abs(t))
+    metas = []
+    for name, path in (("a", first), ("b", second), ("c", first)):
+        cfg = ExperimentConfig(experiment="approximate",
+                               out_dir=str(tmp_path / name),
+                               eval_resolution=2000)
+        metas.append(open(run_approximate(cfg, str(path))["meta"]).read())
+    digests = [[ln for ln in meta.splitlines()
+                if ln.startswith("samples_sha256 ")] for meta in metas]
+    assert digests[0] == ["samples_sha256 %s"
+                          % hashlib.sha256(first.read_bytes()).hexdigest()]
+    assert digests[1] != digests[0]
+    assert metas[2] == metas[0]
+
+
+def test_approximate_runner_fourier_writes_complex_lines(tmp_path):
+    t = np.linspace(-1, 1, 10)
+    samples = tmp_path / "samples.txt"
+    _write_samples(samples, t, np.cos(np.pi * t))
+    cfg = ExperimentConfig(experiment="approximate", basis="fourier",
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    out = run_approximate(cfg, str(samples))
+    curve = open(out["curve"]).read().splitlines()
+    assert curve[0] == "t,value_re,value_im"
+    assert len(curve) == 1 + 2000
+    assert np.all(np.isfinite(np.loadtxt(curve[1:], delimiter=",")))
+    lines = open(out["coefficients"]).read().splitlines()
+    assert lines[0].startswith("status ")
+    coeffs = np.loadtxt(lines[5:], ndmin=2)
+    assert coeffs.shape == (40, 2) and np.all(np.isfinite(coeffs))
+
+
+def test_comparison_runner_fourier_weights(tmp_path):
+    cfg = ExperimentConfig(experiment="compare", basis="fourier",
+                           n_list=(10,), functions=("peaks500",),
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    lines = open(run_comparison(cfg)["csv"]).read().splitlines()
+    assert lines[0] == ("function,method,N,K,M,error,objective,iterations,"
+                        "status,interp_residual")
+    assert len(lines) == 1 + 1 + len(TRIG_C_GRID) + 1
+    wl1 = lines[1].split(",")
+    assert wl1[1] == "wl1" and wl1[3] == "40"
+    for row in lines[1:]:
+        assert np.isfinite(float(row.split(",")[5])), row
+
+
+def test_diagnostics_fourier_scaling_on_jittered_points(tmp_path):
+    # Equispaced exponentials integrate exactly, so the scaling study
+    # switches to jittered points.
+    cfg = ExperimentConfig(experiment="diagnostics", basis="fourier",
+                           n_list=(10,), m_list=(2,), out_dir=str(tmp_path),
+                           eval_resolution=2000)
+    out = run_diagnostics(cfg)
+    lines = open(out["csv"]).read().splitlines()
+    assert lines[0] == ",".join(REPORT_COLUMNS) and len(lines) == 2
+    vals = dict(zip(REPORT_COLUMNS, lines[1].split(",")))
+    for col in ("E2", "Einf", "F", "sigma_min", "trunc_w", "trunc_wtilde"):
+        assert np.isfinite(float(vals[col])), col
+    scaling = open(out["scaling"]).read().splitlines()
+    assert scaling[0] == ",".join(REPORT_COLUMNS) and len(scaling) >= 6
+    meta = open(out["meta"]).read().splitlines()
+    assert "scaling_grid jittered" in meta
 
 
 def test_cli_end_to_end(tmp_path):

@@ -124,6 +124,16 @@ def test_lp_oracle_is_tight_on_an_ill_conditioned_instance():
     assert abs(obj_lp - res.objective) <= 1e-8 * res.objective
 
 
+@pytest.mark.parametrize("seed", [105, 155])
+def test_lp_oracle_raises_where_the_interior_point_fails(seed):
+    # HiGHS's interior point stops without a solution here.  Its simplex
+    # answered 7.0e-6 (seed 105) and 2.5e-6 (seed 155) relative below the
+    # certified solves, which bound the optimum, so no answer is returned.
+    p = ill_conditioned_problem(seed)
+    with pytest.raises(RuntimeError, match="LP oracle failed"):
+        lp_oracle(p.A, p.y, p.w.w)
+
+
 @pytest.mark.parametrize("seed, steps", [(3, 14), (105, 16), (155, 15)])
 def test_refinement_on_demand_keeps_ill_conditioned_solves(seed, steps):
     # The corrector refines its Newton solve only while the linearized
@@ -249,7 +259,7 @@ def test_unweighted_aliasing_objective_value():
 
 
 def p_y(A):
-    return np.sqrt(A.pointset.tau) * np.ones(A.n_points)
+    return np.sqrt(A.pointset.tau) * np.ones(A.shape[0])
 
 
 def test_infeasible_system_detected():
