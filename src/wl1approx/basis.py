@@ -493,31 +493,23 @@ def _jacobi_rule(Q: int, alpha: float, beta: float):
     return x, w
 
 
-# Rows per block of the sums in project_coefficients: a multiple of 4.
+# Rows per block of the sums in project_coefficients.
 _TABLE_BLOCK = 32
-
-
-def _sum_blocks(M: int) -> list:
-    """Bounds (r0, r1) of the row blocks in which project_coefficients sums
-    M coefficients: _TABLE_BLOCK rows each, except that a last block of 1
-    to 3 rows is folded into the block before it."""
-    starts = list(range(0, M, _TABLE_BLOCK))
-    if len(starts) > 1 and M - starts[-1] < 4:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [M]))
 
 
 def _projection(spec: BasisSpec, M: int, x: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
-    """conj(eval_table(spec, M, x)).T @ v, one block of _sum_blocks(M) at
-    a time.  Each block of rows of conj(T).T is filled into one reused
-    (len(x), rows) buffer, whose transpose is multiplied by v.  Jacobi
-    blocks are scaled from the recurrence, run over the same blocks.
-    Exponential row half + j (half = M // 2) holds exp(-i pi j x): the
-    phasor of |j|, conjugated for j >= 0."""
-    blocks = _sum_blocks(M)
+    """conj(eval_table(spec, M, x)).T @ v, one block of _TABLE_BLOCK rows
+    at a time (the last block holds the rest).  Each block of rows of
+    conj(T).T is filled into one reused (len(x), rows) buffer, whose
+    transpose is multiplied by v.  Jacobi blocks are scaled from the
+    recurrence, run over the same blocks.  Exponential row half + j
+    (half = M // 2) holds exp(-i pi j x): the phasor of |j|, conjugated
+    for j >= 0."""
+    blocks = [(r0, min(r0 + _TABLE_BLOCK, M))
+              for r0 in range(0, M, _TABLE_BLOCK)]
     half = M // 2
-    buf = np.empty((x.size, max(r1 - r0 for r0, r1 in blocks)),
+    buf = np.empty((x.size, min(_TABLE_BLOCK, M)),
                    dtype=complex if spec.is_complex else float)
     if not spec.is_complex:
         scale = _phi_scale(spec.alpha, spec.beta, M)
@@ -555,42 +547,21 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
 
     Each refinement with Q nodes sums conj(T).T @ (w * f(x)), where T is
     the (Q, M) table eval_table(spec, M, x), without building T.  The sum
-    runs over row blocks of conj(T).T (_sum_blocks): _TABLE_BLOCK rows
-    each, and a last block of 1 to 3 rows is folded into the block before
-    it.  Each block is filled into a small reused (Q, rows) buffer and
-    multiplied by the weighted samples, one BLAS gemv per block
-    (_projection).  The one routine per family that builds eval_table
-    fills these blocks too: the recurrence (_jacobi_row_blocks), run over
-    the same blocks, for Jacobi, and _phasors, which folds the phases of
-    each block's |j|, for the exponentials.  So the blocks hold the
-    table's entries by construction.  The peak memory of a refinement is
-    a few blocks of Q values per row (0.14 times the table for either
-    family at M = 520, Q = 2080), not the table.
+    runs over row blocks of conj(T).T, _TABLE_BLOCK rows each.  Each
+    block is filled into a small reused (Q, rows) buffer and multiplied by
+    the weighted samples, one BLAS gemv per block (_projection).  The one
+    routine per family that builds eval_table fills these blocks too: the
+    recurrence (_jacobi_row_blocks), run over the same blocks, for Jacobi,
+    and _phasors, which folds the phases of each block's |j|, for the
+    exponentials.  So the blocks hold the table's entries by construction.
+    The peak memory of a refinement is a few blocks of Q values per row
+    (0.14 times the table for either family at M = 520, Q = 2080), not the
+    table.
 
-    On one BLAS thread the coefficients are bit-identical to one gemv of
-    the whole C-ordered conjugated table.  That rests on the BLAS gemv
-    kernel: OpenBLAS sums the rows of a gemv in groups of 4 and the last 1
-    to 3 rows apart, so each row of a block that starts at a multiple of 4
-    rows and has at least 4 rows gets the bits of that row of the whole
-    product.  A block of 1 to 3 rows on its own can take another kernel (a
-    single row does) and change the last bits, hence the folded tail.
-
-    On a threaded BLAS the coefficients can differ from that whole product
-    in the last bits.  The BLAS splits the rows of each gemv among its
-    threads and sums the last 1 to 3 rows of each share apart, so the
-    whole product itself depends on the thread count wherever a share is
-    not a multiple of 4 rows, and the block sums do not follow it there.
-    On two OpenBLAS threads they differ in 1 to 6 coefficients for
-    jacobi(-0.75, -0.75) and the exponentials at many M from 36 up
-    (coefficients 64 and 112 of the exponentials at M = 130), and match
-    for Legendre, Chebyshev and jacobi(1, 0) at every M checked up to 1040.
-
-    The tail of a projection sits at rounding level, so the summation
-    order is part of its value.  The tests compare with the whole product
-    by np.array_equal, on one BLAS thread for every case and at the default
-    thread count for those that match there, so a BLAS that breaks this
-    rule fails them instead of silently moving the truncation bounds of
-    the diagnostics.
+    The coefficients are accurate to rounding, not tied to one summation
+    order: where the rule is accurate, the projection of an expansion
+    sum_k z_k phi_k gives z back within 256 eps sum_k |z_k| ||phi_k||_inf
+    (tested up to M = 520).  Their last bits can depend on the BLAS.
     """
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
+from scipy.special import eval_jacobi, roots_jacobi
 
 from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
                              chebyshev_extrema, eval_basis, eval_deriv,
@@ -25,6 +25,7 @@ from wl1approx.basis import (BasisSpec, ProjectionResult, chebyshev,
                              project_coefficients)
 from wl1approx import basis
 from wl1approx.basis import _log_phi_scale
+from wl1approx.solver import synthesize
 
 PARAM_GRID = [(-0.5, -0.5), (-0.5, 0.0), (0.0, 0.0), (0.0, 0.5),
               (0.5, 0.5), (1.0, 0.0), (1.0, 1.0), (0.5, -0.5)]
@@ -387,30 +388,65 @@ def _runge(t):
     return 1.0 / (1.0 + 25 * t ** 2)
 
 
-def _peaked(t):
-    return np.exp(np.sin(3 * np.pi * t)) / (1.1 - t)
+# Projection sizes: one block, one block and a tail of 1, 2 or 3 rows, and
+# many blocks.
+PROJECTION_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
+                 65, 520]
+# Projection errors, in units of eps times the scale of the projected
+# function.  At the cases below the worst ratios were 88 for expansions
+# (Fourier, M = 520; Chebyshev 13, jacobi(1, 0) 6.4) and 302 for plane
+# waves (M = 520), the same on one and on two BLAS threads.
+EXPANSION_ACCURACY = 256
+PLANE_WAVE_ACCURACY = 1024
+# scipy's Gauss weights for these rules are off by far more than rounding,
+# so the projection stops unconverged or misses the bound (FOUND 34).
+SCIPY_WEIGHTS = pytest.mark.xfail(
+    strict=True, reason="scipy's Gauss weights (FOUND 34): unconverged or "
+    "inaccurate projection")
+ACCURACY_CASES = (
+    [(spec, M) for spec in (chebyshev(), fourier()) for M in PROJECTION_MS]
+    + [(jacobi(1.0, 0.0), M) for M in PROJECTION_MS[:-1]]
+    + [pytest.param(spec, M, marks=SCIPY_WEIGHTS)
+       for spec, M in ((legendre(), 520), (jacobi(1.0, 0.0), 520),
+                       (jacobi(-0.75, -0.75), 2))])
 
 
-def _c_order_failure(spec, f, M):
-    # The tail of a projection sits at rounding level, so the summation
-    # order is part of its value: the coefficients must equal, bit for bit,
-    # the product with a C-ordered table at the reported node count.
-    res = project_coefficients(f, spec, M)
-    if spec.is_complex:
-        x, w = roots_legendre(res.nodes)
-        w = 0.5 * w
-    else:
-        x, w = roots_jacobi(res.nodes, spec.alpha, spec.beta)
-        w = w * np.exp(-log_weight_mass(spec.alpha, spec.beta))
-    table = np.ascontiguousarray(eval_table(spec, M, x))
-    diff = np.flatnonzero(res.coeffs != table.conj().T @ (w * f(x)))
-    return "coefficients %s differ" % diff.tolist() if diff.size else ""
+@pytest.mark.parametrize("spec, M", ACCURACY_CASES,
+                         ids=lambda a: a.label() if isinstance(a, BasisSpec)
+                         else str(a))
+def test_projection_recovers_expansion(spec, M):
+    # The coefficients of f = sum_k z_k phi_k, z_k = +-0.9^rank, are z, so
+    # its projection must give z back up to rounding: of the samples of f,
+    # of the basis values and of the quadrature sum.
+    rank = nested_rank(spec, M)
+    z = np.random.default_rng(0).choice([-1.0, 1.0], M) * 0.9 ** rank
+    scale = np.sum(np.abs(z) * linf_norms(spec, M))
+    res = project_coefficients(lambda t: synthesize(z, spec, t), spec, M)
+    err = np.max(np.abs(res.coeffs - z))
+    assert res.converged, res.nodes
+    assert err <= EXPANSION_ACCURACY * np.finfo(float).eps * scale, err
+
+
+@pytest.mark.parametrize("M", PROJECTION_MS)
+def test_fourier_projection_of_plane_wave(M):
+    # The coefficient of frequency j of exp(i pi a t) is sinc(a - j), and
+    # for a half-integer a it is +-1 / (pi (a - j)), rounded once.
+    for a in (0.5, 10.5, -99.5):
+        res = project_coefficients(lambda t: np.exp(1j * np.pi * a * t),
+                                   fourier(), M)
+        d = a - frequencies(M)
+        exact = (-1.0) ** np.abs(d - 0.5) / (np.pi * d)
+        err = np.max(np.abs(res.coeffs - exact))
+        assert res.converged, (a, res.nodes)
+        assert err <= PLANE_WAVE_ACCURACY * np.finfo(float).eps, (a, err)
 
 
 def _two_copy_projection(f, spec, M):
     # The doubling loop of project_coefficients with the table built as
     # eval_table's (Q, M) array, copied to C order and, for the
-    # exponentials, conjugated into a second copy.
+    # exponentials, conjugated into a second copy.  Its blocks of
+    # _TABLE_BLOCK columns are multiplied by the weighted samples one at a
+    # time, as project_coefficients sums.
     ab = (0.0, 0.0) if spec.is_complex else (spec.alpha, spec.beta)
 
     def coeffs_at(Q):
@@ -418,7 +454,10 @@ def _two_copy_projection(f, spec, M):
         table = np.ascontiguousarray(eval_table(spec, M, x))
         if spec.is_complex:
             table = table.conj()
-        return table.T @ (w * f(x))
+        v = w * f(x)
+        return np.concatenate(
+            [table[:, r0:r0 + basis._TABLE_BLOCK].T @ v
+             for r0 in range(0, M, basis._TABLE_BLOCK)])
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)
@@ -434,9 +473,9 @@ def _two_copy_projection(f, spec, M):
 
 
 def _two_copy_failure(spec, M):
-    # The block sums hold the entries of the whole table, and each gemv
-    # block starts at a multiple of 4 rows with at least 4 rows, so every
-    # coefficient, the node count and the verdict must match exactly.
+    # The block sums hold the entries of the whole table and run the same
+    # gemv per block, so every coefficient, the node count and the verdict
+    # must match exactly, at any BLAS thread count.
     res = project_coefficients(_runge, spec, M)
     coeffs, converged, nodes = _two_copy_projection(_runge, spec, M)
     diff = np.flatnonzero(res.coeffs != coeffs)
@@ -447,40 +486,18 @@ def _two_copy_failure(spec, M):
     return ""
 
 
-# The bit-identity cases compare project_coefficients with one gemv of the
-# whole table.  A threaded BLAS splits the rows of that gemv among its
-# threads and sums the last 1 to 3 rows of each share with another kernel,
-# so the whole product itself depends on the thread count wherever a share
-# is not a multiple of 4 rows, and the block sums need not follow it there:
-# on two OpenBLAS threads M = 130 splits as 65 + 65, and coefficients 64 and
-# 128 (jacobi(-0.75, -0.75)) or 64 and 112 (exponentials) differ.  So the
-# cases run at the default thread count in this process, and all of them,
-# with M = 130, in a fresh interpreter on one BLAS thread, where the rule of
-# project_coefficients holds for every M.
-C_ORDER_CASES = {"jacobi:1,0": (jacobi(1.0, 0.0), _runge, 130),
-                 "fourier": (fourier(), _peaked, 40)}
 TWO_COPY_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
                   jacobi(-0.75, -0.75), fourier()]
-# M = 33, 34, 35 and 130 end in tails of 1, 2, 3 and 2 rows, folded into the
-# block before them.
+# M = 33, 34, 35 and 130 end in a last block of 1, 2, 3 and 2 rows.
 TWO_COPY_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
                520]
-ONE_THREAD_MS = TWO_COPY_MS + [130]
-
-
-def _one_thread_cases() -> dict:
-    cases = {"c-order %s" % key: (_c_order_failure, case)
-             for key, case in C_ORDER_CASES.items()}
-    for spec in TWO_COPY_SPECS:
-        for M in ONE_THREAD_MS:
-            key = "two-copy %s %d" % (spec.label(), M)
-            cases[key] = (_two_copy_failure, (spec, M))
-    return cases
+ONE_THREAD_CASES = {"two-copy %s %d" % (spec.label(), M): (spec, M)
+                    for spec in TWO_COPY_SPECS for M in TWO_COPY_MS + [130]}
 
 
 def _one_thread_failures() -> dict:
-    return {key: check(*args)
-            for key, (check, args) in _one_thread_cases().items()}
+    return {key: _two_copy_failure(*args)
+            for key, args in ONE_THREAD_CASES.items()}
 
 
 @pytest.fixture(scope="module")
@@ -499,18 +516,13 @@ def one_thread_failures():
     return json.loads(run.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("case", list(C_ORDER_CASES))
-def test_projection_sums_in_c_order(case):
-    assert _c_order_failure(*C_ORDER_CASES[case]) == ""
-
-
 @pytest.mark.parametrize("M", TWO_COPY_MS)
 @pytest.mark.parametrize("spec", TWO_COPY_SPECS, ids=lambda s: s.label())
 def test_projection_is_bit_identical_to_two_copy_table(spec, M):
     assert _two_copy_failure(spec, M) == ""
 
 
-@pytest.mark.parametrize("case", list(_one_thread_cases()))
+@pytest.mark.parametrize("case", list(ONE_THREAD_CASES))
 def test_projection_is_bit_identical_on_one_blas_thread(one_thread_failures,
                                                         case):
     assert one_thread_failures[case] == ""
@@ -536,17 +548,21 @@ def test_projection_peak_memory_is_one_table(spec):
     assert peak <= 0.25 * table_bytes
 
 
-@pytest.mark.parametrize("M", [65, 520])
+@pytest.mark.parametrize("M", PROJECTION_MS)
 def test_fourier_projection_blocks_hold_table_entries(M):
     # A one-hot v picks row k of the conjugated table out of the block sums
-    # exactly, so the blocks must hold eval_table's entries: phases folded
-    # with the split width of the whole table, not of their own |j| values.
-    table = np.conj(eval_table(fourier(), M, PHASE_T))
-    for k in range(PHASE_T.size):
-        v = np.zeros(PHASE_T.size)
-        v[k] = 1.0
-        assert np.array_equal(basis._projection(fourier(), M, PHASE_T, v),
-                              table[k]), k
+    # exactly, at any BLAS thread count: one nonzero term, the others 0.
+    # So the blocks must cover every row once, hold eval_table's entries
+    # (Jacobi rows scaled by their own degree, exponential phases folded
+    # with the split width of the whole table, not of their own |j|
+    # values) and be conjugated, for every basis family.
+    for spec in TWO_COPY_SPECS:
+        table = np.conj(eval_table(spec, M, PHASE_T))
+        for k in range(PHASE_T.size):
+            v = np.zeros(PHASE_T.size)
+            v[k] = 1.0
+            assert np.array_equal(basis._projection(spec, M, PHASE_T, v),
+                                  table[k]), (spec.label(), k)
 
 
 def test_jacobi_rule_is_read_only():
