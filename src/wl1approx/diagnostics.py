@@ -86,7 +86,7 @@ def compute_F(U: SamplingMatrix, W, M: int, R: int) -> float:
     the inverse-weighted discrete Gram.  R ranges over the storage of U, so
     the caller controls the surrogate size through K.
     """
-    K = U.n_columns
+    K = U.shape[1]
     if not 1 <= M <= R:
         raise ValueError("need 1 <= M <= R")
     if R >= K:
@@ -108,7 +108,7 @@ def check_dual_certificate(U: SamplingMatrix, W, delta, signs=None,
     from the sign pattern.  Both below 1 means minimizers are essentially
     confined to the support.
     """
-    K = U.n_columns
+    K = U.shape[1]
     delta = np.asarray(delta, dtype=int)
     if delta.size == 0:
         raise ValueError("support set is empty")
@@ -153,7 +153,7 @@ def truncation_bound(U: SamplingMatrix, weights_ext, coeffs_ext,
     instead reweights the tail by sqrt(position) * w^2, which is sharper
     when the weights grow.
     """
-    K = U.n_columns
+    K = U.shape[1]
     x = np.asarray(coeffs_ext)
     L = len(x)
     if L < K:
@@ -238,7 +238,7 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
             continue
         U, fields = surrogate_quantities(basis, ps, M, SCALING_GAMMA)
         rows.append(DiagnosticsReport(
-            h=ps.h, xi=ps.xi, N=n, M=M, K=U.n_columns,
+            h=ps.h, xi=ps.xi, N=n, M=M, K=U.shape[1],
             sigma_min=smallest_nonzero_singular_value(U),
             trunc_w=float("nan"), trunc_wtilde=float("nan"), **fields))
     if len(rows) < 5:

@@ -171,11 +171,23 @@ def resolve_basis(label: str) -> BasisSpec:
     raise ValueError("unknown basis %r" % (label,))
 
 
+def _file_points(cfg: ExperimentConfig) -> np.ndarray:
+    if not cfg.points_file:
+        raise ValueError("points=file needs points_file")
+    return load_points(cfg.points_file)
+
+
+def _sizes(cfg: ExperimentConfig) -> tuple:
+    """The values of N a runner loops over.  A points file fixes N at its
+    point count, so its point set is fitted once and n_list is not read."""
+    if cfg.points == "file":
+        return (_file_points(cfg).size,)
+    return cfg.n_list
+
+
 def _points_for(cfg: ExperimentConfig, N: int, seed) -> np.ndarray:
     if cfg.points == "file":
-        if not cfg.points_file:
-            raise ValueError("points=file needs points_file")
-        return load_points(cfg.points_file)
+        return _file_points(cfg)
     return generate(cfg.points, N, seed=seed, amplitude=cfg.amplitude)
 
 
@@ -376,7 +388,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
               "iterations", "status", "interp_residual")
     rows = []
     for fi, f in enumerate(funcs):
-        for N in cfg.n_list:
+        for N in _sizes(cfg):
             ss = np.random.SeedSequence([cfg.seed, fi, N])
             pt_seed, noise_seed = ss.spawn(2)
             pts = _points_for(cfg, N, pt_seed)
@@ -437,7 +449,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
     # L = 2K repeats across M; a prefix of a larger-L projection would
     # change the quadrature order, so each L is projected on its own.
     projections = {}
-    for N in cfg.n_list:
+    for N in _sizes(cfg):
         for M in cfg.m_list:
             ss = np.random.SeedSequence([cfg.seed, N, M])
             pts = _points_for(cfg, N, ss)

@@ -51,13 +51,9 @@ class SamplingMatrix:
     def shape(self):
         return self.entries.shape
 
-    @property
-    def n_columns(self) -> int:
-        return self.entries.shape[1]
-
     def column_labels(self) -> np.ndarray:
         """Degree (Jacobi) or frequency (Fourier) of each stored column."""
-        K = self.n_columns
+        K = self.shape[1]
         if self.basis.is_complex:
             return frequencies(K)
         return np.arange(K)
@@ -68,7 +64,7 @@ class SamplingMatrix:
         For Jacobi this is the first M columns; for Fourier it is the
         centered contiguous slice holding the M lowest frequencies.
         """
-        idx = leading_indices(self.basis, self.n_columns, M)
+        idx = leading_indices(self.basis, self.shape[1], M)
         return self.entries[:, idx[0]:idx[-1] + 1]
 
 

@@ -392,6 +392,8 @@ def _runge(t):
 # many blocks.
 PROJECTION_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
                  65, 520]
+PROJECTION_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
+                    jacobi(-0.75, -0.75), fourier()]
 # Projection errors, in units of eps times the scale of the projected
 # function.  At the cases below the worst ratios were 88 for expansions
 # (Fourier, M = 520; Chebyshev 13, jacobi(1, 0) 6.4) and 302 for plane
@@ -411,6 +413,13 @@ ACCURACY_CASES = (
                        (jacobi(-0.75, -0.75), 2))])
 
 
+def _expansion(spec, M):
+    # f = sum_k z_k phi_k with z_k = +-0.9^rank, and z.
+    rank = nested_rank(spec, M)
+    z = np.random.default_rng(0).choice([-1.0, 1.0], M) * 0.9 ** rank
+    return (lambda t: synthesize(z, spec, t)), z
+
+
 @pytest.mark.parametrize("spec, M", ACCURACY_CASES,
                          ids=lambda a: a.label() if isinstance(a, BasisSpec)
                          else str(a))
@@ -418,10 +427,9 @@ def test_projection_recovers_expansion(spec, M):
     # The coefficients of f = sum_k z_k phi_k, z_k = +-0.9^rank, are z, so
     # its projection must give z back up to rounding: of the samples of f,
     # of the basis values and of the quadrature sum.
-    rank = nested_rank(spec, M)
-    z = np.random.default_rng(0).choice([-1.0, 1.0], M) * 0.9 ** rank
+    f, z = _expansion(spec, M)
     scale = np.sum(np.abs(z) * linf_norms(spec, M))
-    res = project_coefficients(lambda t: synthesize(z, spec, t), spec, M)
+    res = project_coefficients(f, spec, M)
     err = np.max(np.abs(res.coeffs - z))
     assert res.converged, res.nodes
     assert err <= EXPANSION_ACCURACY * np.finfo(float).eps * scale, err
@@ -486,13 +494,24 @@ def _two_copy_failure(spec, M):
     return ""
 
 
-TWO_COPY_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
-                  jacobi(-0.75, -0.75), fourier()]
 # M = 33, 34, 35 and 130 end in a last block of 1, 2, 3 and 2 rows.
 TWO_COPY_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
                520]
+
+
+def _two_copy_cases(Ms):
+    # Past one block the jacobi(-0.75, -0.75) ladders of runge25 never
+    # converge: each runs to 8192 nodes or more and spends about 3 s in
+    # scipy's roots_jacobi (ROADMAP item 2).  The one-hot block test covers
+    # that family's blocks at these sizes, and the ladder test the
+    # unconverged verdict.
+    return [(spec, M) for spec in PROJECTION_SPECS for M in Ms
+            if spec.label() != "jacobi:-0.75,-0.75"
+            or M <= basis._TABLE_BLOCK]
+
+
 ONE_THREAD_CASES = {"two-copy %s %d" % (spec.label(), M): (spec, M)
-                    for spec in TWO_COPY_SPECS for M in TWO_COPY_MS + [130]}
+                    for spec, M in _two_copy_cases(TWO_COPY_MS + [130])}
 
 
 def _one_thread_failures() -> dict:
@@ -516,8 +535,9 @@ def one_thread_failures():
     return json.loads(run.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("M", TWO_COPY_MS)
-@pytest.mark.parametrize("spec", TWO_COPY_SPECS, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec, M", [
+    pytest.param(spec, M, id="%s-%d" % (spec.label(), M))
+    for spec, M in _two_copy_cases(TWO_COPY_MS)])
 def test_projection_is_bit_identical_to_two_copy_table(spec, M):
     assert _two_copy_failure(spec, M) == ""
 
@@ -526,6 +546,30 @@ def test_projection_is_bit_identical_to_two_copy_table(spec, M):
 def test_projection_is_bit_identical_on_one_blas_thread(one_thread_failures,
                                                         case):
     assert one_thread_failures[case] == ""
+
+
+def test_projection_ladder_verdict_and_nodes(monkeypatch):
+    # An expansion of degree < M times phi_k has degree < 2M - 1, so the
+    # first rule, max(64, 2M) nodes, and its doubling integrate it
+    # exactly: the loop must stop, converged, at the first doubling.  No
+    # rule is exact for the exponentials, so their case is a measured one:
+    # runge25 at M = 33 converges one doubling later.
+    cases = [(spec, M, _expansion(spec, M)[0], nodes)
+             for spec, M, nodes in ((legendre(), 33, 132),
+                                    (chebyshev(), 33, 132),
+                                    (jacobi(1.0, 0.0), 33, 132),
+                                    (jacobi(-0.75, -0.75), 2, 128))]
+    cases.append((fourier(), 33, _runge, 264))
+    for spec, M, f, nodes in cases:
+        res = project_coefficients(f, spec, M)
+        assert (res.converged, res.nodes) == (True, nodes), spec.label()
+    # |t|^3 never converges.  Its ladder for M = 80 runs 160, 320, ... and
+    # stops at the first order at or above the cap: at the cap itself, and
+    # past a cap that falls between two orders.
+    for cap in (320, 200):
+        monkeypatch.setattr(basis, "STOP_DOUBLING_AT_ORDER", cap)
+        res = project_coefficients(lambda t: np.abs(t) ** 3, legendre(), 80)
+        assert (res.converged, res.nodes) == (False, 320), cap
 
 
 @pytest.mark.parametrize("spec", [jacobi(1.0, 0.0), fourier()],
@@ -549,14 +593,14 @@ def test_projection_peak_memory_is_one_table(spec):
 
 
 @pytest.mark.parametrize("M", PROJECTION_MS)
-def test_fourier_projection_blocks_hold_table_entries(M):
+def test_projection_blocks_hold_table_entries(M):
     # A one-hot v picks row k of the conjugated table out of the block sums
     # exactly, at any BLAS thread count: one nonzero term, the others 0.
     # So the blocks must cover every row once, hold eval_table's entries
     # (Jacobi rows scaled by their own degree, exponential phases folded
     # with the split width of the whole table, not of their own |j|
     # values) and be conjugated, for every basis family.
-    for spec in TWO_COPY_SPECS:
+    for spec in PROJECTION_SPECS:
         table = np.conj(eval_table(spec, M, PHASE_T))
         for k in range(PHASE_T.size):
             v = np.zeros(PHASE_T.size)

@@ -26,7 +26,7 @@ from wl1approx.experiments import _write_csv
 
 def brute_gram(U, M):
     ps = U.pointset
-    labels = U.column_labels()[leading_indices(U.basis, U.n_columns, M)]
+    labels = U.column_labels()[leading_indices(U.basis, U.shape[1], M)]
     G = np.zeros((M, M), dtype=U.entries.dtype)
     for a, la_ in enumerate(labels):
         ia = int(la_) if U.basis.is_complex else int(la_) + 1

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wl1approx import cli, experiments
+from wl1approx import basis, cli, experiments
 from wl1approx.diagnostics import REPORT_COLUMNS
 from wl1approx.experiments import (POLY_C_GRID, SWEEP_GAMMAS, TRIG_C_GRID,
                                    ExperimentConfig, TEST_FUNCTIONS,
@@ -214,9 +214,9 @@ def test_diagnostics_projects_once_per_length(tmp_path, monkeypatch):
     lengths = []
     project = experiments.project_coefficients
 
-    def counting(f, basis, L):
+    def counting(f, spec, L):
         lengths.append(L)
-        return project(f, basis, L)
+        return project(f, spec, L)
 
     monkeypatch.setattr(experiments, "project_coefficients", counting)
     cfg = ExperimentConfig(experiment="diagnostics", n_list=(10, 20),
@@ -240,9 +240,13 @@ def test_diagnostics_meta_records_scaling_weights(tmp_path):
 @pytest.mark.parametrize("function, unconverged",
                          [("abs_cubed", 1), ("runge25", 0)])
 def test_diagnostics_counts_unconverged_projections(tmp_path, capsys,
-                                                    function, unconverged):
+                                                    monkeypatch, function,
+                                                    unconverged):
     # |t|^3 has slowly decaying coefficients, so its projection never meets
-    # the quadrature tolerance; runge25 at N = 10 does.
+    # the quadrature tolerance; runge25 at N = 10 does.  With the ladder cut
+    # at 320 nodes, |t|^3 stops after one doubling and runge25 still
+    # converges there.
+    monkeypatch.setattr(basis, "STOP_DOUBLING_AT_ORDER", 320)
     cfg = ExperimentConfig(experiment="diagnostics", n_list=(10,),
                            m_list=(2,), functions=(function,),
                            out_dir=str(tmp_path), eval_resolution=2000)
@@ -398,6 +402,23 @@ def test_cli_names_nan_points(tmp_path, capsys):
                  ["compare", "--points", "file:%s" % points, "--n", "3"]):
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "points must lie in [-1, 1]" in capsys.readouterr().err
+
+
+def test_cli_points_file_is_fitted_once(tmp_path):
+    # A points file fixes N at its 12 points, so --n is not read: compare
+    # fits it once per function and diagnostics once per M.
+    points = tmp_path / "points.txt"
+    np.savetxt(points, np.linspace(-0.95, 0.95, 12))
+    for argv, name, n_rows in (
+            (["compare", "--functions", "runge50", "--noise", "0.01",
+              "--resolution", "2000"], "compare.csv", len(POLY_C_GRID) + 2),
+            (["diagnostics", "--m", "2,3"], "diagnostics.csv", 2)):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--points", "file:%s" % points, "--n",
+                                "10,20", "--out", str(out)]) == 0
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == n_rows, name
+        assert {row.split(",")[2] for row in rows} == {"12"}
 
 
 # Options each subcommand registers: exactly the ones its runner reads,

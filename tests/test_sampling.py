@@ -30,7 +30,7 @@ def test_entries_are_scaled_evaluations():
     A = build_matrix(legendre(), ps, 6)
     expect = np.sqrt(ps.tau)[:, None] * eval_table(legendre(), 6, ps.points)
     np.testing.assert_array_equal(A.entries, expect)
-    assert A.shape[0] == 9 and A.n_columns == 6
+    assert A.shape == (9, 6)
     assert not A.entries.flags.writeable
     assert A.entries.flags.c_contiguous
 
