@@ -15,6 +15,9 @@ field keeps its default.  Besides --config FILE and --out DIR:
     approximate    SAMPLES --basis --k --epsilon --gamma --eta
                    --relax-weights --resolution
 
+With --points file:PATH the file fixes N, so compare and diagnostics
+then read no --n and reject it.
+
 Options may also be supplied through a plain key=value config file whose
 keys must be options of the subcommand; explicit command-line flags win
 over file values.
@@ -128,7 +131,17 @@ def _load_config(path, command: str) -> dict:
     return out
 
 
+class _Given(argparse.Action):
+    """Stores the value and records the option in namespace.given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; file_vals supply option defaults.  The parsed
+    namespace's `given` holds the options set by a flag or by file_vals."""
     file_vals = file_vals or {}
     ap = argparse.ArgumentParser(
         prog="wl1approx",
@@ -142,6 +155,7 @@ def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
                             help="two-column file of t and y values")
         sp.add_argument("--config", default=None,
                         help="key=value file supplying option defaults")
+        sp.set_defaults(given=frozenset(file_vals))
         for name in _option_names(command):
             _, _, default, help_ = _OPTIONS[name]
             help_ = _HELP.get((command, name), help_)
@@ -151,7 +165,8 @@ def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
                 sp.add_argument(flag, action="store_true", default=default,
                                 help=help_)
             else:
-                sp.add_argument(flag, default=default, help=help_)
+                sp.add_argument(flag, default=default, help=help_,
+                                action=_Given)
     return ap
 
 
@@ -164,6 +179,9 @@ def _config_from_args(args) -> ExperimentConfig:
     if values.get("points") == "file":
         raise ValueError("--points file needs a path: --points file:PATH")
     if values.get("points", "").startswith("file:"):
+        if "n" in args.given:
+            raise ValueError("--n is not read with --points file:PATH: the "
+                             "file fixes N at its point count")
         values["points_file"] = values["points"].split(":", 1)[1]
         values["points"] = "file"
     if args.command == "diagnostics" and len(values["functions"] or ()) > 1:

@@ -333,16 +333,22 @@ def run_weight_sweep(cfg: ExperimentConfig) -> dict:
              if cfg.functions else functions_with_tag("sweep"))
     header = ("function", "gamma", "N", "K", "error", "objective",
               "iterations", "status", "violates_growth")
+    # The points and the matrix depend on N only, the weights on (gamma,
+    # N) only: each is built once, not once per function.
+    mats = {}
+    for N in cfg.n_list:
+        pts = generate("equispaced", N)
+        ps = build_pointset(pts, basis)
+        mats[N] = pts, build_matrix(basis, ps, _k_for(cfg, basis, ps))
+    weights = {(gamma, N): make_weights(basis, U.shape[1], "poly_gamma",
+                                        gamma=gamma, relax=True)
+               for gamma in cfg.gamma_list for N, (_, U) in mats.items()}
     rows = []
     for f in funcs:
         for gamma in cfg.gamma_list:
             for N in cfg.n_list:
-                pts = generate("equispaced", N)
-                ps = build_pointset(pts, basis)
-                K = _k_for(cfg, basis, ps)
-                U = build_matrix(basis, ps, K)
-                wv = make_weights(basis, K, "poly_gamma", gamma=gamma,
-                                  relax=True)
+                (pts, U), wv = mats[N], weights[gamma, N]
+                K = U.shape[1]
                 try:
                     res = solve_weighted_l1(
                         make_problem(U, f(pts), wv), "equality")

@@ -60,6 +60,10 @@ LP_TOL = 1e-10    # HiGHS feasibility tolerances of lp_oracle
 
 MODES = ("equality", "inequality")
 
+# The maximum entry, NaN if any is; ndarray.max without its Python wrapper,
+# which costs more than the reduction on the short vectors of a solve.
+_amax = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class SamplingProblem:
@@ -147,6 +151,14 @@ def _ipm(G, h, d, radius=0.0):
     recovers the accuracy that R^T R alone loses on ill-conditioned steps;
     a solve that is already accurate gets no round.
 
+    The factored rows are rebuilt in place, in one buffer per solve, as
+    ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i (for d = 1,
+    G_i^T vz_i is a column scaling).  That order of rounding is kept on
+    purpose: the one-pass G_i^T (beta_i (1 + c_i vz_i^2)), or one dpotrs
+    in place of the two triangular solves, round differently, and the
+    ill-conditioned solve of tests/test_solver.py with seed 155 then ends
+    in max_iter instead of converging in 15 steps.
+
     Yields (x, y, x.s) before each Newton step, the first at the starting
     point; the caller decides when to stop.  Returns when a step cannot
     make progress: its length falls below 1e-8 or x.s below 1e-14 of
@@ -160,6 +172,7 @@ def _ipm(G, h, d, radius=0.0):
     dims = np.array([d + 1] * K + [nb] * (nb > 0))
     heads = np.cumsum(dims) - dims
     cid = np.repeat(np.arange(len(dims)), dims)
+    hc = heads[cid]                  # the head of each coordinate's cone
     sign = -np.ones(len(cid))
     sign[heads] = 1.0
     e = (sign > 0).astype(float)     # identity element of C
@@ -176,8 +189,14 @@ def _ipm(G, h, d, radius=0.0):
         h = np.append(h, radius)
         rb = np.arange(nb)
         perm = np.roll(rb, -1)       # W_b G_b^T = W_b[:, perm]
+        bcols, bsign = dK + perm, sign[-nb:][perm]
     Gd = G.reshape(m, d, K)
     lwork = int(dgeqrf_lwork(dK + nb, len(h))[0])
+    # The factored matrix, transposed, refilled by every setup: cone i's
+    # rows beta_i (I + c_i vz vz^T) G_i^T in Fz, then W_b[:, perm] for the
+    # ball.  dgeqrf overwrites it, so the ball's zero row is reset.
+    Ft = np.zeros((len(h), dK + nb))
+    Fz = Ft[:m, :dK].reshape(m, d, K)
 
     def gmul(u):                     # G' u
         return Gc @ u[cols]
@@ -188,10 +207,12 @@ def _ipm(G, h, d, radius=0.0):
         return out
 
     def seg(u):                      # sums over each cone
+        if d == 1 and not nb:        # pairs: the same sums, without reduceat
+            return u[::2] + u[1::2]
         return np.add.reduceat(u, heads)
 
     def prod(u, v):                  # Jordan product u o v
-        out = u[heads][cid] * v + v[heads][cid] * u
+        out = u[hc] * v + v[hc] * u
         out[heads] = seg(u * v)
         return out
 
@@ -200,13 +221,13 @@ def _ipm(G, h, d, radius=0.0):
         return bv2 * seg(v * u)[cid] - bj * u
 
     def jnorm(u):                    # sqrt(u0^2 - |u1|^2) without cancellation
-        n1 = np.sqrt(seg(tail * u * u))
-        return np.sqrt((u[heads] - n1) * (u[heads] + n1))
+        n1, u0 = np.sqrt(seg(tail * u * u)), u[heads]
+        return np.sqrt((u0 - n1) * (u0 + n1))
 
     def step(d):                     # largest a with lam + a d in C
         t = seg(jlb * d)
         rho = tail * (d - ((t + d[heads]) / lb1)[cid] * lb)
-        worst = np.max((np.sqrt(seg(rho * rho)) - t) / lnorm)
+        worst = _amax((np.sqrt(seg(rho * rho)) - t) / lnorm)
         return 1.0 / worst if worst > 0 else np.inf
 
     def newton(rp, rd, rc):          # G' dx = rp, G'^T dy + ds = rd,
@@ -219,19 +240,22 @@ def _ipm(G, h, d, radius=0.0):
         dy = dtrtrs(R, t)[0]
         gdy = gtmul(dy)
         wgdy = mul(W, gdy)
-        wdx = u + wgdy
-        return mul(W, wdx), dy, rd - gdy, wdx, wrd - wgdy
+        return u + wgdy, wrd - wgdy, dy, gdy    # W^-1 dx, W ds, dy, G'^T dy
 
-    def solve(rp, rd, rc):           # also returns W^-1 dx and W ds
-        d = newton(rp, rd, rc)
-        tol = TOL_FEAS / 10 * max(np.max(np.abs(r)) for r in (rp, rd, rc))
+    def direction(rp, rd, rc):       # dx, dy, ds, W^-1 dx and W ds
+        wdx, wds, dy, gdy = newton(rp, rd, rc)
+        return mul(W, wdx), dy, rd - gdy, wdx, wds
+
+    def solve(rp, rd, rc):           # direction(), refined on demand
+        d = direction(rp, rd, rc)
+        tol = TOL_FEAS / 10 * max(_amax(abs(r)) for r in (rp, rd, rc))
         for _ in range(2):
             dx, dy, ds, wdx, wds = d
             r = (rp - gmul(dx), rd - gtmul(dy) - ds,
                  rc - prod(lam, wdx + wds))
-            if max(np.max(np.abs(u)) for u in r) <= tol:
+            if max(_amax(abs(u)) for u in r) <= tol:
                 break
-            d = tuple(a + b for a, b in zip(d, newton(*r)))
+            d = tuple(a + b for a, b in zip(d, direction(*r)))
         return d
 
     def setup(v, beta, lam_):        # scaling W, lam, QR factor R
@@ -240,21 +264,26 @@ def _ipm(G, h, d, radius=0.0):
         W = (v, 2 * bc * v, bc * sign)
         lam = lam_
         det = seg(sign * lam * lam)
-        jlam, ilam0 = sign * lam / det[cid], 1.0 / lam[heads][cid]
+        jlam, ilam0 = sign * lam / det[cid], 1.0 / lam[hc]
         lnorm = np.sqrt(det)
         lb = lam / lnorm[cid]
         jlb, lb1 = sign * lb, lb[heads] + 1
-        # The factored matrix, transposed: cone i's rows
-        # beta_i (I + c_i vz vz^T) G_i^T, then W_b[:, perm] for the ball.
         vz, q = v[cols[:dK]].reshape(d, K), 8 * v[heads[:K]] ** 2
-        ci = q / (np.sqrt(1 + q * np.sum(vz * vz, axis=0)) + 1)
-        Ft = np.zeros((len(h), dK + nb))
-        Ft[:m, :dK] = (beta[:K] * (Gd + (np.einsum("mjk,jk->mk", Gd, vz)
-                                         * ci)[:, None] * vz)).reshape(m, -1)
+        if d == 1:                   # G_i^T vz_i is a column scaling
+            gv, vv = np.multiply(G, vz[0], out=Fz[:, 0]), vz[0] * vz[0]
+        else:
+            gv = np.einsum("mjk,jk->mk", Gd, vz)
+            vv = np.sum(vz * vz, axis=0)
+        ci = q / (np.sqrt(1 + q * vv) + 1)
+        np.multiply(np.multiply(gv, ci, out=gv)[:, None], vz, out=Fz)
+        np.add(Fz, Gd, out=Fz)
+        np.multiply(Fz, beta[:K], out=Fz)
         if nb:
             vb, bb = v[-nb:], beta[K]
-            Ft[:, dK:] = 2 * bb * np.outer(vb[perm], vb)
-            Ft[rb, dK + perm] -= bb * sign[-nb:][perm]
+            Ft[m, :dK] = 0.0
+            np.outer(vb[perm], vb, out=Ft[:, dK:])
+            np.multiply(Ft[:, dK:], 2 * bb, out=Ft[:, dK:])
+            Ft[rb, bcols] -= bb * bsign
         # dtrtrs reads only the upper triangle; Fortran order spares copies.
         R = np.asfortranarray(dgeqrf(Ft.T, lwork=lwork, overwrite_a=1)[0]
                               [:len(h)])
@@ -264,9 +293,10 @@ def _ipm(G, h, d, radius=0.0):
     # shifted into the cone (W = I).
     setup(e, np.ones(len(dims)), e)
     zero = np.zeros_like(c)
-    x = newton(h, zero, zero)[0]
-    _, y, s = newton(np.zeros_like(h), c, zero)[:3]
-    x, s = (u + max(0.0, 1.0 + np.max(np.sqrt(seg(tail * u * u)) - u[heads]))
+    x = mul(W, newton(h, zero, zero)[0])
+    _, _, y, gy = newton(np.zeros_like(h), c, zero)
+    s = c - gy
+    x, s = (u + max(0.0, 1.0 + _amax(np.sqrt(seg(tail * u * u)) - u[heads]))
             * e for u in (x, s))
     while True:
         xs = float(x @ s)
@@ -275,15 +305,16 @@ def _ipm(G, h, d, radius=0.0):
             return
         a, b = jnorm(x), jnorm(s)
         xb, sb = x / a[cid], s / b[cid]
+        xh, sh = xb[heads], sb[heads]
         gam = np.sqrt((1 + seg(xb * sb)) / 2)
         v = (xb + sign * sb) / (2 * gam)[cid]     # the scaling point
-        lam = ((gam + sb[heads])[cid] * xb + (gam + xb[heads])[cid] * sb) \
-            / (xb[heads] + sb[heads] + 2 * gam)[cid]
+        lam = ((gam + sh)[cid] * xb + (gam + xh)[cid] * sb) \
+            / (xh + sh + 2 * gam)[cid]
         lam[heads] = gam
         setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
               lam * np.sqrt(a * b)[cid])
         rp, rd, ll = h - gmul(x), c - gtmul(y) - s, prod(lam, lam)
-        _, _, _, wx, ws = newton(rp, rd, -ll)     # predictor
+        wx, ws = newton(rp, rd, -ll)[:2]          # predictor
         sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
         dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
                                      - prod(wx, ws))
@@ -337,6 +368,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     off = la.norm(y_off)
     eta_r = np.sqrt(max(eta ** 2 - off ** 2, 0.0))
     feas_abs = TOL_FEAS * ynorm
+    AH = A.conj().T
 
     def result(zt, mu, its, hist):   # mu is None for unreachable data
         z = zt / w
@@ -347,8 +379,8 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
             nu = U @ mu
             if eta_r > 0:
                 nu = nu + y_off * (la.norm(mu) / eta_r)
-            nu = nu / max(1.0, np.max(np.abs(A.conj().T @ nu) / w))
-            gap = obj - float(np.real(np.vdot(y, nu))) \
+            nu = nu / max(1.0, _amax(abs(AH @ nu) / w))
+            gap = obj - float(np.vdot(y, nu).real) \
                 + max(eta, res) * la.norm(nu)
             ok = res - eta <= feas_abs and gap <= TOL_GAP * max(1.0, obj)
             status = STATUS_CONVERGED if ok else STATUS_MAX_ITER

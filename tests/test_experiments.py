@@ -162,6 +162,28 @@ def test_weight_sweep_runner(tmp_path):
                                           out_dir=str(tmp_path)))
 
 
+def test_weight_sweep_builds_each_matrix_and_weight_once(tmp_path,
+                                                         monkeypatch):
+    # The matrix depends on N only and the weights on (gamma, N) only, so
+    # two functions share them; rows still run function, gamma, N.
+    calls = {"build_matrix": 0, "make_weights": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(experiments, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counting)
+    cfg = ExperimentConfig(experiment="weight_sweep", basis="chebyshev",
+                           gamma_list=(0.5, 1.0), n_list=(10, 12),
+                           functions=("runge25", "osc_cos30"),
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    rows = open(run_weight_sweep(cfg)["csv"]).read().splitlines()[1:]
+    assert calls == {"build_matrix": 2, "make_weights": 4}
+    assert [r.split(",")[:3] for r in rows] == [
+        [f, g, n] for f in ("runge25", "osc_cos30") for g in ("0.5", "1")
+        for n in ("10", "12")]
+
+
 def test_aliasing_runner(tmp_path):
     cfg = ExperimentConfig(experiment="aliasing", basis="fourier",
                            out_dir=str(tmp_path), eval_resolution=2000)
@@ -399,14 +421,14 @@ def test_cli_names_nan_points(tmp_path, capsys):
     points = tmp_path / "points.txt"
     points.write_text("-0.5\nnan\n0.5\n")
     for argv in (["approximate", str(samples)],
-                 ["compare", "--points", "file:%s" % points, "--n", "3"]):
+                 ["compare", "--points", "file:%s" % points]):
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "points must lie in [-1, 1]" in capsys.readouterr().err
 
 
 def test_cli_points_file_is_fitted_once(tmp_path):
-    # A points file fixes N at its 12 points, so --n is not read: compare
-    # fits it once per function and diagnostics once per M.
+    # A points file fixes N at its 12 points: compare fits it once per
+    # function and diagnostics once per M.
     points = tmp_path / "points.txt"
     np.savetxt(points, np.linspace(-0.95, 0.95, 12))
     for argv, name, n_rows in (
@@ -414,11 +436,29 @@ def test_cli_points_file_is_fitted_once(tmp_path):
               "--resolution", "2000"], "compare.csv", len(POLY_C_GRID) + 2),
             (["diagnostics", "--m", "2,3"], "diagnostics.csv", 2)):
         out = tmp_path / argv[0]
-        assert cli.main(argv + ["--points", "file:%s" % points, "--n",
-                                "10,20", "--out", str(out)]) == 0
+        assert cli.main(argv + ["--points", "file:%s" % points,
+                                "--out", str(out)]) == 0
         rows = (out / name).read_text().splitlines()[1:]
         assert len(rows) == n_rows, name
         assert {row.split(",")[2] for row in rows} == {"12"}
+
+
+@pytest.mark.parametrize("command", ["compare", "diagnostics"])
+@pytest.mark.parametrize("n_from", ["flag", "config"])
+def test_cli_points_file_rejects_n(tmp_path, capsys, command, n_from):
+    # The file fixes N, so --n, from a flag or a config file, is an
+    # option the runner does not read.
+    points = tmp_path / "points.txt"
+    np.savetxt(points, np.linspace(-0.95, 0.95, 12))
+    argv = [command, "--points", "file:%s" % points]
+    if n_from == "flag":
+        argv += ["--n", "10,20"]
+    else:
+        (tmp_path / "cfg.txt").write_text("n = 10,20\n")
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # Options each subcommand registers: exactly the ones its runner reads,

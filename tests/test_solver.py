@@ -146,6 +146,33 @@ def test_refinement_on_demand_keeps_ill_conditioned_solves(seed, steps):
     assert res.iterations == steps
 
 
+def well_conditioned_problem(spec, N, eta):
+    # K = 4N, gamma = 1, Chebyshev points for Legendre and N equispaced
+    # points on [-1, 1) for Fourier: cond(A / w) between 16 and 54.
+    pts = (generate("equispaced", N + 1)[:-1] if spec.is_complex
+           else generate("chebyshev", N))
+    A = build_matrix(spec, build_pointset(pts, spec), 4 * N)
+    w = default_weights(spec, 4 * N, 1.0, relax=True)
+    noise = np.random.default_rng(N).uniform(-eta, eta, N)
+    samples = np.exp(np.sin(np.pi * pts)) / (1.25 + pts) + noise
+    return make_problem(A, samples, w, eta=eta)
+
+
+@pytest.mark.parametrize("spec, N, eta, steps", [
+    (legendre(), 60, 0.0, 11), (legendre(), 40, 1e-3, 13),
+    (fourier(), 40, 0.0, 6), (fourier(), 80, 1e-3, 15)])
+def test_well_conditioned_step_counts(spec, N, eta, steps):
+    # Step counts of well-conditioned solves on the four paths (real or
+    # complex, equality or ball), the same on one and two BLAS threads.
+    # A rewrite of the Newton step that changes more than its last bits
+    # shows up here; one that only rounds differently may not, and the
+    # ill-conditioned pins above are the finer check.
+    res = solve_weighted_l1(well_conditioned_problem(spec, N, eta),
+                            "inequality" if eta else "equality")
+    assert res.status == STATUS_CONVERGED
+    assert res.iterations == steps
+
+
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
 def test_real_and_complex_paths_agree(eta):
     # The same real data posed as complex take the d = 2 cone path (two
