@@ -39,6 +39,11 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in (JACOBI, FOURIER):
             raise ValueError(f"unknown basis kind {self.kind!r}")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError("basis parameter %s must be finite, got %r"
+                                 % (name, value))
         if self.kind == JACOBI and (self.alpha <= -1.0 or self.beta <= -1.0):
             raise ValueError("Jacobi parameters must satisfy alpha, beta > -1")
 
@@ -499,13 +504,13 @@ _TABLE_BLOCK = 32
 
 def _projection(spec: BasisSpec, M: int, x: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
-    """conj(eval_table(spec, M, x)).T @ v, one block of _TABLE_BLOCK rows
-    at a time (the last block holds the rest).  Each block of rows of
-    conj(T).T is filled into one reused (len(x), rows) buffer, whose
-    transpose is multiplied by v.  Jacobi blocks are scaled from the
-    recurrence, run over the same blocks.  Exponential row half + j
-    (half = M // 2) holds exp(-i pi j x): the phasor of |j|, conjugated
-    for j >= 0."""
+    """conj(eval_table(spec, M, x)).T @ v, for v of len(x) values or
+    len(x) rows, one block of _TABLE_BLOCK rows at a time (the last block
+    holds the rest).  Each block of rows of conj(T).T is filled into one
+    reused (len(x), rows) buffer, whose transpose is multiplied by v.
+    Jacobi blocks are scaled from the recurrence, run over the same
+    blocks.  Exponential row half + j (half = M // 2) holds exp(-i pi j x):
+    the phasor of |j|, conjugated for j >= 0."""
     blocks = [(r0, min(r0 + _TABLE_BLOCK, M))
               for r0 in range(0, M, _TABLE_BLOCK)]
     half = M // 2
@@ -514,7 +519,7 @@ def _projection(spec: BasisSpec, M: int, x: np.ndarray,
     if not spec.is_complex:
         scale = _phi_scale(spec.alpha, spec.beta, M)
         rows = _jacobi_row_blocks(spec.alpha, spec.beta, x, blocks)
-    out = np.empty(M, dtype=np.result_type(buf, v))
+    out = np.empty((M,) + np.shape(v)[1:], dtype=np.result_type(buf, v))
     for r0, r1 in blocks:
         block = buf[:, :r1 - r0]
         if spec.is_complex:

@@ -176,7 +176,7 @@ def _config_from_args(args) -> ExperimentConfig:
     for name in _option_names(args.command):
         field, parse = _OPTIONS[name][:2]
         values[field] = parse(getattr(args, name))
-    if values.get("points") == "file":
+    if values.get("points") in ("file", "file:"):
         raise ValueError("--points file needs a path: --points file:PATH")
     if values.get("points", "").startswith("file:"):
         if "n" in args.given:

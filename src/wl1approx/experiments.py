@@ -143,6 +143,11 @@ class ExperimentConfig:
             raise ValueError("m_list must be nonempty")
         if self.eval_resolution < 100:
             raise ValueError("eval_resolution must be at least 100")
+        for name in ("eta", "noise", "amplitude"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError("%s must be finite and nonnegative, got %r"
+                                 % (name, value))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -101,8 +101,8 @@ def make_problem(A: SamplingMatrix, samples, weights, eta: float = 0.0,
         raise ValueError("expected %d samples, got %r" % (n, samples.shape))
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain NaN or infinity")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError("eta must be finite and nonnegative, got %r" % eta)
     if isinstance(weights, WeightVector):
         wv = weights
     else:

@@ -6,10 +6,6 @@ scipy.special, closed-form norm constants for the Legendre and Chebyshev
 special cases, and exact discrete Fourier orthogonality on periodic grids.
 """
 
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -51,6 +47,16 @@ def test_spec_validation():
     assert chebyshev() == jacobi(-0.5, -0.5)
     assert fourier().is_complex
     assert not legendre().is_complex
+
+
+@pytest.mark.parametrize("ab, name", [((np.nan, 0.0), "alpha"),
+                                      ((np.inf, 0.0), "alpha"),
+                                      ((0.0, np.nan), "beta")])
+def test_spec_rejects_non_finite_parameters(ab, name):
+    # NaN and +infinity pass the alpha, beta > -1 comparison; both would
+    # only fail later, deep in a fit.
+    with pytest.raises(ValueError, match="parameter %s must be finite" % name):
+        jacobi(*ab)
 
 
 def test_labels():
@@ -423,10 +429,13 @@ def _expansion(spec, M):
 @pytest.mark.parametrize("spec, M", ACCURACY_CASES,
                          ids=lambda a: a.label() if isinstance(a, BasisSpec)
                          else str(a))
-def test_projection_recovers_expansion(spec, M):
+def test_projection_recovers_expansion(spec, M, monkeypatch):
     # The coefficients of f = sum_k z_k phi_k, z_k = +-0.9^rank, are z, so
     # its projection must give z back up to rounding: of the samples of f,
-    # of the basis values and of the quadrature sum.
+    # of the basis values and of the quadrature sum.  Every passing case
+    # converges at 2080 nodes or fewer; the cap stops the M = 520 ladders
+    # on scipy's weights at 4160 nodes instead of 8320.
+    monkeypatch.setattr(basis, "STOP_DOUBLING_AT_ORDER", 4160)
     f, z = _expansion(spec, M)
     scale = np.sum(np.abs(z) * linf_norms(spec, M))
     res = project_coefficients(f, spec, M)
@@ -447,105 +456,6 @@ def test_fourier_projection_of_plane_wave(M):
         err = np.max(np.abs(res.coeffs - exact))
         assert res.converged, (a, res.nodes)
         assert err <= PLANE_WAVE_ACCURACY * np.finfo(float).eps, (a, err)
-
-
-def _two_copy_projection(f, spec, M):
-    # The doubling loop of project_coefficients with the table built as
-    # eval_table's (Q, M) array, copied to C order and, for the
-    # exponentials, conjugated into a second copy.  Its blocks of
-    # _TABLE_BLOCK columns are multiplied by the weighted samples one at a
-    # time, as project_coefficients sums.
-    ab = (0.0, 0.0) if spec.is_complex else (spec.alpha, spec.beta)
-
-    def coeffs_at(Q):
-        x, w = basis._jacobi_rule(Q, *ab)
-        table = np.ascontiguousarray(eval_table(spec, M, x))
-        if spec.is_complex:
-            table = table.conj()
-        v = w * f(x)
-        return np.concatenate(
-            [table[:, r0:r0 + basis._TABLE_BLOCK].T @ v
-             for r0 in range(0, M, basis._TABLE_BLOCK)])
-
-    Q = max(64, 2 * M)
-    prev = coeffs_at(Q)
-    while True:
-        Q *= 2
-        cur = coeffs_at(Q)
-        if np.max(np.abs(cur - prev)) \
-                <= basis.PROJECTION_TOL * max(1.0, float(np.max(np.abs(cur)))):
-            return cur, True, Q
-        if Q >= basis.STOP_DOUBLING_AT_ORDER:
-            return cur, False, Q
-        prev = cur
-
-
-def _two_copy_failure(spec, M):
-    # The block sums hold the entries of the whole table and run the same
-    # gemv per block, so every coefficient, the node count and the verdict
-    # must match exactly, at any BLAS thread count.
-    res = project_coefficients(_runge, spec, M)
-    coeffs, converged, nodes = _two_copy_projection(_runge, spec, M)
-    diff = np.flatnonzero(res.coeffs != coeffs)
-    if diff.size:
-        return "coefficients %s differ" % diff.tolist()
-    if (res.converged, res.nodes) != (converged, nodes):
-        return "verdict %s differs" % ((res.converged, res.nodes),)
-    return ""
-
-
-# M = 33, 34, 35 and 130 end in a last block of 1, 2, 3 and 2 rows.
-TWO_COPY_MS = [1, 2, basis._TABLE_BLOCK - 1, basis._TABLE_BLOCK + 1, 34, 35,
-               520]
-
-
-def _two_copy_cases(Ms):
-    # Past one block the jacobi(-0.75, -0.75) ladders of runge25 never
-    # converge: each runs to 8192 nodes or more and spends about 3 s in
-    # scipy's roots_jacobi (ROADMAP item 2).  The one-hot block test covers
-    # that family's blocks at these sizes, and the ladder test the
-    # unconverged verdict.
-    return [(spec, M) for spec in PROJECTION_SPECS for M in Ms
-            if spec.label() != "jacobi:-0.75,-0.75"
-            or M <= basis._TABLE_BLOCK]
-
-
-ONE_THREAD_CASES = {"two-copy %s %d" % (spec.label(), M): (spec, M)
-                    for spec, M in _two_copy_cases(TWO_COPY_MS + [130])}
-
-
-def _one_thread_failures() -> dict:
-    return {key: _two_copy_failure(*args)
-            for key, args in ONE_THREAD_CASES.items()}
-
-
-@pytest.fixture(scope="module")
-def one_thread_failures():
-    # _one_thread_failures() in a fresh interpreter with one BLAS thread:
-    # a failure message per case, empty where the case passes.
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = [here, os.path.join(os.path.dirname(here), "src")]
-    code = ("import json, sys; sys.path[:0] = %r; import test_basis; "
-            "print(json.dumps(test_basis._one_thread_failures()))" % path)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
-
-
-@pytest.mark.parametrize("spec, M", [
-    pytest.param(spec, M, id="%s-%d" % (spec.label(), M))
-    for spec, M in _two_copy_cases(TWO_COPY_MS)])
-def test_projection_is_bit_identical_to_two_copy_table(spec, M):
-    assert _two_copy_failure(spec, M) == ""
-
-
-@pytest.mark.parametrize("case", list(ONE_THREAD_CASES))
-def test_projection_is_bit_identical_on_one_blas_thread(one_thread_failures,
-                                                        case):
-    assert one_thread_failures[case] == ""
 
 
 def test_projection_ladder_verdict_and_nodes(monkeypatch):
@@ -594,19 +504,17 @@ def test_projection_peak_memory_is_one_table(spec):
 
 @pytest.mark.parametrize("M", PROJECTION_MS)
 def test_projection_blocks_hold_table_entries(M):
-    # A one-hot v picks row k of the conjugated table out of the block sums
-    # exactly, at any BLAS thread count: one nonzero term, the others 0.
-    # So the blocks must cover every row once, hold eval_table's entries
-    # (Jacobi rows scaled by their own degree, exponential phases folded
-    # with the split width of the whole table, not of their own |j|
-    # values) and be conjugated, for every basis family.
+    # Column k of the identity picks row k of the conjugated table out of
+    # the block sums exactly, at any BLAS thread count: one nonzero term,
+    # the others 0.  So the blocks must cover every row once, hold
+    # eval_table's entries (Jacobi rows scaled by their own degree,
+    # exponential phases folded with the split width of the whole table,
+    # not of their own |j| values) and be conjugated, for every basis
+    # family.
     for spec in PROJECTION_SPECS:
         table = np.conj(eval_table(spec, M, PHASE_T))
-        for k in range(PHASE_T.size):
-            v = np.zeros(PHASE_T.size)
-            v[k] = 1.0
-            assert np.array_equal(basis._projection(spec, M, PHASE_T, v),
-                                  table[k]), (spec.label(), k)
+        sums = basis._projection(spec, M, PHASE_T, np.eye(PHASE_T.size))
+        assert np.array_equal(sums, table.T), spec.label()
 
 
 def test_jacobi_rule_is_read_only():

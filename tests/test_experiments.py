@@ -82,6 +82,15 @@ def test_config_validation_and_hash():
     assert int(config_hash(a), 16) >= 0
 
 
+@pytest.mark.parametrize("field, value", [("eta", np.nan), ("eta", np.inf),
+                                          ("eta", -1.0), ("noise", np.nan),
+                                          ("noise", -1.0),
+                                          ("amplitude", np.nan)])
+def test_config_rejects_non_finite_or_negative_values(field, value):
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        ExperimentConfig(experiment="compare", **{field: value})
+
+
 def test_config_hash_ignores_out_dir(tmp_path):
     # The same run written to two directories records one hash, and so
     # writes byte-identical files; any other field still changes the hash.
@@ -530,11 +539,28 @@ def test_cli_aliasing_help_names_its_eta_default(capsys):
 
 
 def test_cli_points_file_without_path_names_the_flag(tmp_path, capsys):
-    argv = ["compare", "--n", "10", "--functions", "runge25", "--points",
-            "file", "--out", str(tmp_path / "out")]
-    assert _exit_code(argv) == 2
-    err = capsys.readouterr().err
-    assert "--points file:PATH" in err and "points_file" not in err
+    # Without --n, whose own message names the flag too.
+    for points in ("file", "file:"):
+        argv = ["compare", "--functions", "runge25", "--points", points,
+                "--out", str(tmp_path / "out")]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "--points file:PATH" in err and "points_file" not in err, \
+            points
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--eta", "nan"], "eta"), (["--eta", "inf"], "eta"),
+    (["--noise", "-1"], "noise"), (["--basis", "jacobi:nan,0"], "alpha"),
+    (["--points", "jittered", "--amplitude", "nan"], "amplitude")])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, flags, name):
+    # Each of these used to run: --eta nan as the equality problem, --noise
+    # -1 without noise, jacobi:nan,0 until a NaN reached an SVD, and
+    # --amplitude nan into a traceback from the jitter draw.
+    argv = ["compare", "--n", "10", "--functions", "runge25"] + flags
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -61,6 +61,15 @@ def test_make_problem_validation():
         solve_weighted_l1(make_problem(A, np.ones(5), W), mode="both")
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf])
+def test_make_problem_rejects_non_finite_eta(eta):
+    # A NaN radius would pass for a ball and end in max_iter with a NaN
+    # gap; an infinite one gives a NaN z.
+    p, _ = small_problem(N=5, K=6)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        make_problem(p.A, np.ones(5), p.w, eta=eta)
+
+
 def test_single_point_solution_is_unit_spike():
     spec = legendre()
     ps = build_pointset([0.0], spec)
