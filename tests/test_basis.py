@@ -517,6 +517,49 @@ def test_projection_blocks_hold_table_entries(M):
         assert np.array_equal(sums, table.T), spec.label()
 
 
+def _two_copy_table_sums(f, spec, M, Q):
+    # The Q-node sums of f against eval_table's (Q, M) array, copied to C
+    # order and, for the exponentials, conjugated into a second copy; its
+    # blocks of _TABLE_BLOCK columns are multiplied by the weighted samples
+    # one at a time, as project_coefficients sums.
+    ab = (0.0, 0.0) if spec.is_complex else (spec.alpha, spec.beta)
+    x, w = basis._jacobi_rule(Q, *ab)
+    table = np.ascontiguousarray(eval_table(spec, M, x))
+    if spec.is_complex:
+        table = table.conj()
+    v = w * f(x)
+    return np.concatenate([table[:, r0:r0 + basis._TABLE_BLOCK].T @ v
+                           for r0 in range(0, M, basis._TABLE_BLOCK)])
+
+
+# Past one block the jacobi(-0.75, -0.75) ladders of runge25 never
+# converge and spend seconds in scipy's roots_jacobi (ROADMAP item 2); the
+# block test above covers that family's blocks at these sizes.
+TWO_COPY_CASES = [
+    pytest.param(spec, M, id="%s-%d" % (spec.label(), M))
+    for spec in PROJECTION_SPECS for M in PROJECTION_MS
+    if M != 65 and (spec.label() != "jacobi:-0.75,-0.75"
+                    or M <= basis._TABLE_BLOCK)]
+
+
+@pytest.mark.parametrize("spec, M", TWO_COPY_CASES)
+def test_projection_is_bit_identical_to_two_copy_table(spec, M):
+    # The block sums hold the entries of the whole table and run the same
+    # gemv per block, so at the order the projection stops at every
+    # coefficient must match the whole-table sums exactly, and the verdict
+    # must be the stopping rule applied to them and to the sums of the
+    # order before.
+    res = project_coefficients(_runge, spec, M)
+    cur = _two_copy_table_sums(_runge, spec, M, res.nodes)
+    assert np.array_equal(res.coeffs, cur), \
+        np.flatnonzero(res.coeffs != cur).tolist()
+    prev = _two_copy_table_sums(_runge, spec, M, res.nodes // 2)
+    scale = max(1.0, float(np.max(np.abs(cur))))
+    close = np.max(np.abs(cur - prev)) <= basis.PROJECTION_TOL * scale
+    assert res.converged == close, res.nodes
+    assert close or res.nodes >= basis.STOP_DOUBLING_AT_ORDER, res.nodes
+
+
 def test_jacobi_rule_is_read_only():
     # A function that writes to its argument must not corrupt the cached
     # rule that every later projection reads.
