@@ -148,6 +148,10 @@ class ExperimentConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError("%s must be finite and nonnegative, got %r"
                                  % (name, value))
+        for name in ("gamma", "gamma_list", "epsilon"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -28,22 +28,26 @@ Data farther than eta from the range of A (one test for both modes) are
 reported infeasible without iterating.  One stopping rule ends every
 solve: after each Newton step, the residual and duality gap recomputed in
 data space from z and the dual vector are checked against TOL_FEAS ||y||
-and TOL_GAP max(1, objective).  By weak duality this certificate is sound
-at any iterate.
+and TOL_GAP max(1, objective); the dual vector enters only once the
+residual passes.  By weak duality this certificate is sound at any
+iterate.
 
 Least squares (plain and oracle) and synthesis round out the toolbox.
-sup_error measures an approximant on the Chebyshev extrema; a long Jacobi
-expansion gets there by two DCT-Is instead of a Clenshaw sweep over every
-grid point, whichever costs fewer flops.  A tiny-instance
-linear-programming oracle (HiGHS) is included for cross-checking the l1
-path on real data.
+sup_error measures an approximant on the Chebyshev extrema; a Jacobi
+expansion gets there by one product with a cached matrix of Chebyshev
+coefficients and one DCT-I instead of a Clenshaw sweep over every grid
+point.  A tiny-instance linear-programming oracle (HiGHS) is included for
+cross-checking the l1 path on real data.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.linalg as la
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .basis import BasisSpec, _expansion_sum, chebyshev_extrema, eval_table, \
     leading_indices
@@ -63,6 +67,13 @@ MODES = ("equality", "inequality")
 # The maximum entry, NaN if any is; ndarray.max without its Python wrapper,
 # which costs more than the reduction on the short vectors of a solve.
 _amax = np.maximum.reduce
+
+
+def _norm(v) -> float:
+    """la.norm of a vector, by its arithmetic but without its wrapper."""
+    if np.iscomplexobj(v):
+        return math.sqrt(v.real @ v.real + v.imag @ v.imag)
+    return math.sqrt(v @ v)
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,8 @@ def _ipm(G, h, d, radius=0.0):
     factored matrix; the ball cone adds the m + 1 rows of W_b G_b^T, a
     column permutation of W_b.  That is d K (+ m + 1) rows, and no matrix
     W G'^T is formed: a step takes G' (W u) and W (G'^T dy), and
-    W ds = W rd - W G'^T dy.  After the corrector's solve, the residuals of
+    W ds = W rd - W G'^T dy, with W rd formed once for predictor and
+    corrector.  After the corrector's solve, the residuals of
     all three linearized equations are recomputed; while their max-norm
     exceeds TOL_FEAS / 10 of that of the right-hand side, at most twice, a
     round of iterative refinement solves for the correction.  Refinement
@@ -230,11 +242,10 @@ def _ipm(G, h, d, radius=0.0):
         worst = _amax((np.sqrt(seg(rho * rho)) - t) / lnorm)
         return 1.0 / worst if worst > 0 else np.inf
 
-    def newton(rp, rd, rc):          # G' dx = rp, G'^T dy + ds = rd,
-        u0 = seg(jlam * rc)          # lam o (W^-1 dx + W ds) = rc
-        u = (rc - u0[cid] * lam) * ilam0     # lam o u = rc
+    def newton(rp, wrd, rc):         # G' dx = rp, G'^T dy + ds = rd,
+        u0 = seg(jlam * rc)          # lam o (W^-1 dx + W ds) = rc,
+        u = (rc - u0[cid] * lam) * ilam0     # with wrd = W rd; lam o u = rc
         u[heads] = u0
-        wrd = mul(W, rd)
         u -= wrd
         t = dtrtrs(R, rp - gmul(mul(W, u)), trans=1)[0]
         dy = dtrtrs(R, t)[0]
@@ -242,20 +253,23 @@ def _ipm(G, h, d, radius=0.0):
         wgdy = mul(W, gdy)
         return u + wgdy, wrd - wgdy, dy, gdy    # W^-1 dx, W ds, dy, G'^T dy
 
-    def direction(rp, rd, rc):       # dx, dy, ds, W^-1 dx and W ds
-        wdx, wds, dy, gdy = newton(rp, rd, rc)
+    def direction(rp, rd, rc, wrd):  # dx, dy, ds, W^-1 dx and W ds
+        wdx, wds, dy, gdy = newton(rp, wrd, rc)
         return mul(W, wdx), dy, rd - gdy, wdx, wds
 
-    def solve(rp, rd, rc):           # direction(), refined on demand
-        d = direction(rp, rd, rc)
+    def solve(rp, rd, rc, wrd):      # direction(), refined on demand
+        d = direction(rp, rd, rc, wrd)
         tol = TOL_FEAS / 10 * max(_amax(abs(r)) for r in (rp, rd, rc))
-        for _ in range(2):
+        for k in range(2):
             dx, dy, ds, wdx, wds = d
-            r = (rp - gmul(dx), rd - gtmul(dy) - ds,
+            # Before the first round ds = rd - G'^T dy, so its residual is
+            # exactly zero.
+            r = (rp - gmul(dx), rd - gtmul(dy) - ds if k else zero,
                  rc - prod(lam, wdx + wds))
             if max(_amax(abs(u)) for u in r) <= tol:
                 break
-            d = tuple(a + b for a, b in zip(d, direction(*r)))
+            d = tuple(a + b for a, b in
+                      zip(d, direction(*r, mul(W, r[1]))))
         return d
 
     def setup(v, beta, lam_):        # scaling W, lam, QR factor R
@@ -293,8 +307,8 @@ def _ipm(G, h, d, radius=0.0):
     # shifted into the cone (W = I).
     setup(e, np.ones(len(dims)), e)
     zero = np.zeros_like(c)
-    x = mul(W, newton(h, zero, zero)[0])
-    _, _, y, gy = newton(np.zeros_like(h), c, zero)
+    x = mul(W, newton(h, zero, zero)[0])     # rd = 0, so W rd = 0
+    _, _, y, gy = newton(np.zeros_like(h), mul(W, c), zero)
     s = c - gy
     x, s = (u + max(0.0, 1.0 + _amax(np.sqrt(seg(tail * u * u)) - u[heads]))
             * e for u in (x, s))
@@ -314,10 +328,11 @@ def _ipm(G, h, d, radius=0.0):
         setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
               lam * np.sqrt(a * b)[cid])
         rp, rd, ll = h - gmul(x), c - gtmul(y) - s, prod(lam, lam)
-        wx, ws = newton(rp, rd, -ll)[:2]          # predictor
+        wrd = mul(W, rd)
+        wx, ws = newton(rp, wrd, -ll)[:2]         # predictor
         sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
         dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
-                                     - prod(wx, ws))
+                                     - prod(wx, ws), wrd)
         alpha = min(1.0, 0.99 * step(wdx), 0.99 * step(wds))
         if not alpha >= 1e-8:
             return
@@ -343,6 +358,8 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     most TOL_GAP max(1, objective), both read at call time.  The gap is
     that of the constraint z satisfies, radius max(eta, ||A z - y||), so
     by weak duality it is nonnegative for every status, up to rounding.
+    Each iterate's residual is checked first; v and the gap are formed
+    only once it passes, and for the iterate returned.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -370,27 +387,22 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     feas_abs = TOL_FEAS * ynorm
     AH = A.conj().T
 
-    def result(zt, mu, its, hist):   # mu is None for unreachable data
-        z = zt / w
-        obj = l1_objective(z, w)
-        res = float(la.norm(A @ z - y))
-        gap, status = np.inf, STATUS_INFEASIBLE
-        if mu is not None:
-            nu = U @ mu
-            if eta_r > 0:
-                nu = nu + y_off * (la.norm(mu) / eta_r)
-            nu = nu / max(1.0, _amax(abs(AH @ nu) / w))
-            gap = obj - float(np.vdot(y, nu).real) \
-                + max(eta, res) * la.norm(nu)
-            ok = res - eta <= feas_abs and gap <= TOL_GAP * max(1.0, obj)
-            status = STATUS_CONVERGED if ok else STATUS_MAX_ITER
-        feas = max(res - eta, 0.0)
-        return SolveResult(z=z, objective=obj, feasibility_residual=feas,
-                           duality_gap=float(gap), iterations=its,
-                           status=status, gap_history=tuple(hist))
+    def dual_gap(obj, res, mu):      # the certificate's gap at dual mu
+        nu = U @ mu
+        if eta_r > 0:
+            nu = nu + y_off * (_norm(mu) / eta_r)
+        scale = _amax(abs(AH @ nu) / w)
+        if scale > 1.0:              # nu / max(1, scale), skipping nu / 1
+            nu = nu / scale
+        return obj - float(np.vdot(y, nu).real) + max(eta, res) * _norm(nu)
 
     if off > eta + 10 * feas_abs:
-        return result(Vh.conj().T @ (Uy / S), None, 0, ())
+        z = Vh.conj().T @ (Uy / S) / w
+        res = _norm(A @ z - y)
+        return SolveResult(z=z, objective=l1_objective(z, w),
+                           feasibility_residual=max(res - eta, 0.0),
+                           duality_gap=np.inf, iterations=0,
+                           status=STATUS_INFEASIBLE)
     # One cone program in the scaled variable zt = w z, with the rows of
     # A / w replaced by S Vh: A z = y becomes S Vh zt = U^H y, and
     # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  Each
@@ -405,16 +417,33 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         h = np.concatenate([h.real, h.imag])
     d, m = len(cols), len(h)
     G = np.hstack(cols)
-    dtype, hist = (float, complex)[d - 1], []
+    dtype, status, hist = (float, complex)[d - 1], STATUS_MAX_ITER, []
     for its, (x, yd, xs) in enumerate(_ipm(G, h, d, eta_r / ynorm)):
         hist.append(ynorm * xs)
-        # zt and the dual mu from their d real coordinates per entry.
-        zt = x[:(d + 1) * K].reshape(K, d + 1)[:, 1:].copy().view(dtype)
-        mu = yd[:m].reshape(d, -1).T.copy().view(dtype)
-        res = result(ynorm * zt[:, 0], mu[:, 0], its, hist)
-        if res.status == STATUS_CONVERGED or its >= max_iter:
+        # zt and the dual mu from their d real coordinates per entry, as
+        # views but for complex mu, whose Re and Im parts lie m / 2 apart.
+        zt = x[:(d + 1) * K].reshape(K, d + 1)[:, 1:].view(dtype)[:, 0]
+        mu = yd[:m] if d == 1 else \
+            yd[:m].reshape(2, -1).T.copy().view(complex)[:, 0]
+        z = ynorm * zt / w
+        res = _norm(A @ z - y)
+        # The dual side of the certificate only once the residual passes.
+        gap = None
+        if res - eta <= feas_abs:
+            obj = l1_objective(z, w)
+            gap = dual_gap(obj, res, mu)
+            if gap <= TOL_GAP * max(1.0, obj):
+                status = STATUS_CONVERGED
+                break
+        if its >= max_iter:
             break
-    return res
+    obj = l1_objective(z, w)
+    if gap is None:
+        gap = dual_gap(obj, res, mu)
+    return SolveResult(z=z, objective=obj,
+                       feasibility_residual=max(res - eta, 0.0),
+                       duality_gap=float(gap), iterations=its, status=status,
+                       gap_history=tuple(hist))
 
 
 def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:
@@ -485,58 +514,62 @@ def synthesize(z, basis: BasisSpec, t):
     return vals
 
 
-def _dct1(x):
-    """x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n - 1)),
-    k = 0 ... n - 1 (the DCT-I), as the FFT of the even extension of x."""
-    y = np.concatenate([x, x[-2:0:-1]])
+def _dct1(x, n: int) -> np.ndarray:
+    """The DCT-I along axis 0 of x zero-padded to n >= len(x) rows,
+    y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n - 1)),
+    k = 0 ... n - 1, as the FFT of the even extension of the padded x."""
+    K = len(x)
+    y = np.zeros((2 * n - 2,) + x.shape[1:], x.dtype)
+    y[:K] = x
+    y[2 * n - 1 - K:] = x[:0:-1]
     if np.iscomplexobj(y):
-        return np.fft.fft(y)[:len(x)]
-    return np.fft.rfft(y).real
+        return np.fft.fft(y, axis=0)[:n]
+    return np.fft.rfft(y, axis=0).real
 
 
-def _chebyshev_grid_sum(z, basis: BasisSpec, n: int) -> np.ndarray:
-    """sum_i z_i phi_i on chebyshev_extrema(n) for a Jacobi basis, by
-    transform.  The expansion has degree K - 1, K = len(z); Clenshaw gives
-    its values at the K Chebyshev extrema, a DCT-I of size K its Chebyshev
-    coefficients, and a DCT-I of size n of those, zero-padded, its values
-    on the grid.  On the grid, T_j equals T_r, where r is j mod 2(n - 1)
-    reflected into 0 ... n - 1, so each coefficient is added onto its
-    alias r, which is j itself for j < n."""
-    K = len(z)
-    if K == 1:
-        return np.full(n, _expansion_sum(basis, z, np.zeros(1))[0])
-    vals = _expansion_sum(basis, z, np.cos(np.pi * np.arange(K) / (K - 1)))
-    c = _dct1(vals) / (K - 1)
-    c[[0, -1]] /= 2                  # Chebyshev coefficients of degree < K
-    j = np.arange(K) % (2 * n - 2)
-    cn = np.zeros(n, c.dtype)
-    np.add.at(cn, np.minimum(j, 2 * n - 2 - j), c)
-    cn[1:-1] /= 2
-    return _dct1(cn)[::-1]
+_COLUMN_BLOCK = 32   # columns per FFT while building a Chebyshev matrix
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_matrix(basis: BasisSpec, K: int) -> np.ndarray:
+    """Read-only (K, K) matrix C of a Jacobi basis, 1 < K: for n > K,
+    _dct1(C @ z, n) is sum_i z_i phi_i on cos(pi k / (n - 1)),
+    k = 0 ... n - 1.  Row j of C @ z is the Chebyshev coefficient of
+    degree j of that expansion, halved but for j = 0: a DCT-I of
+    eval_table at the K Chebyshev extrema, taken in place, a block of
+    columns at a time, so that no transform of the whole table is held."""
+    T = eval_table(basis, K, np.cos(np.pi * np.arange(K) / (K - 1)))
+    for j in range(0, K, _COLUMN_BLOCK):
+        T[:, j:j + _COLUMN_BLOCK] = _dct1(T[:, j:j + _COLUMN_BLOCK], K)
+    T /= 2 * (K - 1)
+    T[-1] /= 2
+    T.setflags(write=False)
+    return T
 
 
 def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     """Max pointwise error of the synthesized approximant on a dense grid.
 
     The grid, chebyshev_extrema(resolution), clusters near the ends, where
-    polynomial approximants misbehave first, and builds no table.  The
-    exponentials take synthesize (Horner's rule).  A Jacobi expansion of
-    K = len(z) terms on n = resolution points takes whichever of two paths
-    costs fewer flops: synthesize (Clenshaw), about 6 n K, or the transform
-    of _chebyshev_grid_sum, about 6 K^2 for Clenshaw at K points plus
-    5 N log2(N) for the DCT-I, an FFT of length N = 2 (n - 1).  At
-    n = 10000 the transform is taken from K = 24 on, and never for K >= n.
-    Either way the approximant agrees with eval_table(basis, K, grid) @ z
-    within 16 K eps sum_i |z_i| ||phi_i||_inf (tested up to K = 320), and
-    the reported error carries that rounding.
+    polynomial approximants misbehave first.  A Jacobi expansion of
+    1 < K < n terms, K = len(z), n = resolution, is mapped to its
+    Chebyshev coefficients by one product with the cached (K, K) matrix
+    of _chebyshev_matrix; one DCT-I of size n, zero-padded, gives its
+    values on the grid.  The exponentials, K = 1 and K >= n take
+    synthesize (Horner's rule, Clenshaw).  No (n, K) table is built.  The
+    approximant agrees with eval_table(basis, K, grid) @ z within
+    16 K eps sum_i |z_i| ||phi_i||_inf (tested up to K = 320), and the
+    reported error carries that rounding.  At n = 10000 the DCT-I is an
+    FFT of length 19998 = 2 * 3^2 * 11 * 101, about half of a Jacobi
+    call; a faster length moves the grid, and so every reported error.
     """
     z = np.asarray(z)
     grid = chebyshev_extrema(resolution)
-    n, K, N = len(grid), len(z), 2 * (len(grid) - 1)
-    if not basis.is_complex and 6 * n * K > 6 * K * K + 5 * N * np.log2(N):
-        approx = _chebyshev_grid_sum(z, basis, n)
-    else:
+    n, K = len(grid), len(z)
+    if basis.is_complex or not 1 < K < n:
         approx = synthesize(z, basis, grid)
+    else:
+        approx = _dct1(_chebyshev_matrix(basis, K) @ z, n)[::-1]
     return float(np.max(np.abs(approx - np.asarray(f_true(grid)))))
 
 

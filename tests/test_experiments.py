@@ -85,7 +85,10 @@ def test_config_validation_and_hash():
 @pytest.mark.parametrize("field, value", [("eta", np.nan), ("eta", np.inf),
                                           ("eta", -1.0), ("noise", np.nan),
                                           ("noise", -1.0),
-                                          ("amplitude", np.nan)])
+                                          ("amplitude", np.nan),
+                                          ("gamma", np.nan),
+                                          ("gamma_list", (1.0, np.inf)),
+                                          ("epsilon", np.nan)])
 def test_config_rejects_non_finite_or_negative_values(field, value):
     with pytest.raises(ValueError, match="%s must be finite" % field):
         ExperimentConfig(experiment="compare", **{field: value})
@@ -561,6 +564,16 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flags, name):
     argv = ["compare", "--n", "10", "--functions", "runge25"] + flags
     assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_a_non_finite_gamma(tmp_path, capsys):
+    # This used to exit 2 with "weights must be positive and finite", which
+    # names neither the option nor its value.
+    argv = ["diagnostics", "--n", "10", "--m", "2", "--gamma", "nan",
+            "--out", str(tmp_path / "out")]
+    assert _exit_code(argv) == 2
+    assert "gamma must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

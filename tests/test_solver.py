@@ -528,16 +528,26 @@ def test_synthesize_matches_table(spec, K):
 
 
 def test_synthesis_builds_no_table(monkeypatch):
+    # synthesize builds no table; sup_error builds one (K, K) table, for
+    # its Chebyshev matrix, and never a (resolution, K) one.
     def no_table(*args, **kwargs):
         raise AssertionError("eval_table called")
 
+    table, sizes = eval_table, []
+
+    def square_table(spec, K, t):
+        sizes.append((np.size(t), K))
+        return table(spec, K, t)
+
     monkeypatch.setattr(basis_module, "eval_table", no_table)
-    monkeypatch.setattr(solver_module, "eval_table", no_table)
+    monkeypatch.setattr(solver_module, "eval_table", square_table)
+    solver_module._chebyshev_matrix.cache_clear()
     f = lambda t: np.cos(np.pi * t)
     z = np.array([0.5, 0.0, 0.5])    # frequencies -1, 0, 1
     assert sup_error(f, z, fourier()) < 1e-14
     assert sup_error(f, np.ones(40), legendre()) > 0
     assert synthesize(np.ones(5), chebyshev(), np.zeros(3)).shape == (3,)
+    assert sizes == [(40, 40)]
 
 
 EPS = np.finfo(float).eps
@@ -550,57 +560,74 @@ EPS = np.finfo(float).eps
                                   jacobi(-0.75, -0.75)],
                          ids=lambda s: s.label())
 def test_chebyshev_grid_sum_matches_table(spec, n, K):
-    # The transform path of sup_error, on both sides of its crossover at
-    # n = 10000 and with degrees n and above folded onto their aliases
-    # (K > n), agrees with the table product to the bound of the sup_error
-    # docstring.
-    z = np.random.default_rng(K).normal(size=K)
-    got = solver_module._chebyshev_grid_sum(z, spec, n)
-    expect = eval_table(spec, K, chebyshev_extrema(n)) @ z
-    bound = 16 * K * EPS * np.sum(np.abs(z) * linf_norms(spec, K))
-    assert got.shape == (n,)
-    assert np.max(np.abs(got - expect)) <= bound
+    # The approximant sup_error measures on chebyshev_extrema(n), from the
+    # cached Chebyshev matrix and one DCT-I for 1 < K < n, from synthesize
+    # for K = 1 and K >= n, agrees with the table product to the bound of
+    # the sup_error docstring, for real and complex coefficients: with the
+    # table product as the function, the error is that difference.
+    rng = np.random.default_rng(K)
+    z = rng.normal(size=K)
+    for zz in (z, z + 1j * rng.normal(size=K)):
+        f = lambda t: eval_table(spec, K, t) @ zz
+        bound = 16 * K * EPS * np.sum(np.abs(zz) * linf_norms(spec, K))
+        assert sup_error(f, zz, spec, resolution=n) <= bound
 
 
 def test_sup_error_of_complex_jacobi_coefficients():
+    # The matrix path keeps real and imaginary parts apart: against the
+    # real part of the table product, the error is the largest imaginary
+    # part.
     spec, K = jacobi(1, 0), 40
     rng = np.random.default_rng(5)
     z = rng.normal(size=K) + 1j * rng.normal(size=K)
-    grid = chebyshev_extrema(10000)
-    expect = eval_table(spec, K, grid) @ z
-    got = solver_module._chebyshev_grid_sum(z, spec, 10000)
+    expect = eval_table(spec, K, chebyshev_extrema(10000)) @ z
     bound = 16 * K * EPS * np.sum(np.abs(z) * linf_norms(spec, K))
-    assert got.dtype == complex
-    assert np.max(np.abs(got - expect)) <= bound
-    f = lambda t: eval_table(spec, K, t) @ z
-    assert sup_error(f, z, spec) <= bound
+    f_real = lambda t: (eval_table(spec, K, t) @ z).real
+    assert abs(sup_error(f_real, z, spec)
+               - np.max(np.abs(expect.imag))) <= bound
 
 
 def test_sup_error_takes_the_cheaper_path(monkeypatch):
-    # 6 n K flops for Clenshaw against 6 K^2 + 5 N log2 N, N = 2 (n - 1),
-    # for the transform: at n = 10000 the transform from K = 24 on, never
-    # for K >= n, and never for the exponentials, which keep Horner's rule.
-    transform, horner = [], []
-    grid_sum = solver_module._chebyshev_grid_sum
-    fourier_horner = basis_module._fourier_horner
-    monkeypatch.setattr(solver_module, "_chebyshev_grid_sum",
-                        lambda z, *a: transform.append(len(z))
-                        or grid_sum(z, *a))
-    monkeypatch.setattr(basis_module, "_fourier_horner",
-                        lambda z, *a: horner.append(len(z))
-                        or fourier_horner(z, *a))
+    # A Jacobi expansion of 1 < K < n terms takes the cached Chebyshev
+    # matrix and one DCT-I of size n; K = 1, K >= n and the exponentials
+    # take synthesize (Clenshaw, Horner) on the grid.
+    matrix, synth = [], []
+    chebyshev_matrix = solver_module._chebyshev_matrix
+    synthesize_ = solver_module.synthesize
+    monkeypatch.setattr(solver_module, "_chebyshev_matrix",
+                        lambda spec, K: matrix.append(K)
+                        or chebyshev_matrix(spec, K))
+    monkeypatch.setattr(solver_module, "synthesize",
+                        lambda z, *a: synth.append(len(z))
+                        or synthesize_(z, *a))
     f = np.zeros_like
     for K in (1, 2, 23, 24, 320):
         sup_error(f, np.ones(K), legendre())
-    sup_error(f, np.ones(160), legendre(), resolution=100)
+    for K in (99, 100, 160):
+        sup_error(f, np.ones(K), legendre(), resolution=100)
     sup_error(f, np.ones(160), jacobi(1, 0), resolution=200)
-    assert transform == [24, 320, 160]
+    assert matrix == [2, 23, 24, 320, 99, 160]
+    assert synth == [1, 100, 160]
     z = np.random.default_rng(1).normal(size=320) + 0j
     grid = chebyshev_extrema(10000)
     assert sup_error(f, z, fourier()) == np.max(np.abs(synthesize(
         z, fourier(), grid)))
-    assert horner == [320, 320]
-    assert transform == [24, 320, 160]
+    assert synth == [1, 100, 160, 320]
+    assert matrix == [2, 23, 24, 320, 99, 160]
+
+
+def test_chebyshev_matrix_cache_is_bounded_and_read_only():
+    cached = solver_module._chebyshev_matrix
+    cached.cache_clear()
+    C = cached(legendre(), 40)
+    assert C.shape == (40, 40) and not C.flags.writeable
+    with pytest.raises(ValueError):
+        C[0, 0] = 1.0
+    assert cached(legendre(), 40) is C
+    for K in range(2, 20):
+        cached(chebyshev(), K)
+    assert cached.cache_info().maxsize == 8
+    assert cached.cache_info().currsize == 8
 
 
 def test_sup_error_zero_for_exact_function():
