@@ -14,15 +14,17 @@ of A by the independent rows of S Vh, so coinciding sample rows drop out:
 * noise ball: one more cone (eta', U^H y - S Vh zt), where
   eta' = sqrt(eta^2 - ||y - U U^H y||^2), clamped at 0.
 
-Each Newton step solves its normal equations through a QR factor of
-d K (+ m + 1 for the ball) rows, d the number of real coordinates of zt_i
-and m the number of constraint rows.  The t_i enter no constraint, so
-coefficient cone i contributes only the zt block of its squared scaling,
-whose closed-form symmetric square root gives its d rows.  Products with
-the constraint matrix touch only its nonzero columns, and the scaled dual
-step W ds is W rd - W G^T dy, without a product of its own.  The
-corrector's solve is refined, at most twice, only while its linearized
-residuals exceed TOL_FEAS / 10 of its right-hand side.
+Each Newton step solves its normal equations through a triangular factor
+of d K (+ m + 1 for the ball) factored rows F, d the number of real
+coordinates of zt_i and m the number of constraint rows: the Cholesky
+factor of the square F^T F while its diagonal spread stays moderate, then,
+for the rest of the solve, a QR factor of F.  The t_i enter no
+constraint, so coefficient cone i contributes only the zt block of its
+squared scaling, whose closed-form symmetric square root gives its d rows.
+Products with the constraint matrix touch only its nonzero columns, and
+the scaled dual step W ds is W rd - W G^T dy, without a product of its
+own.  The corrector's solve is refined, at most twice, only while its
+linearized residuals exceed TOL_FEAS / 10 of its right-hand side.
 
 Data farther than eta from the range of A (one test for both modes) are
 reported infeasible without iterating.  One stopping rule ends every
@@ -61,12 +63,14 @@ TOL_FEAS = 1e-9   # relative to ||y||
 TOL_GAP = 1e-8    # relative to max(1, objective)
 MAX_ITER = 100    # Newton steps; solves end on their own within about 25
 LP_TOL = 1e-10    # HiGHS feasibility tolerances of lp_oracle
+CHOL_SPREAD = 1e12  # widest (max R_ii / min R_ii)^2 of a Cholesky step
 
 MODES = ("equality", "inequality")
 
-# The maximum entry, NaN if any is; ndarray.max without its Python wrapper,
-# which costs more than the reduction on the short vectors of a solve.
-_amax = np.maximum.reduce
+# The maximum (minimum) entry, NaN if any is; ndarray.max without its
+# Python wrapper, which costs more than the reduction on the short vectors
+# of a solve.
+_amax, _amin = np.maximum.reduce, np.minimum.reduce
 
 
 def _norm(v) -> float:
@@ -146,14 +150,14 @@ def _ipm(G, h, d, radius=0.0):
     ball cone, and every product with G' or G'^T touches only those.
 
     Newton steps use Nesterov-Todd scaling W (W^-1 x = W s = lam) and
-    Mehrotra's predictor-corrector, solving the normal equations through a
-    QR factor R, R^T R = G' W^2 G'^T.  The t-columns of G' are zero, so
-    coefficient cone i, with W_i = beta_i (2 v v^T - J), contributes only
+    Mehrotra's predictor-corrector, solving the normal equations through an
+    upper triangular R, R^T R = G' W^2 G'^T.  The t-columns of G' are zero,
+    so coefficient cone i, with W_i = beta_i (2 v v^T - J), contributes only
     the zt block (W_i^2)_zz = beta_i^2 (I + 8 v0^2 vz vz^T).  Its symmetric
     square root beta_i (I + c_i vz vz^T), c_i = 8 v0^2 / (sqrt(1 + 8 v0^2
     |vz|^2) + 1), times the rows of G^T for zt_i gives d rows of the
     factored matrix; the ball cone adds the m + 1 rows of W_b G_b^T, a
-    column permutation of W_b.  That is d K (+ m + 1) rows, and no matrix
+    column permutation of W_b.  That is d K (+ m + 1) rows F, and no matrix
     W G'^T is formed: a step takes G' (W u) and W (G'^T dy), and
     W ds = W rd - W G'^T dy, with W rd formed once for predictor and
     corrector.  After the corrector's solve, the residuals of
@@ -163,20 +167,36 @@ def _ipm(G, h, d, radius=0.0):
     recovers the accuracy that R^T R alone loses on ill-conditioned steps;
     a solve that is already accurate gets no round.
 
+    R is the Cholesky factor (dpotrf) of F^T F, one symmetric product
+    away: about a quarter of the time of a QR of F at N = 80.  A step
+    takes the QR factor of F (dgeqrf) instead when dpotrf fails or the
+    factor's diagonal spread (max R_ii / min R_ii)^2 exceeds CHOL_SPREAD,
+    and so does every later step of that solve; the spread grows as the
+    iterates near the cone boundary, and a fresh check would pass on
+    fewer than 1% of those later steps.  F^T F squares the condition
+    number that QR sees: with Cholesky on every step that dpotrf passes,
+    the ill-conditioned solve of tests/test_solver.py with seed 155 takes
+    17 steps instead of 15.  Every status and step count of the
+    benchmark's fits and of those ill-conditioned solves holds for
+    CHOL_SPREAD from 1e6 to 1e14; at 1e15 two move.  1e12 sits inside
+    that range with margin on both sides.
+
     The factored rows are rebuilt in place, in one buffer per solve, as
     ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i (for d = 1,
-    G_i^T vz_i is a column scaling).  That order of rounding is kept on
-    purpose: the one-pass G_i^T (beta_i (1 + c_i vz_i^2)), or one dpotrs
-    in place of the two triangular solves, round differently, and the
-    ill-conditioned solve of tests/test_solver.py with seed 155 then ends
-    in max_iter instead of converging in 15 steps.
+    G_i^T vz_i is a column scaling).  On the steps that take QR that order
+    of rounding is kept on purpose: the one-pass G_i^T (beta_i (1 + c_i
+    vz_i^2)), or one dpotrs in place of the two triangular solves, round
+    differently, and the ill-conditioned solve of tests/test_solver.py
+    with seed 155, which takes QR from its first step, then ends in
+    max_iter instead of converging in 15 steps.  Whether the Cholesky
+    steps could take either is untried.
 
     Yields (x, y, x.s) before each Newton step, the first at the starting
     point; the caller decides when to stop.  Returns when a step cannot
     make progress: its length falls below 1e-8 or x.s below 1e-14 of
     max(1, c.x), where rounding outweighs what is left to gain.
     """
-    from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dtrtrs
+    from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpotrf, dtrtrs
 
     m, dK = G.shape
     K = dK // d
@@ -272,8 +292,8 @@ def _ipm(G, h, d, radius=0.0):
                       zip(d, direction(*r, mul(W, r[1]))))
         return d
 
-    def setup(v, beta, lam_):        # scaling W, lam, QR factor R
-        nonlocal W, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1
+    def setup(v, beta, lam_):        # scaling W, lam, factor R
+        nonlocal W, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1, qr
         bc = beta[cid]
         W = (v, 2 * bc * v, bc * sign)
         lam = lam_
@@ -299,10 +319,17 @@ def _ipm(G, h, d, radius=0.0):
             np.multiply(Ft[:, dK:], 2 * bb, out=Ft[:, dK:])
             Ft[rb, bcols] -= bb * bsign
         # dtrtrs reads only the upper triangle; Fortran order spares copies.
-        R = np.asfortranarray(dgeqrf(Ft.T, lwork=lwork, overwrite_a=1)[0]
-                              [:len(h)])
+        # Ft Ft^T = F^T F is symmetric: its transpose is in Fortran order.
+        if not qr:
+            R, info = dpotrf((Ft @ Ft.T).T, overwrite_a=1)
+            r = R.diagonal()
+            qr = info != 0 or not (_amax(r) / _amin(r)) ** 2 <= CHOL_SPREAD
+        if qr:
+            R = np.asfortranarray(dgeqrf(Ft.T, lwork=lwork, overwrite_a=1)[0]
+                                  [:len(h)])
 
     W = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
+    qr = False                       # once set, every later step takes QR
     # Start from the least-norm solutions of the two equality systems,
     # shifted into the cone (W = I).
     setup(e, np.ones(len(dims)), e)

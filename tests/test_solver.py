@@ -182,6 +182,39 @@ def test_well_conditioned_step_counts(spec, N, eta, steps):
     assert res.iterations == steps
 
 
+def count_factorizations(monkeypatch):
+    # _ipm imports its LAPACK routines when it runs, so wrapped ones count.
+    from scipy.linalg import lapack
+    calls = []
+    for name in ("dpotrf", "dgeqrf"):
+        def counted(*args, _name=name, _f=getattr(lapack, name), **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    return calls
+
+
+def test_newton_factor_is_cholesky_until_its_spread_is_too_wide(monkeypatch):
+    # Each setup factors the normal equations by Cholesky while the
+    # factor's squared diagonal spread stays within CHOL_SPREAD; after the
+    # first that does not, the solve takes QR of the factored rows.
+    calls = count_factorizations(monkeypatch)
+    p = well_conditioned_problem(fourier(), 40, 0.0)
+    res = solve_weighted_l1(p)
+    assert calls == ["dpotrf"] * (res.iterations + 1)
+    calls.clear()
+    ill = solve_weighted_l1(ill_conditioned_problem(155))
+    assert ill.status == STATUS_CONVERGED
+    assert "dpotrf" not in calls[calls.index("dgeqrf"):]
+    # QR on every step keeps the well-conditioned solve's steps and optimum.
+    monkeypatch.setattr(solver_module, "CHOL_SPREAD", 0.0)
+    calls.clear()
+    qr = solve_weighted_l1(p)
+    assert calls == ["dpotrf"] + ["dgeqrf"] * (qr.iterations + 1)
+    assert (qr.status, qr.iterations) == (res.status, res.iterations)
+    assert abs(qr.objective - res.objective) <= 1e-12 * res.objective
+
+
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
 def test_real_and_complex_paths_agree(eta):
     # The same real data posed as complex take the d = 2 cone path (two
