@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaln, gammaln, roots_jacobi
+from scipy.special import beta as beta_function, betaln, binom, \
+    eval_legendre, gammaln, roots_jacobi
 
 JACOBI = "jacobi"
 FOURIER = "fourier"
@@ -487,11 +488,147 @@ class ProjectionResult(NamedTuple):
     nodes: int
 
 
+def _jacobi_values(n: int, alpha: float, beta: float,
+                   x: np.ndarray) -> np.ndarray:
+    """P_n^(alpha,beta)(x) for integer n >= 0, with the bits of scipy's
+    eval_jacobi at integer n: the same forward recurrence on the
+    differences of p_k = P_k / binom(k + alpha, k), op for op and in the
+    same order, run over all nodes at once instead of one node at a time,
+    then the same final binom factor."""
+    if n == 0:
+        return np.ones_like(x)
+    xm1 = x - 1
+    if n == 1:
+        return 0.5 * (2 * (alpha + 1) + (alpha + beta + 2) * xm1)
+    d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
+    p = d + 1
+    tmp = np.empty_like(x)
+    for kk in range(n - 1):
+        k = kk + 1.0
+        t = 2 * k + alpha + beta
+        # d = (t (t+1) (t+2) (x-1) p + 2 k (k+beta) (t+2) d)
+        #     / (2 (k+alpha+1) (k+alpha+beta+1) t)
+        np.multiply(xm1, t * (t + 1) * (t + 2), out=tmp)
+        tmp *= p
+        d *= 2 * k * (k + beta) * (t + 2)
+        d += tmp
+        d /= 2 * (k + alpha + 1) * (k + alpha + beta + 1) * t
+        p += d
+    return binom(n + alpha, n) * p
+
+
+def _legendre_values(n: int, x: np.ndarray):
+    """(P_n(x), P_{n-1}(x)) for integer n >= 0, with the bits of scipy's
+    eval_legendre at integer n (which takes P_{-1} = P_0): the same
+    recurrence on differences, op for op, over all nodes at once.  P_{n-1}
+    is the value one step before the end, as a run to n - 1 would leave
+    it.  Nodes with |x| < 1e-5 take scipy's own values, since scipy sums
+    a power series there."""
+    if n == 0:
+        return np.ones_like(x), np.ones_like(x)
+    if n == 1:
+        return x.copy(), np.ones_like(x)
+    xm1 = x - 1
+    d = xm1.copy()
+    p = x.copy()
+    tmp = np.empty_like(x)
+    for kk in range(n - 1):
+        if kk == n - 2:
+            prev = p.copy()
+        k = kk + 1.0
+        # d = ((2k+1)/(k+1)) (x-1) p + (k/(k+1)) d
+        np.multiply(xm1, (2 * k + 1) / (k + 1), out=tmp)
+        tmp *= p
+        d *= k / (k + 1)
+        d += tmp
+        p += d
+    small = np.abs(x) < 1e-5
+    if small.any():
+        p[small] = eval_legendre(n, x[small])
+        prev[small] = eval_legendre(n - 1, x[small])
+    return p, prev
+
+
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    """scipy's roots_jacobi(n, alpha, beta) for Legendre and alpha != beta,
+    bit for bit: the Golub-Welsch band matrix and its eigvals_banded
+    nodes, one Newton step, log-normalized weights, symmetrized for
+    Legendre, and the same scaling to the raw weight's mass.  Only the
+    polynomial values differ in how they are computed: scipy evaluates
+    them one node at a time, here each runs the same recurrence once over
+    all nodes (_jacobi_values, _legendre_values).  Each step keeps scipy's
+    arithmetic order, since a reordered op moves last bits of the rule and
+    with them every recorded projection.
+
+    The copy of scipy's rounding is temporary.  It only keeps scipy's
+    weights, which lose accuracy at high orders, until the weight formula
+    is swapped and the diagnostics are re-recorded (ROADMAP item 2); then
+    _legendre_values, the power-series branch and the log normalization
+    need no longer follow scipy."""
+    from scipy import linalg  # imported here: it costs start-up time
+
+    a, b = alpha, beta
+    legendre = a == 0.0 and b == 0.0
+    k = np.arange(n, dtype='d')
+    c = np.zeros((2, n))
+    if legendre:
+        mu0 = 2.0
+        c[0, 1:] = k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1))
+        c[1, :] = 0.0 * k
+    else:
+        if a + b <= 1000:
+            mu0 = 2.0 ** (a + b + 1) * beta_function(a + 1, b + 1)
+        else:
+            mu0 = np.exp((a + b + 1) * np.log(2.0) + betaln(a + 1, b + 1))
+        j = k[1:]
+        c[0, 1:] = (2.0 / (2.0 * j + a + b)
+                    * np.sqrt((j + a) * (j + b) / (2 * j + a + b + 1))
+                    * np.where(j == 1, 1.0,
+                               np.sqrt(j * (j + a + b) / (2.0 * j + a + b - 1))))
+        if a + b == 0.0:
+            c[1, :] = np.where(k == 0, (b - a) / (2 + a + b), 0.0)
+        else:
+            c[1, :] = np.where(
+                k == 0, (b - a) / (2 + a + b),
+                (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)))
+    x = linalg.eigvals_banded(c, overwrite_a_band=True)
+
+    if legendre:
+        y, p_prev = _legendre_values(n, x)
+        dy = (-n * x * y + n * p_prev) / (1 - x ** 2)
+    else:
+        y = _jacobi_values(n, a, b, x)
+        dy = 0.5 * (n + a + b + 1) * _jacobi_values(n - 1, a + 1, b + 1, x)
+    x -= y / dy
+    fm = _legendre_values(n - 1, x)[0] if legendre \
+        else _jacobi_values(n - 1, a, b, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
+    w = 1.0 / (fm * dy)
+    if legendre:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _jacobi_rule(Q: int, alpha: float, beta: float):
     """Q-point Gauss rule for the normalized Jacobi weight, as read-only
-    nodes and weights shared by every projection in the process."""
-    x, w = roots_jacobi(Q, alpha, beta)
+    nodes and weights shared by every projection in the process.
+
+    Legendre and every alpha != beta take _gauss_jacobi, which gives
+    scipy's roots_jacobi bit for bit in less time; the recorded
+    diagnostics pin those bits.  alpha = beta != 0 stays on
+    roots_jacobi, whose Gegenbauer path is closed form for Chebyshev.
+    The weights are scipy's formula either way, and so is their loss of
+    accuracy at high orders."""
+    if alpha == beta != 0.0:
+        x, w = roots_jacobi(Q, alpha, beta)
+    else:
+        x, w = _gauss_jacobi(Q, alpha, beta)
     w = w * np.exp(-log_weight_mass(alpha, beta))
     x.setflags(write=False)
     w.setflags(write=False)
@@ -548,7 +685,13 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     refinements agree to PROJECTION_TOL (relative, sup over coefficients)
     or it reaches STOP_DOUBLING_AT_ORDER or more, which is reported through
     the `converged` flag, not an exception.  The exponentials use the
-    Legendre rule, the Jacobi rule with alpha = beta = 0.
+    Legendre rule, the Jacobi rule with alpha = beta = 0.  Each rule is
+    built once per process (_jacobi_rule): by the package for Legendre and
+    alpha != beta, with scipy's roots_jacobi's bits, and by roots_jacobi
+    for alpha = beta != 0.  Keeping those bits keeps every coefficient of
+    the recorded diagnostics.  The package's rules run their O(Q^2)
+    polynomial passes over all nodes at once, so the eigenvalue solve
+    (LAPACK's dsterf) is most of their cost.
 
     Each refinement with Q nodes sums conj(T).T @ (w * f(x)), where T is
     the (Q, M) table eval_table(spec, M, x), without building T.  The sum

@@ -6,6 +6,9 @@ scipy.special, closed-form norm constants for the Legendre and Chebyshev
 special cases, and exact discrete Fourier orthogonality on periodic grids.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -575,6 +578,56 @@ def test_jacobi_rule_is_read_only():
         project_coefficients(scribble, jacobi(1.0, 0.0), 8)
     after = project_coefficients(_runge, jacobi(1.0, 0.0), 8)
     assert np.array_equal(before.coeffs, after.coeffs)
+
+
+# Legendre and alpha != beta rules are built by the package, with scipy's
+# algorithm and arithmetic order; odd orders put a node at 0, where scipy's
+# Legendre values switch from the recurrence to a power series.  Bit
+# identity was checked on x86-64 with scipy 1.17.1 only: a scipy build
+# whose compiler fuses the scalar loops' multiply-adds could round
+# differently and fail these tests with nothing wrong in the package.
+RULE_PARAMS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 0.5), (0.5, -0.25)]
+RULE_ORDERS = [64, 65, 130, 1040, 2080]
+
+
+@pytest.mark.parametrize("Q", RULE_ORDERS)
+@pytest.mark.parametrize("ab", RULE_PARAMS, ids=str)
+def test_gauss_rule_is_bit_identical_to_scipy(ab, Q):
+    x, w = basis._gauss_jacobi(Q, *ab)
+    xs, ws = roots_jacobi(Q, *ab)
+    assert np.array_equal(x, xs), np.flatnonzero(x != xs).tolist()
+    assert np.array_equal(w, ws), np.flatnonzero(w != ws).tolist()
+
+
+@pytest.mark.parametrize("ab, scipy_calls", [((-0.75, -0.75), 1),
+                                             ((-0.5, -0.5), 1),
+                                             ((0.0, 0.0), 0),
+                                             ((1.0, 0.0), 0)])
+def test_gauss_rule_source(monkeypatch, ab, scipy_calls):
+    # alpha = beta != 0 stays on scipy's Gegenbauer and Chebyshev rules.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return roots_jacobi(*args)
+
+    monkeypatch.setattr(basis, "roots_jacobi", counting)
+    x, w = basis._jacobi_rule.__wrapped__(64, *ab)
+    assert len(calls) == scipy_calls
+    xs, ws = roots_jacobi(64, *ab)
+    assert np.array_equal(x, xs)
+    assert np.array_equal(w, ws * np.exp(-log_weight_mass(*ab)))
+
+
+def test_command_line_import_leaves_out_scipy_linalg():
+    # The rule builder imports scipy.linalg when it first runs, as scipy
+    # does, so that start-up does not pay for it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(basis.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, wl1approx.cli; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=env)
+    assert res.returncode == 0, "importing wl1approx.cli loads scipy.linalg"
 
 
 def test_recurrence_tables_are_shared_and_read_only():
