@@ -442,9 +442,10 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
 
     When max(alpha, beta) >= -1/2 the maximum of a Jacobi polynomial sits
     at an endpoint, where closed forms exist.  Otherwise the maximum is
-    interior: a Chebyshev grid brackets each function's maximum, and one
-    golden-section search refines all K brackets at once, evaluating
-    eval_table at one new point per function in each step.
+    interior: a Chebyshev grid of 4096 points, swept a block of degrees at
+    a time, brackets each function's maximum, and one golden-section
+    search refines all K brackets at once, evaluating eval_table at one new
+    point per function in each step.
     """
     if spec.kind == FOURIER:
         return np.ones(K)
@@ -456,7 +457,16 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
         log_at_minus1 = _log_binom(j + b, j)
         return np.exp(scale + np.maximum(log_at_plus1, log_at_minus1))
     grid = chebyshev_extrema(4096)
-    best = np.argmax(np.abs(eval_table(spec, K, grid)), axis=0)
+    # The argmax of each column of |eval_table(spec, K, grid)|, taken on
+    # blocks of _TABLE_BLOCK degrees of the same recurrence and scaling, so
+    # that no (4096, K) table is held.
+    bounds = [(j0, min(j0 + _TABLE_BLOCK, K))
+              for j0 in range(0, K, _TABLE_BLOCK)]
+    phi = _phi_scale(a, b, K)
+    best = np.empty(K, dtype=np.intp)
+    for (j0, j1), P in zip(bounds, _jacobi_row_blocks(a, b, grid, bounds)):
+        P *= phi[j0:j1, None]
+        best[j0:j1] = np.argmax(np.abs(P), axis=1)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
     cols = np.arange(K)
@@ -635,7 +645,8 @@ def _jacobi_rule(Q: int, alpha: float, beta: float):
     return x, w
 
 
-# Rows per block of the sums in project_coefficients.
+# Rows per block of the sums in project_coefficients, and degrees per
+# block of the bracket pass of linf_norms.
 _TABLE_BLOCK = 32
 
 

@@ -498,27 +498,51 @@ def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:
     return z
 
 
+_GRID_BLOCK_BYTES = 1 << 20  # table bytes per block of the oracle's sweep
+
+
 def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     """Best least-squares truncation size in hindsight.
 
-    Sweeps M from 1 to min(N, K), measuring each fit's sup error against the
-    true function, and returns (best M, its coefficients).  Needs the truth,
-    so this is an expository tool, not a practical method.
+    Fits M = 1 ... L, L = min(N, K), by solve_least_squares and measures
+    each fit's sup error against the true function on
+    chebyshev_extrema(resolution).  Returns (best M, its coefficients):
+    the first M of strictly smallest error, never one of non-finite error,
+    and (None, None) if no error is finite.  Needs the truth, so this is an
+    expository tool, not a practical method.
+
+    The fits are the rows of one (L, L) matrix, row M - 1 holding the
+    M-term fit on its leading storage positions and zeros elsewhere.
+    The grid is swept in blocks of rows of eval_table(basis, L, grid) of
+    at most _GRID_BLOCK_BYTES each (at least one row), one matrix product
+    per block, so memory stays at one block, its product and the L^2
+    coefficients.  The table's entries are computed point by point, so
+    each block holds the rows of the full table, but a product over all
+    L columns rounds differently from a product over each fit's M, and
+    errors may differ from that per-M sum at rounding level.
     """
     n, K = A.shape
+    L = min(n, K)
+    fits = [solve_least_squares(A, y, M) for M in range(1, L + 1)]
+    Z = np.zeros((L, L), np.result_type(*fits))
+    for M, z in enumerate(fits, 1):
+        Z[M - 1, leading_indices(A.basis, L, M)] = z
     grid = chebyshev_extrema(resolution)
-    fg = np.asarray(f_true(grid))
-    table = eval_table(A.basis, min(n, K), grid)
-    best = (np.inf, None, None)
-    for M in range(1, min(n, K) + 1):
-        z = solve_least_squares(A, y, M)
-        # The leading indices are contiguous; a slice avoids copying.
-        lead = leading_indices(A.basis, table.shape[1], M)
-        approx = table[:, lead[0]:lead[-1] + 1] @ z
-        err = float(np.max(np.abs(approx - fg)))
-        if err < best[0]:
-            best = (err, M, z)
-    return best[1], best[2]
+    fg = np.broadcast_to(np.asarray(f_true(grid)), grid.shape)
+    err = np.zeros(L)
+    row_bytes = L * (16 if A.basis.is_complex else 8)
+    step = max(1, _GRID_BLOCK_BYTES // row_bytes)
+    for r0 in range(0, grid.size, step):
+        rows = slice(r0, r0 + step)
+        # Row M - 1 of approx holds the M-term fit on the block's points.
+        approx = Z @ eval_table(A.basis, L, grid[rows]).T
+        approx -= fg[rows]
+        np.maximum(err, np.max(np.abs(approx), axis=1), out=err)
+    finite = np.isfinite(err)
+    if not finite.any():
+        return None, None
+    M = int(np.argmin(np.where(finite, err, np.inf))) + 1
+    return M, fits[M - 1]
 
 
 def synthesize(z, basis: BasisSpec, t):

@@ -348,6 +348,17 @@ def test_interior_linf_norms_match_scalar_search(ab):
     np.testing.assert_array_equal(linf_norms(spec, K), expect)
 
 
+@pytest.mark.parametrize("K, block", [(17, 5), (33, 32), (100, 32)])
+def test_interior_linf_norms_blocked_equal_dense(K, block, monkeypatch):
+    # The bracket pass takes blocks of degrees; one block of all K degrees
+    # is the whole (4096, K) table, and the norms must be the same bits.
+    spec = jacobi(-0.75, -0.75)
+    monkeypatch.setattr(basis, "_TABLE_BLOCK", block)
+    blocked = linf_norms(spec, K)
+    monkeypatch.setattr(basis, "_TABLE_BLOCK", K)
+    np.testing.assert_array_equal(blocked, linf_norms(spec, K))
+
+
 def test_interior_linf_norms_evaluate_all_columns_per_step(monkeypatch):
     # Both parameters below -1/2 put the maxima inside the interval; one
     # golden-section step refines every column with one eval_table call.

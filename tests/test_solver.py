@@ -6,6 +6,8 @@ checked against hand-solvable instances or structural properties that hold
 for every run (interpolation, scaling covariance, monotone monitoring).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wl1approx import basis as basis_module, solver as solver_module
 from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_basis,
                              eval_table, fourier, frequencies, jacobi,
-                             legendre, linf_norms)
+                             leading_indices, legendre, linf_norms)
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
@@ -516,6 +518,87 @@ def test_oracle_least_squares_beats_fixed_truncation():
     M_ref = int(np.ceil(np.sqrt(20)))
     err_ref = sup_error(f, solve_least_squares(A, y, M_ref), spec)
     assert err_best <= err_ref * (1 + 1e-12)
+
+
+def _oracle_reference(A, y, f_true, resolution=10000):
+    # The sweep as it stood before the grid was blocked: the full
+    # (resolution, L) table and one matrix-vector product per M.  Returns
+    # (M, z, errors over M = 1 ... L).
+    n, K = A.shape
+    grid = chebyshev_extrema(resolution)
+    fg = np.asarray(f_true(grid))
+    table = eval_table(A.basis, min(n, K), grid)
+    best, errors = (np.inf, None, None), []
+    for M in range(1, min(n, K) + 1):
+        z = solve_least_squares(A, y, M)
+        lead = leading_indices(A.basis, table.shape[1], M)
+        approx = table[:, lead[0]:lead[-1] + 1] @ z
+        errors.append(float(np.max(np.abs(approx - fg))))
+        if errors[-1] < best[0]:
+            best = (errors[-1], M, z)
+    return best[1], best[2], np.array(errors)
+
+
+def oracle_instance(spec, N, f):
+    if spec.is_complex:
+        # [-1, 1) sampled periodically: t = +-1 give the same row.
+        pts, K = generate("jittered", N + 1, seed=N)[:-1], 2 * N + 1
+    else:
+        pts, K = generate("jittered", N, seed=N), 4 * N
+    ps = build_pointset(pts, spec)
+    return build_matrix(spec, ps, K), np.sqrt(ps.tau) * f(ps.points)
+
+
+@pytest.mark.parametrize("N", [12, 40])
+@pytest.mark.parametrize("spec", [legendre(), chebyshev(), jacobi(1.0, 0.0),
+                                  fourier()], ids=lambda s: s.label())
+def test_oracle_least_squares_matches_per_M_sweep(spec, N):
+    # The fits are the same lstsq calls, so the coefficients are the same
+    # bits; the errors come from another summation order, so the chosen M
+    # may only move to a reference error within rounding of the minimum.
+    f = cospi_expsin if spec.is_complex else \
+        (lambda t: 1.0 / (1.0 + 25 * t ** 2))
+    A, y = oracle_instance(spec, N, f)
+    M_ref, z_ref, errors = _oracle_reference(A, y, f)
+    M, z = oracle_least_squares(A, y, f)
+    assert M == M_ref or errors[M - 1] <= errors.min() * (1 + 1e-12)
+    np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
+    if M == M_ref:
+        np.testing.assert_array_equal(z, z_ref)
+
+
+def test_oracle_least_squares_broadcasts_a_scalar_truth():
+    # A constant f_true may return a scalar; it is the constant array's
+    # sweep, so the answer is the same bits.
+    spec = legendre()
+    A, y = oracle_instance(spec, 20, lambda t: np.full_like(t, 0.5))
+    M, z = oracle_least_squares(A, y, lambda t: 0.5)
+    M_arr, z_arr = oracle_least_squares(A, y, lambda t: np.full_like(t, 0.5))
+    assert M == M_arr
+    np.testing.assert_array_equal(z, z_arr)
+    assert sup_error(lambda t: 0.5, z, spec) <= 1e-13
+
+
+def test_oracle_least_squares_skips_non_finite_errors():
+    spec = legendre()
+    A, y = oracle_instance(spec, 12, lambda t: 1.0 / (1.0 + 25 * t ** 2))
+    assert oracle_least_squares(A, y, lambda t: np.nan) == (None, None)
+    assert oracle_least_squares(A, y, lambda t: np.inf) == (None, None)
+
+
+def test_oracle_least_squares_peak_memory_is_one_block():
+    # Fourier, L = 80: the (10000, 80) complex table of a per-M sweep
+    # alone is 12.8 MB.  The blocked sweep holds one block of rows, its
+    # product and the 80 x 80 coefficients.
+    A, y = oracle_instance(fourier(), 80, cospi_expsin)
+    tracemalloc.start()
+    try:
+        M, z = oracle_least_squares(A, y, cospi_expsin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= M <= 80 and np.all(np.isfinite(z))
+    assert peak <= 4 << 20
 
 
 def test_synthesize_basics():
