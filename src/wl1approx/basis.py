@@ -186,36 +186,41 @@ def _jacobi_p1(alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
     return (alpha + 1.0) + (alpha + beta + 2.0) * (t - 1.0) / 2.0
 
 
-def _jacobi_row_blocks(alpha: float, beta: float, t: np.ndarray, bounds):
+def _jacobi_row_blocks(alpha: float, beta: float, t: np.ndarray, bounds,
+                       triangular: bool = False):
     """Classical (unnormalized) Jacobi polynomials at t via the three-term
     recurrence, yielded as one block P per (j0, j1) of `bounds`, which
     must run from 0 in consecutive ranges: P holds P_j0 ... P_{j1 - 1}, one
     contiguous row per degree.  Every P is a view of one buffer, which the
     next block overwrites.  The two rows before P carry the last two
     degrees of the block into the next one, so the caller may change P in
-    place."""
+    place.  With `triangular`, point i is needed only up to degree i:
+    block (j0, j1) runs over the points t[j0:] alone, and P holds their
+    columns, so P[k, k] is P_{j0+k}(t[j0+k]).  Each point's values take
+    the same operations either way."""
     t = np.asarray(t, dtype=float)
     c1, c2, c3, c4 = _jacobi_coeffs(alpha, beta, bounds[-1][1] - 1)
     buf = np.empty((max(j1 - j0 for j0, j1 in bounds) + 2, t.size))
     tmp = np.empty(t.size)
     for j0, j1 in bounds:
-        n = j1 - j0
+        n, i0 = j1 - j0, j0 if triangular else 0
+        B, tt, tm = buf[:, i0:], t[i0:], tmp[i0:]
         for r in range(2, n + 2):
-            j, row = j0 + r - 2, buf[r]
+            j, row = j0 + r - 2, B[r]
             if j == 0:
                 row[:] = 1.0
             elif j == 1:
-                row[:] = _jacobi_p1(alpha, beta, t)
+                row[:] = _jacobi_p1(alpha, beta, tt)
             else:
                 # ((c2 + c3 t) P_{j-1} - c4 P_{j-2}) / c1, in this order
-                np.multiply(t, c3[j], out=row)
+                np.multiply(tt, c3[j], out=row)
                 row += c2[j]
-                row *= buf[r - 1]
-                np.multiply(buf[r - 2], c4[j], out=tmp)
-                row -= tmp
+                row *= B[r - 1]
+                np.multiply(B[r - 2], c4[j], out=tm)
+                row -= tm
                 row /= c1[j]
-        buf[:2] = buf[n:n + 2]
-        yield buf[2:n + 2]
+        B[:2] = B[n:n + 2]
+        yield B[2:n + 2]
 
 
 def _jacobi_clenshaw(alpha: float, beta: float, c: np.ndarray,
@@ -289,12 +294,10 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
     Returns
     -------
     ndarray of shape (len(t), K), real for Jacobi, complex for the
-    exponential system.  Each family has one routine that builds its
-    entries, here and in the sums of project_coefficients alike.  The
-    Jacobi table comes from the recurrence (_jacobi_row_blocks) as one
-    block of K degrees, one contiguous row per degree; it is the transpose
-    of that (K, len(t)) array, so Fortran-ordered.  The exponential table
-    is C-ordered and built from its non-negative half: _phasors folds and
+    exponential system.  The Jacobi table comes from the recurrence
+    (_jacobi_row_blocks) as one block of K degrees, one contiguous row per
+    degree; it is the transpose of that (K, len(t)) array, so
+    Fortran-ordered.  The exponential table is C-ordered and built from its non-negative half: _phasors folds and
     evaluates only |j| = 0 ... floor(K/2), and the column of frequency -j
     is the exact conjugate of the column of +j.
     """
@@ -366,9 +369,12 @@ def _reduced_phase(t: np.ndarray, freqs, bits=None) -> np.ndarray:
 
 def _phasors(t: np.ndarray, freqs, half: int, out: np.ndarray) -> None:
     """Write exp(i pi |j| t) into the complex (len(t), len(freqs)) array
-    out, one column per j of freqs.  The phases are folded with the split
-    width of a table whose largest |j| is half, so that any part of that
-    table holds the entries of one fold of all of it."""
+    out, one column per j of freqs, by a cosine and a sine of each folded
+    phase.  The phases are folded with the split width of a table whose
+    largest |j| is half, so that any part of that table holds the entries
+    of one fold of all of it.  _fourier_projection takes only the columns
+    k < _TABLE_BLOCK and one per block start from here, and forms the
+    rest by angle addition."""
     angle = _reduced_phase(t, np.abs(freqs), int(half).bit_length())
     angle *= np.pi
     np.cos(angle, out=out.real)
@@ -444,8 +450,11 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     at an endpoint, where closed forms exist.  Otherwise the maximum is
     interior: a Chebyshev grid of 4096 points, swept a block of degrees at
     a time, brackets each function's maximum, and one golden-section
-    search refines all K brackets at once, evaluating eval_table at one new
-    point per function in each step.
+    search refines all K brackets at once.  Each step evaluates function i
+    at its own new point x_i only: the recurrence runs in blocks of
+    degrees over the points whose degree is not yet reached (point i needs
+    degrees <= i), so a step does half the work of a (K, K) table and
+    holds one block of _TABLE_BLOCK + 2 rows of K points.
     """
     if spec.kind == FOURIER:
         return np.ones(K)
@@ -469,10 +478,14 @@ def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
         best[j0:j1] = np.argmax(np.abs(P), axis=1)
     lo = grid[np.maximum(best - 1, 0)]
     hi = grid[np.minimum(best + 1, grid.size - 1)]
-    cols = np.arange(K)
 
-    def fn(x):  # |phi_i(x_i)| for every column i
-        return np.abs(eval_table(spec, K, x)[cols, cols])
+    def fn(x):  # |phi_i(x_i)| for every column i, i.e. at degree i
+        diag = np.empty(K)
+        for (j0, j1), P in zip(bounds, _jacobi_row_blocks(
+                a, b, x, bounds, triangular=True)):
+            diag[j0:j1] = P.diagonal()
+        diag *= phi
+        return np.abs(diag)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -652,34 +665,78 @@ _TABLE_BLOCK = 32
 
 def _projection(spec: BasisSpec, M: int, x: np.ndarray,
                 v: np.ndarray) -> np.ndarray:
-    """conj(eval_table(spec, M, x)).T @ v, for v of len(x) values or
-    len(x) rows, one block of _TABLE_BLOCK rows at a time (the last block
-    holds the rest).  Each block of rows of conj(T).T is filled into one
-    reused (len(x), rows) buffer, whose transpose is multiplied by v.
-    Jacobi blocks are scaled from the recurrence, run over the same
-    blocks.  Exponential row half + j (half = M // 2) holds exp(-i pi j x):
-    the phasor of |j|, conjugated for j >= 0."""
+    """eval_table(spec, M, x).T @ v for a Jacobi spec, for v of len(x)
+    values or len(x) rows, one block of _TABLE_BLOCK rows at a time (the
+    last block holds the rest).  The recurrence runs over the same blocks
+    (_jacobi_row_blocks); each block is scaled and copied into one reused
+    (len(x), rows) buffer, whose transpose is multiplied by v, one gemv
+    per block."""
     blocks = [(r0, min(r0 + _TABLE_BLOCK, M))
               for r0 in range(0, M, _TABLE_BLOCK)]
-    half = M // 2
-    buf = np.empty((x.size, min(_TABLE_BLOCK, M)),
-                   dtype=complex if spec.is_complex else float)
-    if not spec.is_complex:
-        scale = _phi_scale(spec.alpha, spec.beta, M)
-        rows = _jacobi_row_blocks(spec.alpha, spec.beta, x, blocks)
+    buf = np.empty((x.size, min(_TABLE_BLOCK, M)))
+    scale = _phi_scale(spec.alpha, spec.beta, M)
+    rows = _jacobi_row_blocks(spec.alpha, spec.beta, x, blocks)
     out = np.empty((M,) + np.shape(v)[1:], dtype=np.result_type(buf, v))
-    for r0, r1 in blocks:
+    for (r0, r1), P in zip(blocks, rows):
         block = buf[:, :r1 - r0]
-        if spec.is_complex:
-            _phasors(x, np.arange(r0 - half, r1 - half), half, block)
-            sin_pos = block.imag[:, max(half - r0, 0):]  # rows of j >= 0
-            np.negative(sin_pos, out=sin_pos)
-        else:
-            P = next(rows)
-            P *= scale[r0:r1, None]
-            block[:] = P.T
+        P *= scale[r0:r1, None]
+        block[:] = P.T
         out[r0:r1] = block.T @ v
     return out
+
+
+def _fourier_projection(M: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """conj(eval_table(fourier(), M, x)).T @ v, for v of len(x) values or
+    len(x) rows, on nodes x of even count with x == -x[::-1] exactly; any
+    other node set raises ValueError, since the fold below would be wrong
+    for it.
+
+    The sum runs over the positive nodes p only, against the even and odd
+    parts E = v(p) + v(-p) and O = v(p) - v(-p).  For m = |j| it takes
+    one cosine sum C_m = sum_p E cos(pi m p) and one sine sum
+    S_m = sum_p O sin(pi m p), which give both coefficients:
+    C_m - i S_m for j = m and C_m + i S_m for j = -m.  The phasors
+    exp(i pi m p) come in blocks of _TABLE_BLOCK consecutive m, by angle
+    addition: one complex multiply exp(i pi m0 p) exp(i pi k p) per entry,
+    from a set for k = 0 ... _TABLE_BLOCK - 1 folded once per call and
+    one column for m0 per block, both by _phasors.  A block, viewed as
+    real (cos, sin) column pairs, is multiplied once by the real and
+    imaginary parts of E and O, so no complex copy of a real block is
+    made.  Both factors of an entry carry the error of one folded phase
+    and one cosine and sine, as eval_table's entries do, and the product
+    adds about 2 eps: entries stay within 16 eps of eval_table's (tested;
+    at most 7.5 measured)."""
+    n = x.size // 2
+    xp = x[n:]
+    if x.size % 2 or not np.array_equal(x[:n], -xp[::-1]):
+        raise ValueError("the folded Fourier sums need nodes with "
+                         "x == -x[::-1] exactly, of even count")
+    half = M // 2  # the sums run over m = 0 ... half
+    v2 = np.reshape(v, (x.size, -1))
+    vp, vm = v2[n:], v2[n - 1::-1]
+    data = np.concatenate([vp + vm, vp - vm], axis=1)  # E | O
+    complex_data = np.iscomplexobj(data)
+    if complex_data:
+        data = data.view(float)
+    h = data.shape[1] // 2
+    steps = np.empty((n, min(_TABLE_BLOCK, half + 1)), dtype=complex)
+    _phasors(xp, np.arange(steps.shape[1]), half, steps)
+    base, buf = np.empty((n, 1), dtype=complex), np.empty_like(steps)
+    cs = np.empty((half + 1, 2, h))  # C_m and S_m, real or (re, im) pairs
+    for m0 in range(0, half + 1, _TABLE_BLOCK):
+        b = min(_TABLE_BLOCK, half + 1 - m0)
+        _phasors(xp, [m0], half, base)
+        block = np.multiply(steps[:, :b], base, out=buf[:, :b])
+        R = block.view(float).T @ data  # rows cos m0, sin m0, cos m0+1, ...
+        cs[m0:m0 + b, 0] = R[0::2, :h]
+        cs[m0:m0 + b, 1] = R[1::2, h:]
+    if complex_data:
+        cs = cs.view(complex)
+    C, iS = cs[:, 0], 1j * cs[:, 1]
+    out = np.empty((M, v2.shape[1]), dtype=complex)
+    out[half:] = (C - iS)[:M - half]
+    out[:half] = (C + iS)[half:0:-1]
+    return out.reshape((M,) + np.shape(v)[1:])
 
 
 # Relative agreement of consecutive refinements that ends a projection.
@@ -705,22 +762,24 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
     (LAPACK's dsterf) is most of their cost.
 
     Each refinement with Q nodes sums conj(T).T @ (w * f(x)), where T is
-    the (Q, M) table eval_table(spec, M, x), without building T.  The sum
-    runs over row blocks of conj(T).T, _TABLE_BLOCK rows each.  Each
-    block is filled into a small reused (Q, rows) buffer and multiplied by
-    the weighted samples, one BLAS gemv per block (_projection).  The one
-    routine per family that builds eval_table fills these blocks too: the
-    recurrence (_jacobi_row_blocks), run over the same blocks, for Jacobi,
-    and _phasors, which folds the phases of each block's |j|, for the
-    exponentials.  So the blocks hold the table's entries by construction.
-    The peak memory of a refinement is a few blocks of Q values per row
-    (0.14 times the table for either family at M = 520, Q = 2080), not the
-    table.
+    the (Q, M) table eval_table(spec, M, x), without building T.  Jacobi
+    sums run over row blocks of T.T, _TABLE_BLOCK rows each, filled by
+    the recurrence that builds eval_table, so they hold its entries
+    (_projection).  The exponentials fold the Legendre rule, which is
+    symmetric bit for bit: one cosine and one sine sum per |j| over the
+    Q/2 positive nodes give both of +-j, from phasors built by angle
+    addition (_fourier_projection).  The peak memory of a refinement is a
+    few blocks of Q values per row (at M = 520, Q = 2080: 0.14 times the
+    table for Jacobi, 0.08 for the exponentials), not the table.
 
     The coefficients are accurate to rounding, not tied to one summation
     order: where the rule is accurate, the projection of an expansion
-    sum_k z_k phi_k gives z back within 256 eps sum_k |z_k| ||phi_k||_inf
-    (tested up to M = 520).  Their last bits can depend on the BLAS.
+    sum_k z_k phi_k gives z back within 256 eps sum_k |z_k| ||phi_k||_inf,
+    and that of exp(i pi a t) its exact coefficients within 1024 eps
+    (tested up to M = 520).  The angle addition moves an exponential
+    coefficient by at most 16 eps sum_q w_q |f(x_q)| beyond the rounding
+    of the sum; for a real f, c_-j = conj(c_j) exactly.  The last bits
+    can depend on the BLAS.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -728,7 +787,10 @@ def project_coefficients(f: Callable, spec: BasisSpec, M: int) -> ProjectionResu
 
     def coeffs_at(Q: int) -> np.ndarray:
         x, w = _jacobi_rule(Q, *ab)
-        return _projection(spec, M, x, w * np.asarray(f(x)))
+        v = w * np.asarray(f(x))
+        if spec.is_complex:
+            return _fourier_projection(M, x, v)
+        return _projection(spec, M, x, v)
 
     Q = max(64, 2 * M)
     prev = coeffs_at(Q)

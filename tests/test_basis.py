@@ -359,20 +359,25 @@ def test_interior_linf_norms_blocked_equal_dense(K, block, monkeypatch):
     np.testing.assert_array_equal(blocked, linf_norms(spec, K))
 
 
-def test_interior_linf_norms_evaluate_all_columns_per_step(monkeypatch):
-    # Both parameters below -1/2 put the maxima inside the interval; one
-    # golden-section step refines every column with one eval_table call.
-    calls = []
-    table = basis.eval_table
+def test_interior_linf_norms_build_no_square_table(monkeypatch):
+    # Both parameters below -1/2 put the maxima inside the interval.  Each
+    # golden-section step evaluates function i at its own point only, in
+    # blocks of degrees over the points that still need them, so neither
+    # eval_table nor any (K, K) array is built: the peak stays below half
+    # of one such table (8.7 MB at K = 1040).
+    def no_table(*args):
+        raise AssertionError("eval_table called")
 
-    def counted(*args):
-        calls.append(args[1])
-        return table(*args)
-
-    monkeypatch.setattr(basis, "eval_table", counted)
-    norms = linf_norms(jacobi(-0.75, -0.75), 80)
-    assert len(calls) <= 100 and set(calls) == {80}
-    assert norms.shape == (80,) and np.all(norms >= 1.0)
+    monkeypatch.setattr(basis, "eval_table", no_table)
+    K = 1040
+    tracemalloc.start()
+    try:
+        norms = linf_norms(jacobi(-0.75, -0.75), K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (K,) and np.all(norms >= 1.0)
+    assert peak <= 0.5 * K * K * 8, peak
 
 
 def test_projection_recovers_basis_functions():
@@ -416,8 +421,9 @@ PROJECTION_SPECS = [legendre(), chebyshev(), jacobi(1.0, 0.0),
                     jacobi(-0.75, -0.75), fourier()]
 # Projection errors, in units of eps times the scale of the projected
 # function.  At the cases below the worst ratios were 88 for expansions
-# (Fourier, M = 520; Chebyshev 13, jacobi(1, 0) 6.4) and 302 for plane
-# waves (M = 520), the same on one and on two BLAS threads.
+# (Fourier, M = 520; Chebyshev 13, jacobi(1, 0) 6.4) and 304 for plane
+# waves (M = 520; 302 before the Fourier sums were folded), the same on
+# one and on two BLAS threads.
 EXPANSION_ACCURACY = 256
 PLANE_WAVE_ACCURACY = 1024
 # scipy's Gauss weights for these rules are off by far more than rounding,
@@ -501,8 +507,8 @@ def test_projection_ladder_verdict_and_nodes(monkeypatch):
 def test_projection_peak_memory_is_one_table(spec):
     # At M = 520 the projection converges at Q = 2080 nodes.  No (Q, M)
     # table is built: the Jacobi recurrence and block buffers, and the
-    # exponentials' block buffer and the folded phases of one block, stay
-    # below a quarter of the table's bytes.
+    # exponentials' phasor set, block buffer and folded data at Q / 2
+    # nodes, stay below a quarter of the table's bytes.
     M, Q = 520, 2080
     project_coefficients(_runge, spec, M)  # the Gauss rules are cached now
     tracemalloc.start()
@@ -516,26 +522,100 @@ def test_projection_peak_memory_is_one_table(spec):
     assert peak <= 0.25 * table_bytes
 
 
+# PHASE_T's nonzero |t| and their negatives: nodes with x == -x[::-1]
+# exactly, as the folded Fourier sums need.
+_POSITIVE_T = np.unique(np.abs(PHASE_T[PHASE_T != 0.0]))
+SYMMETRIC_T = np.concatenate([-_POSITIVE_T[::-1], _POSITIVE_T])
+# Entries of the folded Fourier sums, by angle addition, against
+# eval_table's, in eps: at most 7.5 for M = 1 ... 2080 on SYMMETRIC_T.
+FOURIER_ENTRY_ACCURACY = 16
+
+
 @pytest.mark.parametrize("M", PROJECTION_MS)
-def test_projection_blocks_hold_table_entries(M):
-    # Column k of the identity picks row k of the conjugated table out of
-    # the block sums exactly, at any BLAS thread count: one nonzero term,
-    # the others 0.  So the blocks must cover every row once, hold
-    # eval_table's entries (Jacobi rows scaled by their own degree,
-    # exponential phases folded with the split width of the whole table,
-    # not of their own |j| values) and be conjugated, for every basis
-    # family.
-    for spec in PROJECTION_SPECS:
-        table = np.conj(eval_table(spec, M, PHASE_T))
-        sums = basis._projection(spec, M, PHASE_T, np.eye(PHASE_T.size))
+def test_projection_blocks_hold_table_entries(M, monkeypatch):
+    # Column k of the identity picks row k of the table out of the block
+    # sums exactly, at any BLAS thread count: one nonzero term, the others
+    # 0.  So the Jacobi blocks must cover every row once and hold
+    # eval_table's entries, each row scaled by its own degree.
+    eye = np.eye(PHASE_T.size)
+    for spec in PROJECTION_SPECS[:-1]:
+        table = eval_table(spec, M, PHASE_T)
+        sums = basis._projection(spec, M, PHASE_T, eye)
         assert np.array_equal(sums, table.T), spec.label()
+    # The folded Fourier sums pick one phasor entry the same way.  Each
+    # |j| = 0 ... M // 2 must come from one block of the k-phasor set and
+    # one m0 column, once; rows +-j must be exact conjugates, since both
+    # come from one phasor column, and so must the columns of nodes +-p;
+    # and every entry must be within a few eps of conj(eval_table).
+    calls = []
+    phasors = basis._phasors
+
+    def recorded(t, freqs, half, out):
+        calls.append(list(freqs))
+        return phasors(t, freqs, half, out)
+
+    monkeypatch.setattr(basis, "_phasors", recorded)
+    sums = basis._fourier_projection(M, SYMMETRIC_T, np.eye(SYMMETRIC_T.size))
+    half = M // 2
+    steps, starts = calls[0], [m0 for (m0,) in calls[1:]]
+    assert steps == list(range(min(basis._TABLE_BLOCK, half + 1)))
+    covered = [m0 + k for m0 in starts for k in steps if m0 + k <= half]
+    assert covered == list(range(half + 1))
+    m = np.arange(1, M - half)  # both of +-m stored
+    assert np.array_equal(sums[half - m], np.conj(sums[half + m]))
+    assert np.array_equal(sums, np.conj(sums[:, ::-1]))
+    table = np.conj(eval_table(fourier(), M, SYMMETRIC_T))
+    err = np.max(np.abs(sums - table.T))
+    assert err <= FOURIER_ENTRY_ACCURACY * np.finfo(float).eps, err
+
+
+def test_fourier_projection_rejects_asymmetric_nodes():
+    # The fold pairs node i with node Q - 1 - i; it must never sum over a
+    # node set where these are not exact negatives.
+    v = np.ones(4)
+    for x in (np.array([-0.5, -0.25, 0.25, 0.5 + 2 ** -53]),
+              np.array([-0.5, 0.0, 0.5])):
+        with pytest.raises(ValueError):
+            basis._fourier_projection(3, x, v[:x.size])
+
+
+def test_fourier_projection_phasor_count(monkeypatch):
+    # Per refinement with Q nodes, the folded sums evaluate the phasors
+    # at the Q / 2 positive nodes only: the set k = 0 ... 31 once and one
+    # column per block of 32 |j| values, not Q M entries.
+    entries = {}
+    phasors = basis._phasors
+
+    def counted(t, freqs, half, out):
+        entries[t.size] = entries.get(t.size, 0) + out.size
+        return phasors(t, freqs, half, out)
+
+    monkeypatch.setattr(basis, "_phasors", counted)
+    M = 520
+    res = project_coefficients(_runge, fourier(), M)
+    blocks = -(-(M // 2 + 1) // basis._TABLE_BLOCK)
+    assert sorted(entries) == [res.nodes // 4, res.nodes // 2]
+    for n, count in entries.items():
+        assert count <= n * (basis._TABLE_BLOCK + blocks), (n, count)
+
+
+@pytest.mark.parametrize("M", [2, 33, 520])
+def test_fourier_projection_of_real_function_is_conjugate_symmetric(M):
+    # A real f has c_-j = conj(c_j).  The fold gives C_m + i S_m and
+    # C_m - i S_m from one real pair (C_m, S_m), so the pair is exact.
+    res = project_coefficients(
+        lambda t: np.exp(t) / (1.0 + 25 * (t - 0.3) ** 2), fourier(), M)
+    half = M // 2
+    m = np.arange(1, M - half)
+    assert np.array_equal(res.coeffs[half - m], np.conj(res.coeffs[half + m]))
+    assert np.any(res.coeffs.imag != 0.0)
 
 
 def _two_copy_table_sums(f, spec, M, Q):
     # The Q-node sums of f against eval_table's (Q, M) array, copied to C
     # order and, for the exponentials, conjugated into a second copy; its
     # blocks of _TABLE_BLOCK columns are multiplied by the weighted samples
-    # one at a time, as project_coefficients sums.
+    # one at a time, as project_coefficients sums the Jacobi families.
     ab = (0.0, 0.0) if spec.is_complex else (spec.alpha, spec.beta)
     x, w = basis._jacobi_rule(Q, *ab)
     table = np.ascontiguousarray(eval_table(spec, M, x))
@@ -556,22 +636,46 @@ TWO_COPY_CASES = [
                     or M <= basis._TABLE_BLOCK)]
 
 
+# The folded Fourier sums take other entries (within
+# FOURIER_ENTRY_ACCURACY eps) and another summation order than the
+# whole-table sums, so they agree with them within this many eps times
+# sum_q |w_q f(x_q)|.  Worst measured: 7.3 for runge25 at M = 520, 36 at
+# M = 2080.
+FOURIER_SUM_ACCURACY = 64
+
+
 @pytest.mark.parametrize("spec, M", TWO_COPY_CASES)
 def test_projection_is_bit_identical_to_two_copy_table(spec, M):
-    # The block sums hold the entries of the whole table and run the same
-    # gemv per block, so at the order the projection stops at every
-    # coefficient must match the whole-table sums exactly, and the verdict
-    # must be the stopping rule applied to them and to the sums of the
-    # order before.
+    # The Jacobi block sums hold the entries of the whole table and run the
+    # same gemv per block, so at the order the projection stops every
+    # coefficient must match the whole-table sums exactly.  The Fourier
+    # sums must match them within FOURIER_SUM_ACCURACY.  Either way the
+    # verdict must be the stopping rule applied to the whole-table sums of
+    # that order and of the order before.
     res = project_coefficients(_runge, spec, M)
     cur = _two_copy_table_sums(_runge, spec, M, res.nodes)
-    assert np.array_equal(res.coeffs, cur), \
-        np.flatnonzero(res.coeffs != cur).tolist()
+    if spec.is_complex:
+        x, w = basis._jacobi_rule(res.nodes, 0.0, 0.0)
+        bound = FOURIER_SUM_ACCURACY * np.finfo(float).eps \
+            * np.sum(np.abs(w * _runge(x)))
+        assert np.max(np.abs(res.coeffs - cur)) <= bound
+    else:
+        assert np.array_equal(res.coeffs, cur), \
+            np.flatnonzero(res.coeffs != cur).tolist()
     prev = _two_copy_table_sums(_runge, spec, M, res.nodes // 2)
     scale = max(1.0, float(np.max(np.abs(cur))))
     close = np.max(np.abs(cur - prev)) <= basis.PROJECTION_TOL * scale
     assert res.converged == close, res.nodes
     assert close or res.nodes >= basis.STOP_DOUBLING_AT_ORDER, res.nodes
+
+
+@pytest.mark.parametrize("Q", [64, 130, 1040, 2080])
+def test_legendre_rule_is_exactly_symmetric(Q):
+    # The folded Fourier sums pair each node with its negative, so the
+    # Legendre rule must stay symmetric bit for bit, whatever formula
+    # builds it.
+    x, w = basis._jacobi_rule(Q, 0.0, 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 def test_jacobi_rule_is_read_only():
