@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the canned experiment runners, plus
 `approximate` for fitting user samples from a file.  Each subcommand
-takes only the options its runner reads; every other ExperimentConfig
-field keeps its default.  Besides --config FILE and --out DIR:
+takes only the options its runner reads.  Besides --config FILE and
+--out DIR:
 
     aliasing       --eta --resolution
     weight-sweep   --basis --n --k --epsilon --gammas --functions
@@ -19,8 +19,10 @@ With --points file:PATH the file fixes N, so compare and diagnostics
 then read no --n and reject it.
 
 Options may also be supplied through a plain key=value config file whose
-keys must be options of the subcommand; explicit command-line flags win
-over file values.
+keys must be options of the subcommand.  Each ExperimentConfig field
+takes the last of, in this order: its default, its subcommand's value
+(aliasing: basis fourier; weight-sweep: basis chebyshev; compare: noise
+1e-8), the config file, the command-line flag.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .experiments import (
-    ExperimentConfig,
-    RUNNERS,
-    SWEEP_GAMMAS,
-    run_approximate,
-)
+from .experiments import ExperimentConfig, RUNNERS, run_approximate
 
 
 def _int_list(text: str):
@@ -66,47 +63,40 @@ def _bool(value) -> bool:
     return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
-# name: (ExperimentConfig field, parser, default, help).  The flag is
-# --name with '-' for '_'; a config-file key may use either spelling.
+# name: (ExperimentConfig field, parser, help).  The flag is --name with
+# '-' for '_'; a config-file key may use either spelling.
 _OPTIONS = {
-    "basis": ("basis", str, "legendre",
-              "legendre | chebyshev | fourier | jacobi:a,b"),
-    "points": ("points", str, "equispaced",
+    "basis": ("basis", str, "legendre | chebyshev | fourier | jacobi:a,b"),
+    "points": ("points", str,
                "equispaced | jittered | uniform_random | chebyshev | "
                "file:PATH"),
-    "n": ("n_list", _int_list, "10,20,40,80",
-          "comma-separated sample counts"),
-    "m": ("m_list", _int_list, "5,8", "comma-separated block sizes"),
-    "k": ("k_rule", str, "4n", "truncation rule: 4n | choose | an integer"),
-    "gamma": ("gamma", float, "0.5", "weight growth exponent"),
-    "gammas": ("gamma_list", _float_list,
-               ",".join("%g" % g for g in SWEEP_GAMMAS),
-               "comma-separated exponent grid"),
-    "epsilon": ("epsilon", float, "0.5",
-                "singular-value margin for --k choose"),
-    "eta": ("eta", float, "0",
-            "noise-ball radius; 0 solves the equality problem"),
-    "noise": ("noise", float, "1e-8", "uniform perturbation magnitude"),
-    "seed": ("seed", int, "0", "master seed"),
-    "amplitude": ("amplitude", float, "1.0",
-                  "jitter amplitude in cell widths"),
-    "resolution": ("eval_resolution", int, "10000",
+    "n": ("n_list", _int_list, "comma-separated sample counts"),
+    "m": ("m_list", _int_list, "comma-separated block sizes"),
+    "k": ("k_rule", str, "truncation rule: 4n | choose | an integer"),
+    "gamma": ("gamma", float, "weight growth exponent"),
+    "gammas": ("gamma_list", _float_list, "comma-separated exponent grid"),
+    "epsilon": ("epsilon", float, "singular-value margin for --k choose"),
+    "eta": ("eta", float, "noise-ball radius; 0 solves the equality problem"),
+    "noise": ("noise", float, "uniform perturbation magnitude"),
+    "seed": ("seed", int, "master seed"),
+    "amplitude": ("amplitude", float, "jitter amplitude in cell widths"),
+    "resolution": ("eval_resolution", int,
                    "evaluation grid size for error measurement"),
-    "functions": ("functions", _names, None,
-                  "comma-separated test function ids"),
-    "relax_weights": ("relax_weights", _bool, False,
+    "functions": ("functions", _names, "comma-separated test function ids"),
+    "relax_weights": ("relax_weights", _bool,
                       "allow weights below the sup-norm floor"),
-    "out": ("out_dir", str, ".", "output directory"),
+    "out": ("out_dir", str, "output directory"),
 }
 
-# subcommand: (options its runner reads besides out, values that differ
-# from the option or ExperimentConfig default).
+# subcommand: (options its runner reads besides out, ExperimentConfig
+# values that differ from the field defaults).
 _COMMANDS = {
     "aliasing": (("eta", "resolution"), {"basis": "fourier"}),
     "weight-sweep": (("basis", "n", "k", "epsilon", "gammas", "functions",
                       "resolution"), {"basis": "chebyshev"}),
     "compare": (("basis", "points", "n", "k", "epsilon", "eta", "noise",
-                 "seed", "amplitude", "resolution", "functions"), {}),
+                 "seed", "amplitude", "resolution", "functions"),
+                {"noise": 1e-8}),
     "diagnostics": (("basis", "points", "n", "m", "k", "epsilon", "gamma",
                      "seed", "amplitude", "functions"), {}),
     "approximate": (("basis", "k", "epsilon", "gamma", "eta",
@@ -141,75 +131,61 @@ def _load_config(path, command: str) -> dict:
     return out
 
 
-class _Given(argparse.Action):
-    """Stores the value and records the option in namespace.given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.dest}
-
-
-def build_parser(file_vals: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; file_vals supply option defaults.  The parsed
-    namespace's `given` holds the options set by a flag or by file_vals."""
-    file_vals = file_vals or {}
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  A subcommand's namespace holds only the options
+    given on the command line."""
     ap = argparse.ArgumentParser(
         prog="wl1approx",
         description="Function approximation from scattered data by "
                     "weighted l1 minimization and least squares.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (_, fixed) in _COMMANDS.items():
-        sp = sub.add_parser(command)
+    for command in _COMMANDS:
+        sp = sub.add_parser(command, argument_default=argparse.SUPPRESS)
         if command == "approximate":
             sp.add_argument("samples",
                             help="two-column file of t and y values")
-        sp.add_argument("--config", default=None,
+        sp.add_argument("--config",
                         help="key=value file supplying option defaults")
-        sp.set_defaults(given=frozenset(file_vals))
         for name in _option_names(command):
-            _, _, default, help_ = _OPTIONS[name]
-            help_ = _HELP.get((command, name), help_)
-            default = file_vals.get(name, fixed.get(name, default))
+            help_ = _HELP.get((command, name), _OPTIONS[name][2])
             flag = "--" + name.replace("_", "-")
             if name == "relax_weights":
-                sp.add_argument(flag, action="store_true", default=default,
-                                help=help_)
+                sp.add_argument(flag, action="store_true", help=help_)
             else:
-                sp.add_argument(flag, default=default, help=help_,
-                                action=_Given)
+                sp.add_argument(flag, help=help_)
     return ap
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    values = {_OPTIONS[name][0]: value
-              for name, value in _COMMANDS[args.command][1].items()}
-    for name in _option_names(args.command):
+    """ExperimentConfig default < subcommand value < config file < flag."""
+    given = vars(args)
+    config = given.get("config")
+    texts = {**(_load_config(config, args.command) if config else {}),
+             **{name: given[name] for name in _option_names(args.command)
+                if name in given}}
+    values = dict(_COMMANDS[args.command][1])
+    for name, text in texts.items():
         field, parse = _OPTIONS[name][:2]
-        values[field] = parse(getattr(args, name))
+        values[field] = parse(text)
     if values.get("points") in ("file", "file:"):
         raise ValueError("--points file needs a path: --points file:PATH")
     if values.get("points", "").startswith("file:"):
-        if "n" in args.given:
+        if "n" in texts:
             raise ValueError("--n is not read with --points file:PATH: the "
                              "file fixes N at its point count")
         values["points_file"] = values["points"].split(":", 1)[1]
         values["points"] = "file"
-    if args.command == "diagnostics" and len(values["functions"] or ()) > 1:
+    functions = values.get("functions") or ()
+    if args.command == "diagnostics" and len(functions) > 1:
         raise ValueError("diagnostics uses one reference function, got %s"
-                         % ",".join(values["functions"]))
+                         % ",".join(functions))
     return ExperimentConfig(experiment=args.command.replace("-", "_"),
                             **values)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            # File values become defaults, then explicit flags win on
-            # re-parse.
-            file_vals = _load_config(args.config, args.command)
-            args = build_parser(file_vals).parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "approximate":
             paths = run_approximate(cfg, args.samples)

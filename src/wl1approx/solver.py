@@ -30,9 +30,12 @@ Data farther than eta from the range of A (one test for both modes) are
 reported infeasible without iterating.  One stopping rule ends every
 solve: after each Newton step, the residual and duality gap recomputed in
 data space from z and the dual vector are checked against TOL_FEAS ||y||
-and TOL_GAP max(1, objective); the dual vector enters only once the
-residual passes.  By weak duality this certificate is sound at any
-iterate.
+and TOL_GAP max(1, objective).  By weak duality this certificate is sound
+at any iterate.  Data off the range by more than TOL_FEAS ||y|| beyond
+eta, but within the margin that still lets the solve start, are
+certified against the ball of radius off = ||y - U U^H y|| instead of
+eta: no z can meet eta there, and the cone program already solves for
+the projected data U U^H y.
 
 Least squares (plain and oracle) and synthesis round out the toolbox.
 sup_error measures an approximant on the Chebyshev extrema; a Jacobi
@@ -101,6 +104,8 @@ class SolveResult:
     # The interior-point complementarity x.s at the start and after each
     # Newton step.
     gap_history: tuple = ()
+    # ||y - U U^H y||, the distance of the data from the range of A.
+    off_range: float = 0.0
 
 
 def make_problem(A: SamplingMatrix, samples, weights, eta: float = 0.0,
@@ -370,7 +375,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
                       max_iter: int = MAX_ITER) -> SolveResult:
     """Minimize sum_i w_i |z_i| over the selected constraint set.
 
-    equality:   A z = y exactly (eta ignored).
+    equality:   A z = y (eta ignored), exactly unless y is off the range.
     inequality: ||A z - y|| <= eta; eta = 0 gives the equality problem.
 
     Status is infeasible_detected, after 0 iterations, when y lies farther
@@ -385,8 +390,11 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     most TOL_GAP max(1, objective), both read at call time.  The gap is
     that of the constraint z satisfies, radius max(eta, ||A z - y||), so
     by weak duality it is nonnegative for every status, up to rounding.
-    Each iterate's residual is checked first; v and the gap are formed
-    only once it passes, and for the iterate returned.
+    When y lies off the range of A by off_range, more than TOL_FEAS ||y||
+    beyond eta, the certificate takes off_range in place of eta in the
+    residual and the gap: the solve then minimizes over the projected
+    data, and feasibility_residual, always measured against eta, stays
+    above TOL_FEAS ||y|| for a converged status.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -412,6 +420,9 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     off = la.norm(y_off)
     eta_r = np.sqrt(max(eta ** 2 - off ** 2, 0.0))
     feas_abs = TOL_FEAS * ynorm
+    # The certificate's radius: off where no z can come within feas_abs
+    # of eta.
+    eta_c = off if off - eta > feas_abs else eta
     AH = A.conj().T
 
     def dual_gap(obj, res, mu):      # the certificate's gap at dual mu
@@ -421,7 +432,8 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         scale = _amax(abs(AH @ nu) / w)
         if scale > 1.0:              # nu / max(1, scale), skipping nu / 1
             nu = nu / scale
-        return obj - float(np.vdot(y, nu).real) + max(eta, res) * _norm(nu)
+        return (obj - float(np.vdot(y, nu).real)
+                + max(eta_c, res) * _norm(nu))
 
     if off > eta + 10 * feas_abs:
         z = Vh.conj().T @ (Uy / S) / w
@@ -429,7 +441,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         return SolveResult(z=z, objective=l1_objective(z, w),
                            feasibility_residual=max(res - eta, 0.0),
                            duality_gap=np.inf, iterations=0,
-                           status=STATUS_INFEASIBLE)
+                           status=STATUS_INFEASIBLE, off_range=float(off))
     # One cone program in the scaled variable zt = w z, with the rows of
     # A / w replaced by S Vh: A z = y becomes S Vh zt = U^H y, and
     # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  Each
@@ -454,23 +466,17 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
             yd[:m].reshape(2, -1).T.copy().view(complex)[:, 0]
         z = ynorm * zt / w
         res = _norm(A @ z - y)
-        # The dual side of the certificate only once the residual passes.
-        gap = None
-        if res - eta <= feas_abs:
-            obj = l1_objective(z, w)
-            gap = dual_gap(obj, res, mu)
-            if gap <= TOL_GAP * max(1.0, obj):
-                status = STATUS_CONVERGED
-                break
+        obj = l1_objective(z, w)
+        gap = dual_gap(obj, res, mu)
+        if res - eta_c <= feas_abs and gap <= TOL_GAP * max(1.0, obj):
+            status = STATUS_CONVERGED
+            break
         if its >= max_iter:
             break
-    obj = l1_objective(z, w)
-    if gap is None:
-        gap = dual_gap(obj, res, mu)
     return SolveResult(z=z, objective=obj,
                        feasibility_residual=max(res - eta, 0.0),
                        duality_gap=float(gap), iterations=its, status=status,
-                       gap_history=tuple(hist))
+                       gap_history=tuple(hist), off_range=float(off))
 
 
 def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:

@@ -607,3 +607,18 @@ def test_cli_default_config_hash_unchanged(argv, digest):
     # always recorded, so every default meta file keeps its hash.
     args = cli.build_parser().parse_args(argv)
     assert config_hash(cli._config_from_args(args)) == digest
+
+
+@pytest.mark.parametrize("source, relax", [
+    (["--relax-weights"], True), ("relax-weights = true", True),
+    ("relax-weights = false", False)], ids=["flag", "true", "false"])
+def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
+    argv = ["approximate", "s.txt"]
+    if isinstance(source, list):
+        argv += source
+    else:
+        (tmp_path / "run.cfg").write_text(source + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert cfg.relax_weights is relax
+    assert (config_hash(cfg) != "402c8bc41f8a4d32") is relax

@@ -16,6 +16,7 @@ from wl1approx import basis as basis_module, solver as solver_module
 from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_basis,
                              eval_table, fourier, frequencies, jacobi,
                              leading_indices, legendre, linf_norms)
+from wl1approx.experiments import _comparison_weights, get_function
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
@@ -349,6 +350,30 @@ def test_infeasible_system_detected():
         make_problem(A, ps.points.astype(float), W, eta=0.1),
         mode="inequality")
     assert res_ball.status == STATUS_INFEASIBLE
+
+
+def test_data_off_the_range_by_a_hair_converge():
+    # compare --basis fourier, peaks500 at N = 10: the equispaced grid
+    # holds t = -1 and t = 1, which give one row, and the noise on the two
+    # samples leaves y off the range of A by more than TOL_FEAS ||y|| but
+    # within the margin that lets the solve start.  The certificate then
+    # measures against off_range, and the solve converges on the
+    # projected data.  The objective pinned below is that of 10 steps
+    # certified against eta, which end in max_iter.
+    spec = fourier()
+    pt_seed, noise_seed = np.random.SeedSequence([0, 0, 10]).spawn(2)
+    ps = build_pointset(generate("equispaced", 10, seed=pt_seed), spec)
+    A = build_matrix(spec, ps, 40)
+    samples = get_function("peaks500")(ps.points) + np.random.default_rng(
+        noise_seed).uniform(-1e-8, 1e-8, ps.n)
+    p = make_problem(A, samples, _comparison_weights(spec, 40))
+    res = solve_weighted_l1(p)
+    feas_abs = solver_module.TOL_FEAS * np.linalg.norm(p.y)
+    assert res.status == STATUS_CONVERGED and res.iterations <= 9
+    assert feas_abs < res.off_range <= 10 * feas_abs
+    assert res.feasibility_residual == pytest.approx(res.off_range, rel=1e-6)
+    assert res.feasibility_residual <= 10 * feas_abs
+    assert res.objective == pytest.approx(0.16105045409043242, rel=1e-8)
 
 
 def test_inequality_relaxes_objective():
