@@ -57,10 +57,16 @@ def _names(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+    text = str(value).strip().lower()
+    if text not in _BOOLS:
+        raise ValueError("expected one of %s, got %r"
+                         % ("/".join(_BOOLS), str(value)))
+    return _BOOLS[text]
 
 
 # name: (ExperimentConfig field, parser, help).  The flag is --name with
@@ -160,13 +166,19 @@ def _config_from_args(args) -> ExperimentConfig:
     """ExperimentConfig default < subcommand value < config file < flag."""
     given = vars(args)
     config = given.get("config")
+    flags = {name: given[name] for name in _option_names(args.command)
+             if name in given}
     texts = {**(_load_config(config, args.command) if config else {}),
-             **{name: given[name] for name in _option_names(args.command)
-                if name in given}}
+             **flags}
     values = dict(_COMMANDS[args.command][1])
     for name, text in texts.items():
         field, parse = _OPTIONS[name][:2]
-        values[field] = parse(text)
+        try:
+            values[field] = parse(text)
+        except ValueError as exc:
+            where = ("--" + name.replace("_", "-") if name in flags
+                     else "config key %r" % name)
+            raise ValueError("%s: %s" % (where, exc)) from None
     if values.get("points") in ("file", "file:"):
         raise ValueError("--points file needs a path: --points file:PATH")
     if values.get("points", "").startswith("file:"):

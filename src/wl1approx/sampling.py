@@ -8,8 +8,9 @@ space matches the discrete inner product induced by the cell measures.
 Degree selection depends on the point set alone, not on the sampled
 function: K doubles from N until the numerical rank of the matrix stops
 growing and its smallest nonzero singular value clears the requested
-threshold.  RANK_RTOL is the one cutoff below which singular values count as
-zero.
+threshold.  RANK_RTOL is the cutoff, relative to the largest singular value,
+below which degree selection counts singular values as zero.  The
+weighted-l1 solve keeps its own, smaller cutoff (solver.SVD_RTOL).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .basis import (
 )
 from .grid import PointSet
 
-# Relative cutoff below which singular values count as zero.
+# Relative cutoff below which degree selection counts singular values as
+# zero.
 RANK_RTOL = 1e-10
 
 # Hard cap for the doubling search; larger requests are treated as divergent.

@@ -6,7 +6,8 @@ equality mode asks for A z = y exactly, inequality mode for
 program in the scaled variable zt = w z and solve it with one dense
 primal-dual interior-point method (Mehrotra predictor-corrector,
 Nesterov-Todd scaling).  The economy SVD U S Vh of A / w replaces the rows
-of A by the independent rows of S Vh, so coinciding sample rows drop out:
+of A by the independent rows of S Vh, those of singular values above
+SVD_RTOL S_0, so coinciding sample rows drop out:
 
 * one second-order cone (t_i, zt_i) per coefficient, minimizing sum t_i,
   where zt_i has one real coordinate for real data and two (Re, Im) for
@@ -37,12 +38,12 @@ certified against the ball of radius off = ||y - U U^H y|| instead of
 eta: no z can meet eta there, and the cone program already solves for
 the projected data U U^H y.
 
-Least squares (plain and oracle) and synthesis round out the toolbox.
-sup_error measures an approximant on the Chebyshev extrema; a Jacobi
-expansion gets there by one product with a cached matrix of Chebyshev
-coefficients and one DCT-I instead of a Clenshaw sweep over every grid
-point.  A tiny-instance linear-programming oracle (HiGHS) is included for
-cross-checking the l1 path on real data.
+Least squares (plain and oracle) and synthesis round out the toolbox;
+synthesize is basis.synthesize.  sup_error measures an approximant on the
+Chebyshev extrema; a Jacobi expansion gets there by one product with a
+cached matrix of Chebyshev coefficients and one DCT-I instead of a sum
+over every degree at every grid point.  A tiny-instance linear-programming
+oracle (HiGHS) is included for cross-checking the l1 path on real data.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ import numpy.linalg as la
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .basis import BasisSpec, _expansion_sum, chebyshev_extrema, eval_table, \
-    leading_indices
+from .basis import BasisSpec, chebyshev_extrema, eval_table, \
+    leading_indices, synthesize
 from .sampling import SamplingMatrix, WeightVector, make_weights
 
 STATUS_CONVERGED = "converged"
@@ -67,6 +68,10 @@ TOL_GAP = 1e-8    # relative to max(1, objective)
 MAX_ITER = 100    # Newton steps; solves end on their own within about 25
 LP_TOL = 1e-10    # HiGHS feasibility tolerances of lp_oracle
 CHOL_SPREAD = 1e12  # widest (max R_ii / min R_ii)^2 of a Cholesky step
+# Singular values of A / w at most SVD_RTOL times the largest count as zero
+# in the weighted-l1 solve.  sampling.RANK_RTOL = 1e-10 here would move the
+# status or objective of some ill-conditioned solves.
+SVD_RTOL = 1e-12
 
 MODES = ("equality", "inequality")
 
@@ -412,7 +417,7 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
                            feasibility_residual=0.0, duality_gap=0.0,
                            iterations=0, status=STATUS_CONVERGED)
     U, S, Vh = la.svd(A / w, full_matrices=False)
-    keep = S > (S[0] * 1e-12 if S[0] > 0 else 0)
+    keep = S > (S[0] * SVD_RTOL if S[0] > 0 else 0)
     U, S, Vh = U[:, keep], S[keep], Vh[keep]
     Uy = U.conj().T @ y
     y_off = y - U @ Uy
@@ -551,26 +556,6 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     return M, fits[M - 1]
 
 
-def synthesize(z, basis: BasisSpec, t):
-    """Evaluate sum_i z_i phi_i at t (scalar or array).
-
-    The sum is formed directly, without a table of basis values:
-    Clenshaw's backward recurrence for Jacobi systems and Horner's rule in
-    exp(i pi t) (and its conjugate, for the negative frequencies) for the
-    exponentials.  Each costs a few operations per point and coefficient.
-    The result agrees with eval_table(basis, len(z), t) @ z to within
-    16 K eps sum_i |z_i| ||phi_i||_inf, K = len(z) (tested up to K = 320).
-    For the exponentials the difference stays near 0.1 K eps sum_i |z_i|;
-    for Jacobi coefficients of one sign it grows like K^2 eps near t = +-1.
-    """
-    z = np.asarray(z)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = _expansion_sum(basis, z, tt)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return vals[0]
-    return vals
-
-
 def _dct1(x, n: int) -> np.ndarray:
     """The DCT-I along axis 0 of x zero-padded to n >= len(x) rows,
     y_k = x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j cos(pi j k / (n - 1)),
@@ -613,7 +598,8 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     Chebyshev coefficients by one product with the cached (K, K) matrix
     of _chebyshev_matrix; one DCT-I of size n, zero-padded, gives its
     values on the grid.  The exponentials, K = 1 and K >= n take
-    synthesize (Horner's rule, Clenshaw).  No (n, K) table is built.  The
+    synthesize, which sums the table's row blocks (Jacobi) or runs
+    Horner's rule (exponentials).  No (n, K) table is built.  The
     approximant agrees with eval_table(basis, K, grid) @ z within
     16 K eps sum_i |z_i| ||phi_i||_inf (tested up to K = 320), and the
     reported error carries that rounding.  At n = 10000 the DCT-I is an

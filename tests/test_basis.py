@@ -352,23 +352,44 @@ def test_interior_linf_norms_match_scalar_search(ab):
 def test_interior_linf_norms_blocked_equal_dense(K, block, monkeypatch):
     # The bracket pass takes blocks of degrees; one block of all K degrees
     # is the whole (4096, K) table, and the norms must be the same bits.
+    # The search is called directly, since linf_norms keeps its result.
     spec = jacobi(-0.75, -0.75)
     monkeypatch.setattr(basis, "_TABLE_BLOCK", block)
-    blocked = linf_norms(spec, K)
+    blocked = basis._jacobi_sup_norms(spec, K)
     monkeypatch.setattr(basis, "_TABLE_BLOCK", K)
-    np.testing.assert_array_equal(blocked, linf_norms(spec, K))
+    np.testing.assert_array_equal(blocked, basis._jacobi_sup_norms(spec, K))
+
+
+@pytest.mark.parametrize("spec", [jacobi(-0.75, -0.75), jacobi(1, 0)],
+                         ids=lambda s: s.label())
+def test_linf_norms_search_once_per_spec(spec, monkeypatch):
+    # A degree's norm does not depend on K: linf_norms keeps the longest
+    # vector it has searched for a spec, read-only, and answers shorter
+    # requests with its prefix, which has the bits of a fresh search.
+    # Only a longer request searches again.
+    search = basis._jacobi_sup_norms
+    fresh = {K: search(spec, K) for K in (5, 8, 12, 20)}
+    calls = []
+    monkeypatch.setattr(basis, "_SUP_NORMS", {})
+    monkeypatch.setattr(basis, "_jacobi_sup_norms",
+                        lambda s, K: calls.append(K) or search(s, K))
+    for K in (12, 5, 12, 20, 8, 20):
+        norms = linf_norms(spec, K)
+        np.testing.assert_array_equal(norms, fresh[K])
+        assert not norms.flags.writeable
+    assert calls == [12, 20]
 
 
 def test_interior_linf_norms_build_no_square_table(monkeypatch):
     # Both parameters below -1/2 put the maxima inside the interval.  Each
-    # golden-section step evaluates function i at its own point only, in
-    # blocks of degrees over the points that still need them, so neither
-    # eval_table nor any (K, K) array is built: the peak stays below half
-    # of one such table (8.7 MB at K = 1040).
+    # golden-section step keeps the diagonals of blocks of degrees over
+    # the K points, so neither eval_table nor any (K, K) array is built:
+    # the peak stays below half of one such table (8.7 MB at K = 1040).
     def no_table(*args):
         raise AssertionError("eval_table called")
 
     monkeypatch.setattr(basis, "eval_table", no_table)
+    monkeypatch.setattr(basis, "_SUP_NORMS", {})
     K = 1040
     tracemalloc.start()
     try:

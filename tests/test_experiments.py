@@ -622,3 +622,28 @@ def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
     assert cfg.relax_weights is relax
     assert (config_hash(cfg) != "402c8bc41f8a4d32") is relax
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["approximate", "s.txt"], "relax-weights = ture",
+     "config key 'relax_weights': expected one of"),
+    (["approximate", "s.txt"], "relax-weights =",
+     "config key 'relax_weights': expected one of"),
+    (["compare", "--seed", "1.5"], None,
+     "--seed: invalid literal for int()"),
+    (["compare", "--n", "10,x"], None, "--n: invalid literal for int()"),
+    (["compare"], "seed = 1.5", "config key 'seed': invalid literal"),
+    (["compare", "--eta", "0.o1"], None, "--eta: could not convert"),
+], ids=["bool-typo", "bool-empty", "seed-flag", "n-flag", "seed-key",
+        "eta-flag"])
+def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
+                                          message):
+    # A config boolean outside the true and false spellings used to read
+    # as false, and a value that does not parse used to reach the user as
+    # int()'s or float()'s message alone, without the flag or key.
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

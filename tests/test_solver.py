@@ -653,19 +653,25 @@ def test_synthesize_basics():
                                   jacobi(-0.75, -0.75), fourier()],
                          ids=lambda s: s.label())
 def test_synthesize_matches_table(spec, K):
-    # Clenshaw (Jacobi) and Horner (exponentials) agree with the table
-    # product to the rounding bound of the synthesize docstring.
+    # A Jacobi sum adds the row blocks of the table, so it agrees with the
+    # table product at each point t within K eps sum_i |z_i| |phi_i(t)|,
+    # for real, nonnegative and complex z.  Horner's rule (exponentials)
+    # agrees within the uniform bound of the synthesize docstring.
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(K)
     z = rng.normal(size=K)
-    if spec.is_complex:
-        z = z + 1j * rng.normal(size=K)
+    zc = z + 1j * rng.normal(size=K)
     t = np.concatenate([np.linspace(-1, 1, 1001), rng.uniform(-1, 1, 500)])
-    got = synthesize(z, spec, t)
-    expect = eval_table(spec, K, t) @ z
-    assert got.dtype == expect.dtype
-    bound = 16 * K * np.finfo(float).eps * np.sum(np.abs(z)
-                                                  * linf_norms(spec, K))
-    assert np.max(np.abs(got - expect)) <= bound
+    T = eval_table(spec, K, t)
+    for zz in ([zc] if spec.is_complex else [z, np.abs(z), zc]):
+        got = synthesize(zz, spec, t)
+        expect = T @ zz
+        assert got.dtype == expect.dtype
+        if spec.is_complex:
+            bound = 16 * K * eps * np.sum(np.abs(zz) * linf_norms(spec, K))
+        else:
+            bound = K * eps * (np.abs(T) @ np.abs(zz))
+        assert np.all(np.abs(got - expect) <= bound)
 
 
 def test_synthesis_builds_no_table(monkeypatch):
@@ -731,7 +737,7 @@ def test_sup_error_of_complex_jacobi_coefficients():
 def test_sup_error_takes_the_cheaper_path(monkeypatch):
     # A Jacobi expansion of 1 < K < n terms takes the cached Chebyshev
     # matrix and one DCT-I of size n; K = 1, K >= n and the exponentials
-    # take synthesize (Clenshaw, Horner) on the grid.
+    # take synthesize (table row blocks, Horner's rule) on the grid.
     matrix, synth = [], []
     chebyshev_matrix = solver_module._chebyshev_matrix
     synthesize_ = solver_module.synthesize
