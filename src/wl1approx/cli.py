@@ -40,15 +40,35 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .experiments import ExperimentConfig, RUNNERS, run_approximate
+from .experiments import ExperimentConfig, RUNNERS, parse_k_rule, \
+    resolve_basis, run_approximate
 
 
-def _int_list(text: str):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+def _list(parse, text):
+    values = tuple(parse(tok) for tok in str(text).split(",") if tok.strip())
+    if not values:
+        raise ValueError("expected a comma-separated list, got %r" % text)
+    return values
+
+
+def _int_list(text):
+    return _list(int, text)
 
 
 def _float_list(text):
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    return _list(float, text)
+
+
+# The runners read --basis and --k from their text; these check the text
+# up front, so that a bad value is reported with its option.
+def _basis(text):
+    resolve_basis(text)
+    return text
+
+
+def _k_rule(text):
+    parse_k_rule(text)
+    return text
 
 
 def _names(text):
@@ -72,13 +92,13 @@ def _bool(value) -> bool:
 # name: (ExperimentConfig field, parser, help).  The flag is --name with
 # '-' for '_'; a config-file key may use either spelling.
 _OPTIONS = {
-    "basis": ("basis", str, "legendre | chebyshev | fourier | jacobi:a,b"),
+    "basis": ("basis", _basis, "legendre | chebyshev | fourier | jacobi:a,b"),
     "points": ("points", str,
                "equispaced | jittered | uniform_random | chebyshev | "
                "file:PATH"),
     "n": ("n_list", _int_list, "comma-separated sample counts"),
     "m": ("m_list", _int_list, "comma-separated block sizes"),
-    "k": ("k_rule", str, "truncation rule: 4n | choose | an integer"),
+    "k": ("k_rule", _k_rule, "truncation rule: 4n | choose | an integer"),
     "gamma": ("gamma", float, "weight growth exponent"),
     "gammas": ("gamma_list", _float_list, "comma-separated exponent grid"),
     "epsilon": ("epsilon", float, "singular-value margin for --k choose"),

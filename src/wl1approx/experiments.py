@@ -200,13 +200,25 @@ def _points_for(cfg: ExperimentConfig, N: int, seed) -> np.ndarray:
     return generate(cfg.points, N, seed=seed, amplitude=cfg.amplitude)
 
 
+def parse_k_rule(text):
+    """A truncation rule: "4n", "choose" or an integer K."""
+    rule = str(text).lower()
+    if rule in ("4n", "choose"):
+        return rule
+    try:
+        return int(rule)
+    except ValueError:
+        raise ValueError("expected 4n, choose or an integer, got %r"
+                         % text) from None
+
+
 def _k_for(cfg: ExperimentConfig, basis, ps) -> int:
-    rule = str(cfg.k_rule).lower()
+    rule = parse_k_rule(cfg.k_rule)
     if rule == "4n":
         return 4 * ps.n
     if rule == "choose":
         return choose_K(basis, ps, cfg.epsilon)
-    return int(rule)
+    return rule
 
 
 def _fmt(val) -> str:

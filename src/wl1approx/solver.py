@@ -9,10 +9,13 @@ Nesterov-Todd scaling).  The economy SVD U S Vh of A / w replaces the rows
 of A by the independent rows of S Vh, those of singular values above
 SVD_RTOL S_0, so coinciding sample rows drop out:
 
-* one second-order cone (t_i, zt_i) per coefficient, minimizing sum t_i,
-  where zt_i has one real coordinate for real data and two (Re, Im) for
-  complex data;
-* noise ball: one more cone (eta', U^H y - S Vh zt), where
+* one cone |zt_i| <= t_i per coefficient, minimizing sum t_i.  For
+  complex data zt_i has two real coordinates (Re, Im), and the cone is a
+  second-order cone.  For real data it is the nonnegative quadrant turned
+  by 45 degrees: the program takes p_i, q_i = (t_i +- zt_i) / sqrt(2)
+  >= 0 on an orthant block, where the scaling, the Jordan product and the
+  step to the boundary are elementwise;
+* noise ball: one more second-order cone (eta', U^H y - S Vh zt), where
   eta' = sqrt(eta^2 - ||y - U U^H y||^2), clamped at 0.
 
 Each Newton step solves its normal equations through a triangular factor
@@ -21,7 +24,9 @@ coordinates of zt_i and m the number of constraint rows: the Cholesky
 factor of the square F^T F while its diagonal spread stays moderate, then,
 for the rest of the solve, a QR factor of F.  The t_i enter no
 constraint, so coefficient cone i contributes only the zt block of its
-squared scaling, whose closed-form symmetric square root gives its d rows.
+squared scaling, whose closed-form symmetric square root gives its d rows;
+on the orthant, pair i gives one row, column i of the constraints scaled
+by sqrt((w_p^2 + w_q^2) / 2).
 Products with the constraint matrix touch only its nonzero columns, and
 the scaled dual step W ds is W rd - W G^T dy, without a product of its
 own.  The corrector's solve is refined, at most twice, only while its
@@ -153,53 +158,75 @@ def _ipm(G, h, d, radius=0.0):
         and  G zt = h  (radius 0)  or  ||h - G zt|| <= radius,
 
     where each zt_i has d real coordinates and G = [G_1 ... G_d] holds one
-    block of K columns per coordinate.  The iterate x stacks the cones
-    (t_i, zt_i), then, for radius > 0, one ball cone (r, u) with r = radius
-    and G zt + u = h.  In this form, G' x = h' with x in a product C of
-    second-order cones, G' is nonzero only on the zt coordinates and the
-    ball cone, and every product with G' or G'^T touches only those.
+    block of K columns per coordinate.  The iterate x stacks an orthant
+    block, then second-order cones:
+
+    * d = 1: the cone |zt_i| <= t_i is the nonnegative quadrant turned by
+      45 degrees, so x starts with p = (t + zt) / sqrt(2) >= 0, then
+      q = (t - zt) / sqrt(2) >= 0: zt = (p - q) / sqrt(2), the cost is
+      1 / sqrt(2) per coordinate and the constraint columns are
+      [G, -G] / sqrt(2).  The turn is orthonormal, so the least-norm
+      starting point, x.s and every Newton step are those of the cones
+      (t_i, zt_i), up to rounding;
+    * d = 2: one second-order cone (t_i, zt_i) per coefficient;
+    * radius > 0: one ball cone (r, u) with r = radius and G zt + u = h.
+
+    In this form, G' x = h' with x in a product C of the orthant and the
+    second-order cones, G' is nonzero only on the zt coordinates (p and q)
+    and the ball cone, and every product with G' or G'^T touches only
+    those.  On the orthant everything is elementwise: the Jordan product
+    u o v = u v, the Nesterov-Todd scaling w = sqrt(x / s), lam = sqrt(x s),
+    lam^-1 o r = r / lam, and the step to the boundary, a ratio test.  The
+    starting shift adds delta e, where e is the identity of each
+    second-order cone and, on the orthant, the turned (1, 0), that is
+    (1, 1) / sqrt(2) per pair.  mu = x.s / nu, where nu counts one per
+    orthant pair and one per second-order cone, and the centring target
+    sigma mu e o e is sigma mu e on a second-order cone and sigma mu / 2
+    on each orthant coordinate.
 
     Newton steps use Nesterov-Todd scaling W (W^-1 x = W s = lam) and
     Mehrotra's predictor-corrector, solving the normal equations through an
-    upper triangular R, R^T R = G' W^2 G'^T.  The t-columns of G' are zero,
-    so coefficient cone i, with W_i = beta_i (2 v v^T - J), contributes only
-    the zt block (W_i^2)_zz = beta_i^2 (I + 8 v0^2 vz vz^T).  Its symmetric
-    square root beta_i (I + c_i vz vz^T), c_i = 8 v0^2 / (sqrt(1 + 8 v0^2
-    |vz|^2) + 1), times the rows of G^T for zt_i gives d rows of the
-    factored matrix; the ball cone adds the m + 1 rows of W_b G_b^T, a
-    column permutation of W_b.  That is d K (+ m + 1) rows F, and no matrix
-    W G'^T is formed: a step takes G' (W u) and W (G'^T dy), and
-    W ds = W rd - W G'^T dy, with W rd formed once for predictor and
-    corrector.  After the corrector's solve, the residuals of
-    all three linearized equations are recomputed; while their max-norm
-    exceeds TOL_FEAS / 10 of that of the right-hand side, at most twice, a
-    round of iterative refinement solves for the correction.  Refinement
-    recovers the accuracy that R^T R alone loses on ill-conditioned steps;
-    a solve that is already accurate gets no round.
+    upper triangular R, R^T R = G' W^2 G'^T.  The orthant contributes
+    G diag((w_p^2 + w_q^2) / 2) G^T: its K rows of the factored matrix are
+    the columns of G scaled by sqrt((w_p^2 + w_q^2) / 2).  The t-columns
+    of the cones are zero, so second-order coefficient cone i, with
+    W_i = beta_i (2 v v^T - J), contributes only the zt block
+    (W_i^2)_zz = beta_i^2 (I + 8 v0^2 vz vz^T).  Its symmetric square root
+    beta_i (I + c_i vz vz^T), c_i = 8 v0^2 / (sqrt(1 + 8 v0^2 |vz|^2) + 1),
+    times the rows of G^T for zt_i gives d rows of the factored matrix; the
+    ball cone adds the m + 1 rows of W_b G_b^T, a column permutation of
+    W_b.  That is d K (+ m + 1) rows F, and no matrix W G'^T is formed: a
+    step takes G' (W u) and W (G'^T dy), and W ds = W rd - W G'^T dy, with
+    W rd formed once for predictor and corrector.  After the corrector's
+    solve, the residuals of all three linearized equations are recomputed;
+    while their max-norm exceeds TOL_FEAS / 10 of that of the right-hand
+    side, at most twice, a round of iterative refinement solves for the
+    correction.  Refinement recovers the accuracy that R^T R alone loses on
+    ill-conditioned steps; a solve that is already accurate gets no round.
 
     R is the Cholesky factor (dpotrf) of F^T F, one symmetric product
     away: about a quarter of the time of a QR of F at N = 80.  A step
     takes the QR factor of F (dgeqrf) instead when dpotrf fails or the
     factor's diagonal spread (max R_ii / min R_ii)^2 exceeds CHOL_SPREAD,
-    and so does every later step of that solve; the spread grows as the
-    iterates near the cone boundary, and a fresh check would pass on
-    fewer than 1% of those later steps.  F^T F squares the condition
-    number that QR sees: with Cholesky on every step that dpotrf passes,
-    the ill-conditioned solve of tests/test_solver.py with seed 155 takes
-    17 steps instead of 15.  Every status and step count of the
-    benchmark's fits and of those ill-conditioned solves holds for
-    CHOL_SPREAD from 1e6 to 1e14; at 1e15 two move.  1e12 sits inside
-    that range with margin on both sides.
+    and so does every later step of that solve, for either block; the
+    spread grows as the iterates near the cone boundary, and a fresh check
+    would pass on fewer than 1% of those later steps.  F^T F squares the
+    condition number that QR sees: with Cholesky on every step that dpotrf
+    passes, 7 of 450 check solves change their step count: the
+    benchmark's fits (seed 1) and the ill-conditioned solves of
+    tests/test_solver.py (seeds 0-199).  Every status and step count of
+    those solves holds for CHOL_SPREAD from 1e6 to 1e14; at 1e15 two move.
+    1e12 sits inside that range with margin on both sides.
 
-    The factored rows are rebuilt in place, in one buffer per solve, as
-    ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i (for d = 1,
-    G_i^T vz_i is a column scaling).  On the steps that take QR that order
-    of rounding is kept on purpose: the one-pass G_i^T (beta_i (1 + c_i
-    vz_i^2)), or one dpotrs in place of the two triangular solves, round
-    differently, and the ill-conditioned solve of tests/test_solver.py
-    with seed 155, which takes QR from its first step, then ends in
-    max_iter instead of converging in 15 steps.  Whether the Cholesky
-    steps could take either is untried.
+    The factored rows are rebuilt in place, in one buffer per solve.  For
+    the second-order coefficient cones (complex data) they are
+    ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i.  That order of
+    rounding is kept on purpose: while real data took these cones too, the
+    one-pass G_i^T (beta_i (1 + c_i vz_i^2)) turned the ill-conditioned
+    solve with seed 155 from converged into max_iter.  On the orthant the
+    rows are one column scaling by construction.  Both blocks share the two
+    triangular solves; one dpotrs in their place still turns the
+    ill-conditioned solves with seeds 73 and 75 into max_iter.
 
     Yields (x, y, x.s) before each Newton step, the first at the starting
     point; the caller decides when to stop.  Returns when a step cannot
@@ -210,23 +237,38 @@ def _ipm(G, h, d, radius=0.0):
 
     m, dK = G.shape
     K = dK // d
+    no = 2 * K if d == 1 else 0      # orthant coordinates: p, then q
+    half = no // 2
+    kc = 0 if no else K              # second-order coefficient cones
     nb = m + 1 if radius > 0 else 0  # dimension of the ball cone, if any
-    dims = np.array([d + 1] * K + [nb] * (nb > 0))
+    dims = np.array([d + 1] * kc + [nb] * (nb > 0), dtype=int)
+    # The second-order cones fill x[no:]; heads, cid and hc index that part.
     heads = np.cumsum(dims) - dims
     cid = np.repeat(np.arange(len(dims)), dims)
     hc = heads[cid]                  # the head of each coordinate's cone
     sign = -np.ones(len(cid))
     sign[heads] = 1.0
-    e = (sign > 0).astype(float)     # identity element of C
-    tail = 1.0 - e
-    c = np.zeros(len(cid))
-    c[heads[:K]] = 1.0
-    # The zt coordinates of x in the column order of G, then the ball cone.
-    cols = np.flatnonzero(tail[:(d + 1) * K]).reshape(K, d).T.ravel()
-    Gc = G                           # G' on the columns cols of x
+    el = (sign > 0).astype(float)    # identity element of each cone
+    tail = 1.0 - el
+    nl, n, nu = len(dims), no + len(cid), half + len(dims)
+    r2 = math.sqrt(0.5)
+    # e: the identity element, on the orthant the turned (1, 0); cen =
+    # e o e, the direction of the centring target.
+    e = np.concatenate([np.full(no, r2), el])
+    cen = np.concatenate([np.full(no, 0.5), el])
+    c = np.zeros(n)
+    c[:no] = r2
+    c[no + heads[:kc]] = 1.0
+    # The zt coordinates of x in the column order of G, then the ball cone:
+    # for d = 1, p stands for p - q.
+    if no:
+        cols, Gz = np.arange(half), G * r2
+    else:
+        cols, Gz = np.flatnonzero(tail[:3 * K]).reshape(K, 2).T.ravel(), G
+    Gc = Gz                          # G' on the columns cols of x
     if nb:
-        cols = np.append(cols, np.arange((d + 1) * K, len(cid)))
-        Gc = np.block([[G, np.zeros((m, 1)), np.eye(m)],
+        cols = np.append(cols, np.arange(n - nb, n))
+        Gc = np.block([[Gz, np.zeros((m, 1)), np.eye(m)],
                        [np.zeros((1, dK)), np.ones((1, 1)), np.zeros((1, m))]])
         h = np.append(h, radius)
         rb = np.arange(nb)
@@ -234,58 +276,90 @@ def _ipm(G, h, d, radius=0.0):
         bcols, bsign = dK + perm, sign[-nb:][perm]
     Gd = G.reshape(m, d, K)
     lwork = int(dgeqrf_lwork(dK + nb, len(h))[0])
-    # The factored matrix, transposed, refilled by every setup: cone i's
-    # rows beta_i (I + c_i vz vz^T) G_i^T in Fz, then W_b[:, perm] for the
+    # The factored matrix, transposed, refilled by every setup: the
+    # orthant's rows G^T sqrt((w_p^2 + w_q^2) / 2), or cone i's rows
+    # beta_i (I + c_i vz vz^T) G_i^T, in Fz, then W_b[:, perm] for the
     # ball.  dgeqrf overwrites it, so the ball's zero row is reset.
     Ft = np.zeros((len(h), dK + nb))
     Fz = Ft[:m, :dK].reshape(m, d, K)
 
     def gmul(u):                     # G' u
-        return Gc @ u[cols]
+        v = u[cols]
+        if no:
+            v[:half] -= u[half:no]
+        return Gc @ v
 
     def gtmul(y):                    # G'^T y
-        out = np.zeros(len(cid))
+        out = np.zeros(n)
         out[cols] = y @ Gc
+        if no:
+            out[half:no] = -out[:half]
         return out
 
-    def seg(u):                      # sums over each cone
-        if d == 1 and not nb:        # pairs: the same sums, without reduceat
-            return u[::2] + u[1::2]
+    def seg(u):                      # sums over each second-order cone
         return np.add.reduceat(u, heads)
-
-    def prod(u, v):                  # Jordan product u o v
-        out = u[hc] * v + v[hc] * u
-        out[heads] = seg(u * v)
-        return out
-
-    def mul(W, u):                   # W u, W = beta (2 v v^T - J) per cone
-        v, bv2, bj = W
-        return bv2 * seg(v * u)[cid] - bj * u
 
     def jnorm(u):                    # sqrt(u0^2 - |u1|^2) without cancellation
         n1, u0 = np.sqrt(seg(tail * u * u)), u[heads]
         return np.sqrt((u0 - n1) * (u0 + n1))
 
-    def step(d):                     # largest a with lam + a d in C
-        t = seg(jlb * d)
-        rho = tail * (d - ((t + d[heads]) / lb1)[cid] * lb)
-        worst = _amax((np.sqrt(seg(rho * rho)) - t) / lnorm)
-        return 1.0 / worst if worst > 0 else np.inf
+    # The maps below act on the orthant x[:no] by fo, on the second-order
+    # cones x[no:] by fl (the l-names), and join the two results.
+    def both(fo, fl, join=np.concatenate):
+        if not nl:
+            return fo
+        if not no:
+            return fl
+        return lambda *us: join([fo(*[u[:no] for u in us]),
+                                 fl(*[u[no:] for u in us])])
+
+    def lprod(u, v):
+        out = u[hc] * v + v[hc] * u
+        out[heads] = seg(u * v)
+        return out
+
+    def lmul(u):
+        return bv2 * seg(v * u)[cid] - bj * u
+
+    def llinv(r):
+        u0 = seg(jlam * r)
+        u = (r - u0[cid] * ll) * ilam0
+        u[heads] = u0
+        return u
+
+    def lworst(dv):
+        t = seg(jlb * dv)
+        rho = tail * (dv - ((t + dv[heads]) / lb1)[cid] * lb)
+        return _amax((np.sqrt(seg(rho * rho)) - t) / lnorm)
+
+    prod = both(np.multiply, lprod)              # Jordan product u o v
+    mul = both(lambda u: wo * u, lmul)           # W u
+    linv = both(lambda r: r / lo, llinv)         # lam^-1 o r
+    # 1 / the largest a with lam + a dv in C, if positive: a ratio test on
+    # the orthant.
+    worst = both(lambda dv: -_amin(dv / lo), lworst, max)
+    # The largest cone violation |zt| - t: -sqrt(2) min(p, q) on the
+    # orthant.
+    violation = both(lambda u: -math.sqrt(2) * _amin(u),
+                     lambda u: _amax(np.sqrt(seg(tail * u * u)) - u[heads]),
+                     max)
+
+    def step(dv):                    # largest a with lam + a dv in C
+        a = worst(dv)
+        return 1.0 / a if a > 0 else np.inf
 
     def newton(rp, wrd, rc):         # G' dx = rp, G'^T dy + ds = rd,
-        u0 = seg(jlam * rc)          # lam o (W^-1 dx + W ds) = rc,
-        u = (rc - u0[cid] * lam) * ilam0     # with wrd = W rd; lam o u = rc
-        u[heads] = u0
-        u -= wrd
-        t = dtrtrs(R, rp - gmul(mul(W, u)), trans=1)[0]
+        u = linv(rc)                 # lam o (W^-1 dx + W ds) = rc,
+        u -= wrd                     # with wrd = W rd
+        t = dtrtrs(R, rp - gmul(mul(u)), trans=1)[0]
         dy = dtrtrs(R, t)[0]
         gdy = gtmul(dy)
-        wgdy = mul(W, gdy)
+        wgdy = mul(gdy)
         return u + wgdy, wrd - wgdy, dy, gdy    # W^-1 dx, W ds, dy, G'^T dy
 
     def direction(rp, rd, rc, wrd):  # dx, dy, ds, W^-1 dx and W ds
         wdx, wds, dy, gdy = newton(rp, wrd, rc)
-        return mul(W, wdx), dy, rd - gdy, wdx, wds
+        return mul(wdx), dy, rd - gdy, wdx, wds
 
     def solve(rp, rd, rc, wrd):      # direction(), refined on demand
         d = direction(rp, rd, rc, wrd)
@@ -298,32 +372,44 @@ def _ipm(G, h, d, radius=0.0):
                  rc - prod(lam, wdx + wds))
             if max(_amax(abs(u)) for u in r) <= tol:
                 break
-            d = tuple(a + b for a, b in
-                      zip(d, direction(*r, mul(W, r[1]))))
+            d = tuple(a + b for a, b in zip(d, direction(*r, mul(r[1]))))
         return d
 
-    def setup(v, beta, lam_):        # scaling W, lam, factor R
-        nonlocal W, R, lam, jlam, ilam0, lnorm, lb, jlb, lb1, qr
-        bc = beta[cid]
-        W = (v, 2 * bc * v, bc * sign)
-        lam = lam_
-        det = seg(sign * lam * lam)
-        jlam, ilam0 = sign * lam / det[cid], 1.0 / lam[hc]
-        lnorm = np.sqrt(det)
-        lb = lam / lnorm[cid]
-        jlb, lb1 = sign * lb, lb[heads] + 1
-        vz, q = v[cols[:dK]].reshape(d, K), 8 * v[heads[:K]] ** 2
-        if d == 1:                   # G_i^T vz_i is a column scaling
-            gv, vv = np.multiply(G, vz[0], out=Fz[:, 0]), vz[0] * vz[0]
+    def scaling(x, s):               # v, beta and lam of the cones x[no:]
+        a, b = jnorm(x), jnorm(s)
+        xb, sb = x / a[cid], s / b[cid]
+        xh, sh = xb[heads], sb[heads]
+        gam = np.sqrt((1 + seg(xb * sb)) / 2)
+        v = (xb + sign * sb) / (2 * gam)[cid]     # the scaling point
+        lam = ((gam + sh)[cid] * xb + (gam + xh)[cid] * sb) \
+            / (xh + sh + 2 * gam)[cid]
+        lam[heads] = gam
+        return ((v + el) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
+                lam * np.sqrt(a * b)[cid])
+
+    def setup():                     # lam, W, R from wo, lo, v, beta, ll
+        nonlocal bv2, bj, lam, jlam, ilam0, lnorm, lb, jlb, lb1, R, qr
+        lam = ll if not no else lo if not nl else np.concatenate([lo, ll])
+        if nl:
+            bc = beta[cid]
+            bv2, bj = 2 * bc * v, bc * sign
+            det = seg(sign * ll * ll)
+            jlam, ilam0 = sign * ll / det[cid], 1.0 / ll[hc]
+            lnorm = np.sqrt(det)
+            lb = ll / lnorm[cid]
+            jlb, lb1 = sign * lb, lb[heads] + 1
+        if no:
+            np.multiply(G, np.sqrt((wo[:half] ** 2 + wo[half:] ** 2) / 2),
+                        out=Fz[:, 0])
         else:
+            vz, q = v[cols[:dK]].reshape(d, K), 8 * v[heads[:K]] ** 2
             gv = np.einsum("mjk,jk->mk", Gd, vz)
-            vv = np.sum(vz * vz, axis=0)
-        ci = q / (np.sqrt(1 + q * vv) + 1)
-        np.multiply(np.multiply(gv, ci, out=gv)[:, None], vz, out=Fz)
-        np.add(Fz, Gd, out=Fz)
-        np.multiply(Fz, beta[:K], out=Fz)
+            ci = q / (np.sqrt(1 + q * np.sum(vz * vz, axis=0)) + 1)
+            np.multiply(np.multiply(gv, ci, out=gv)[:, None], vz, out=Fz)
+            np.add(Fz, Gd, out=Fz)
+            np.multiply(Fz, beta[:K], out=Fz)
         if nb:
-            vb, bb = v[-nb:], beta[K]
+            vb, bb = v[-nb:], beta[-1]
             Ft[m, :dK] = 0.0
             np.outer(vb[perm], vb, out=Ft[:, dK:])
             np.multiply(Ft[:, dK:], 2 * bb, out=Ft[:, dK:])
@@ -338,37 +424,33 @@ def _ipm(G, h, d, radius=0.0):
             R = np.asfortranarray(dgeqrf(Ft.T, lwork=lwork, overwrite_a=1)[0]
                                   [:len(h)])
 
-    W = R = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = None
+    bv2 = bj = lam = jlam = ilam0 = lnorm = lb = jlb = lb1 = R = None
     qr = False                       # once set, every later step takes QR
     # Start from the least-norm solutions of the two equality systems,
     # shifted into the cone (W = I).
-    setup(e, np.ones(len(dims)), e)
-    zero = np.zeros_like(c)
-    x = mul(W, newton(h, zero, zero)[0])     # rd = 0, so W rd = 0
-    _, _, y, gy = newton(np.zeros_like(h), mul(W, c), zero)
-    s = c - gy
-    x, s = (u + max(0.0, 1.0 + _amax(np.sqrt(seg(tail * u * u)) - u[heads]))
-            * e for u in (x, s))
+    wo = lo = np.ones(no)
+    v, beta, ll = el, np.ones(nl), el
+    setup()
+    zero = np.zeros(n)
+    x = mul(newton(h, zero, zero)[0])        # rd = 0, so W rd = 0
+    _, _, y, gy = newton(np.zeros_like(h), mul(c), zero)
+    x, s = (u + max(0.0, 1.0 + violation(u)) * e for u in (x, c - gy))
     while True:
         xs = float(x @ s)
         yield x, y, xs
         if not xs > 1e-14 * max(1.0, c @ x):     # also stops on NaN
             return
-        a, b = jnorm(x), jnorm(s)
-        xb, sb = x / a[cid], s / b[cid]
-        xh, sh = xb[heads], sb[heads]
-        gam = np.sqrt((1 + seg(xb * sb)) / 2)
-        v = (xb + sign * sb) / (2 * gam)[cid]     # the scaling point
-        lam = ((gam + sh)[cid] * xb + (gam + xh)[cid] * sb) \
-            / (xh + sh + 2 * gam)[cid]
-        lam[heads] = gam
-        setup((v + e) / np.sqrt(2 * (v[heads] + 1))[cid], np.sqrt(a / b),
-              lam * np.sqrt(a * b)[cid])
-        rp, rd, ll = h - gmul(x), c - gtmul(y) - s, prod(lam, lam)
-        wrd = mul(W, rd)
-        wx, ws = newton(rp, wrd, -ll)[:2]         # predictor
+        if no:
+            xo, so = x[:no], s[:no]
+            wo, lo = np.sqrt(xo / so), np.sqrt(xo * so)
+        if nl:
+            v, beta, ll = scaling(x[no:], s[no:])
+        setup()
+        rp, rd, l2 = h - gmul(x), c - gtmul(y) - s, prod(lam, lam)
+        wrd = mul(rd)
+        wx, ws = newton(rp, wrd, -l2)[:2]         # predictor
         sigma = (1.0 - min(1.0, step(wx), step(ws))) ** 3
-        dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / len(dims) * e - ll
+        dx, dy, ds, wdx, wds = solve(rp, rd, sigma * xs / nu * cen - l2
                                      - prod(wx, ws), wrd)
         alpha = min(1.0, 0.99 * step(wdx), 0.99 * step(wds))
         if not alpha >= 1e-8:
@@ -450,8 +532,9 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
     # One cone program in the scaled variable zt = w z, with the rows of
     # A / w replaced by S Vh: A z = y becomes S Vh zt = U^H y, and
     # ||A z - y|| <= eta becomes ||U^H y - S Vh zt|| <= eta_r.  Each
-    # coefficient has a cone (t_i, zt_i), zt_i in d = 1 real coordinate or
-    # d = 2 (Re, Im; the rows then hold real parts, then imaginary parts).
+    # coefficient has a cone |zt_i| <= t_i, zt_i in d = 1 real coordinate
+    # or d = 2 (Re, Im; the rows then hold real parts, then imaginary
+    # parts).
     # The data enter divided by ||y||, so that the starting point, at unit
     # distance from the cone boundary, matches their scale.
     B, h = S[:, None] * Vh, Uy / ynorm
@@ -461,14 +544,17 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
         h = np.concatenate([h.real, h.imag])
     d, m = len(cols), len(h)
     G = np.hstack(cols)
-    dtype, status, hist = (float, complex)[d - 1], STATUS_MAX_ITER, []
+    status, hist = STATUS_MAX_ITER, []
     for its, (x, yd, xs) in enumerate(_ipm(G, h, d, eta_r / ynorm)):
         hist.append(ynorm * xs)
-        # zt and the dual mu from their d real coordinates per entry, as
-        # views but for complex mu, whose Re and Im parts lie m / 2 apart.
-        zt = x[:(d + 1) * K].reshape(K, d + 1)[:, 1:].view(dtype)[:, 0]
-        mu = yd[:m] if d == 1 else \
-            yd[:m].reshape(2, -1).T.copy().view(complex)[:, 0]
+        # zt and the dual mu from x and yd: for real data from the orthant
+        # block (p, q), for complex data as views of the cones (t_i, zt_i),
+        # but for mu, whose Re and Im parts lie m / 2 apart.
+        if d == 1:                   # zt = (p - q) / sqrt(2)
+            zt, mu = (x[:K] - x[K:2 * K]) * math.sqrt(0.5), yd[:m]
+        else:
+            zt = x[:3 * K].reshape(K, 3)[:, 1:].view(complex)[:, 0]
+            mu = yd[:m].reshape(2, -1).T.copy().view(complex)[:, 0]
         z = ynorm * zt / w
         res = _norm(A @ z - y)
         obj = l1_objective(z, w)

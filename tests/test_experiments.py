@@ -634,13 +634,27 @@ def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     (["compare", "--n", "10,x"], None, "--n: invalid literal for int()"),
     (["compare"], "seed = 1.5", "config key 'seed': invalid literal"),
     (["compare", "--eta", "0.o1"], None, "--eta: could not convert"),
+    (["compare", "--n", "10", "--k", "4x"], None,
+     "--k: expected 4n, choose or an integer, got '4x'"),
+    (["compare", "--n", "10"], "k = 4x", "config key 'k': expected 4n"),
+    (["compare", "--n", "10", "--basis", "jacobi:x,0"], None,
+     "--basis: could not convert string to float: 'x'"),
+    (["compare", "--n", "10"], "basis = jacobi:x,0",
+     "config key 'basis': could not convert"),
+    (["diagnostics", "--m", ","], None,
+     "--m: expected a comma-separated list, got ','"),
+    (["weight-sweep"], "gammas = ,", "config key 'gammas': expected a"),
 ], ids=["bool-typo", "bool-empty", "seed-flag", "n-flag", "seed-key",
-        "eta-flag"])
+        "eta-flag", "k-flag", "k-key", "basis-flag", "basis-key", "m-flag",
+        "gammas-key"])
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
                                           message):
     # A config boolean outside the true and false spellings used to read
     # as false, and a value that does not parse used to reach the user as
-    # int()'s or float()'s message alone, without the flag or key.
+    # int()'s or float()'s message alone, without the flag or key.  --k
+    # and --basis used to be parsed only by the runners, and an empty
+    # list only failed in ExperimentConfig, which names fields, not
+    # options.
     if line is not None:
         (tmp_path / "run.cfg").write_text(line + "\n")
         argv = argv + ["--config", str(tmp_path / "run.cfg")]

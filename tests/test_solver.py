@@ -172,10 +172,12 @@ def well_conditioned_problem(spec, N, eta):
 
 @pytest.mark.parametrize("spec, N, eta, steps", [
     (legendre(), 60, 0.0, 11), (legendre(), 40, 1e-3, 13),
-    (fourier(), 40, 0.0, 6), (fourier(), 80, 1e-3, 15)])
+    (fourier(), 40, 0.0, 6), (fourier(), 80, 1e-3, 15),
+    (legendre(), 80, 0.0, 11), (legendre(), 80, 1e-3, 13)])
 def test_well_conditioned_step_counts(spec, N, eta, steps):
     # Step counts of well-conditioned solves on the four paths (real or
     # complex, equality or ball), the same on one and two BLAS threads.
+    # The real cases at N = 80 are the largest sizes the benchmark fits.
     # A rewrite of the Newton step that changes more than its last bits
     # shows up here; one that only rounds differently may not, and the
     # ill-conditioned pins above are the finer check.
@@ -220,9 +222,13 @@ def test_newton_factor_is_cholesky_until_its_spread_is_too_wide(monkeypatch):
 
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
 def test_real_and_complex_paths_agree(eta):
-    # The same real data posed as complex take the d = 2 cone path (two
-    # coordinates per coefficient, twice the constraint rows) instead of
-    # d = 1; the solves must take the same steps to the same optimum.
+    # The same real data posed as complex take the second-order cones
+    # (t_i, Re zt_i, Im zt_i) and twice the constraint rows instead of the
+    # orthant block (p, q); the solves must take the same steps to the
+    # same optimum.  The orthant is the cones |zt_i| <= t_i turned by an
+    # orthonormal map, so the iterates agree too: every complementarity
+    # x.s matches to rounding.  A turn that is not orthonormal, (t +- zt)
+    # / 2, moves the starting point and fails this in ball mode.
     spec = legendre()
     pts = generate("jittered", 40, seed=7)
     A = build_matrix(spec, build_pointset(pts, spec), 160)
@@ -236,6 +242,10 @@ def test_real_and_complex_paths_agree(eta):
     assert r1.status == r2.status == STATUS_CONVERGED
     assert r1.iterations == r2.iterations
     assert abs(r2.objective - r1.objective) <= 1e-12 * r1.objective
+    h0 = r2.gap_history[0]
+    assert len(r1.gap_history) == len(r2.gap_history)
+    assert np.max(np.abs(np.subtract(r1.gap_history, r2.gap_history))) \
+        <= 1e-12 * h0
     assert np.max(np.abs(r2.z.imag)) <= 1e-12
     if not eta:
         _, obj_lp = lp_oracle(A, p1.y, w.w)
