@@ -284,19 +284,9 @@ def eval_table(spec: BasisSpec, K: int, t) -> np.ndarray:
         raise ValueError("K must be >= 1")
     if spec.kind == FOURIER:
         half = K // 2
-        T = np.empty((t.size, K), dtype=complex)
-        pos = T[:, half:]  # frequencies 0 ... K - half - 1
-        if K % 2:
-            _phasors(t, np.arange(K - half), half, pos)
-        else:
-            # +half is not stored: in the same fold its phasor goes to the
-            # column of -1, and from there, conjugated, to the column of -half.
-            _phasors(t, np.r_[half, :half], half, T[:, half - 1:])
-            np.conjugate(T[:, half - 1], out=T[:, 0])
-        # Column -j is the exact conjugate of column +j.
-        neg = T[:, :half][:, ::-1]  # frequencies -1, -2, ..., -half
-        np.conjugate(pos[:, 1:], out=neg[:, :K - half - 1])
-        return T
+        P = np.empty((t.size, half + 1), dtype=complex)
+        _phasors(t, np.arange(half + 1), half, P)
+        return np.concatenate([P[:, half:0:-1].conj(), P[:, :K - half]], 1)
     return next(_table_rows(spec, K, t, K))[1].T
 
 

@@ -40,8 +40,8 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .experiments import ExperimentConfig, RUNNERS, parse_k_rule, \
-    resolve_basis, run_approximate
+from .experiments import ExperimentConfig, RUNNERS, check_field, \
+    run_approximate
 
 
 def _list(parse, text):
@@ -57,18 +57,6 @@ def _int_list(text):
 
 def _float_list(text):
     return _list(float, text)
-
-
-# The runners read --basis and --k from their text; these check the text
-# up front, so that a bad value is reported with its option.
-def _basis(text):
-    resolve_basis(text)
-    return text
-
-
-def _k_rule(text):
-    parse_k_rule(text)
-    return text
 
 
 def _names(text):
@@ -90,15 +78,16 @@ def _bool(value) -> bool:
 
 
 # name: (ExperimentConfig field, parser, help).  The flag is --name with
-# '-' for '_'; a config-file key may use either spelling.
+# '-' for '_'; a config-file key may use either spelling.  Each parsed
+# value passes experiments.check_field, so a bad one names its option.
 _OPTIONS = {
-    "basis": ("basis", _basis, "legendre | chebyshev | fourier | jacobi:a,b"),
+    "basis": ("basis", str, "legendre | chebyshev | fourier | jacobi:a,b"),
     "points": ("points", str,
                "equispaced | jittered | uniform_random | chebyshev | "
                "file:PATH"),
     "n": ("n_list", _int_list, "comma-separated sample counts"),
     "m": ("m_list", _int_list, "comma-separated block sizes"),
-    "k": ("k_rule", _k_rule, "truncation rule: 4n | choose | an integer"),
+    "k": ("k_rule", str, "truncation rule: 4n | choose | an integer"),
     "gamma": ("gamma", float, "weight growth exponent"),
     "gammas": ("gamma_list", _float_list, "comma-separated exponent grid"),
     "epsilon": ("epsilon", float, "singular-value margin for --k choose"),
@@ -190,29 +179,26 @@ def _config_from_args(args) -> ExperimentConfig:
              if name in given}
     texts = {**(_load_config(config, args.command) if config else {}),
              **flags}
+    experiment = args.command.replace("-", "_")
     values = dict(_COMMANDS[args.command][1])
+    family, _, path = texts.get("points", "").partition(":")
+    if family == "file":
+        if not path:
+            raise ValueError("--points file needs a path: --points file:PATH")
+        if "n" in texts:
+            raise ValueError("--n is not read with --points file:PATH: the "
+                             "file fixes N at its point count")
+        texts["points"], values["points_file"] = "file", path
     for name, text in texts.items():
         field, parse = _OPTIONS[name][:2]
         try:
             values[field] = parse(text)
+            check_field(experiment, field, values[field])
         except ValueError as exc:
             where = ("--" + name.replace("_", "-") if name in flags
                      else "config key %r" % name)
             raise ValueError("%s: %s" % (where, exc)) from None
-    if values.get("points") in ("file", "file:"):
-        raise ValueError("--points file needs a path: --points file:PATH")
-    if values.get("points", "").startswith("file:"):
-        if "n" in texts:
-            raise ValueError("--n is not read with --points file:PATH: the "
-                             "file fixes N at its point count")
-        values["points_file"] = values["points"].split(":", 1)[1]
-        values["points"] = "file"
-    functions = values.get("functions") or ()
-    if args.command == "diagnostics" and len(functions) > 1:
-        raise ValueError("diagnostics uses one reference function, got %s"
-                         % ",".join(functions))
-    return ExperimentConfig(experiment=args.command.replace("-", "_"),
-                            **values)
+    return ExperimentConfig(experiment=experiment, **values)
 
 
 def main(argv=None) -> int:
@@ -223,7 +209,7 @@ def main(argv=None) -> int:
             paths = run_approximate(cfg, args.samples)
         else:
             paths = RUNNERS[cfg.experiment](cfg)
-    except (ValueError, RuntimeError, OSError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for name in sorted(paths):

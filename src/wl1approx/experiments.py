@@ -27,7 +27,7 @@ from dataclasses import asdict, astuple, dataclass
 from . import basis as _basis
 from . import solver as _solver
 from .basis import BasisSpec, nested_rank, project_coefficients
-from .grid import build_pointset, generate, load_points
+from .grid import POINT_FAMILIES, build_pointset, generate, load_points
 from .sampling import build_matrix, choose_K, default_weights, make_weights, \
     smallest_nonzero_singular_value
 from .diagnostics import REPORT_COLUMNS, SCALING_AMPLITUDE, SCALING_GAMMA, \
@@ -137,21 +137,48 @@ class ExperimentConfig:
     functions: tuple | None = None
 
     def __post_init__(self):
-        if not self.n_list:
-            raise ValueError("n_list must be nonempty")
-        if not self.m_list:
-            raise ValueError("m_list must be nonempty")
-        if self.eval_resolution < 100:
-            raise ValueError("eval_resolution must be at least 100")
-        for name in ("eta", "noise", "amplitude"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError("%s must be finite and nonnegative, got %r"
-                                 % (name, value))
-        for name in ("gamma", "gamma_list", "epsilon"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ValueError("%s must be finite, got %r" % (name, value))
+        for name, value in vars(self).items():
+            check_field(self.experiment, name, value)
+        if self.points == "file" and not self.points_file:
+            raise ValueError("points=file needs points_file")
+
+
+def check_field(experiment: str, name: str, value) -> None:
+    """Raise ValueError unless `value` suits ExperimentConfig field `name`
+    in a run of `experiment`."""
+    def need(ok, what):
+        if not ok:
+            raise ValueError("%s must be %s, got %r" % (name, what, value))
+
+    if name in ("n_list", "m_list"):
+        need(value and min(value) >= 1, "a nonempty list of sizes >= 1")
+    if name == "eval_resolution":
+        need(value >= 100, "at least 100")
+    if name in ("eta", "noise", "amplitude"):
+        need(np.isfinite(value) and value >= 0, "finite and nonnegative")
+    if name == "seed":
+        need(value >= 0, "nonnegative")
+    if name in ("gamma", "gamma_list", "epsilon"):
+        need(np.all(np.isfinite(value)), "finite")
+    if name in ("gamma", "gamma_list"):
+        need(np.all(np.greater_equal(value, 0)), "nonnegative")
+    if name == "epsilon":
+        need(0.0 < value < 1.0, "in (0, 1)")
+    if name == "points":
+        need(value in POINT_FAMILIES + ("file",),
+             "file or one of " + ", ".join(POINT_FAMILIES))
+    if name == "k_rule":
+        parse_k_rule(value)
+    if name == "basis":
+        is_complex = resolve_basis(value).is_complex
+        need(is_complex or experiment != "aliasing", "fourier")
+        need(not is_complex or experiment != "weight_sweep", "a Jacobi basis")
+    if name == "functions":
+        need(set(value or ()) <= TEST_FUNCTIONS.keys(),
+             "ids among " + ", ".join(sorted(TEST_FUNCTIONS)))
+        if experiment == "diagnostics" and len(value or ()) > 1:
+            raise ValueError("diagnostics uses one reference function, got "
+                             "%s" % ",".join(value))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -180,36 +207,33 @@ def resolve_basis(label: str) -> BasisSpec:
     raise ValueError("unknown basis %r" % (label,))
 
 
-def _file_points(cfg: ExperimentConfig) -> np.ndarray:
-    if not cfg.points_file:
-        raise ValueError("points=file needs points_file")
-    return load_points(cfg.points_file)
-
-
 def _sizes(cfg: ExperimentConfig) -> tuple:
     """The values of N a runner loops over.  A points file fixes N at its
     point count, so its point set is fitted once and n_list is not read."""
     if cfg.points == "file":
-        return (_file_points(cfg).size,)
+        return (load_points(cfg.points_file).size,)
     return cfg.n_list
 
 
 def _points_for(cfg: ExperimentConfig, N: int, seed) -> np.ndarray:
     if cfg.points == "file":
-        return _file_points(cfg)
+        return load_points(cfg.points_file)
     return generate(cfg.points, N, seed=seed, amplitude=cfg.amplitude)
 
 
 def parse_k_rule(text):
-    """A truncation rule: "4n", "choose" or an integer K."""
+    """A truncation rule: "4n", "choose" or an integer K >= 1."""
     rule = str(text).lower()
     if rule in ("4n", "choose"):
         return rule
     try:
-        return int(rule)
+        K = int(rule)
     except ValueError:
         raise ValueError("expected 4n, choose or an integer, got %r"
                          % text) from None
+    if K < 1:
+        raise ValueError("K must be at least 1, got %d" % K)
+    return K
 
 
 def _k_for(cfg: ExperimentConfig, basis, ps) -> int:
@@ -266,8 +290,6 @@ def run_aliasing(cfg: ExperimentConfig) -> dict:
     growth rates, in both equality and noise-ball modes.
     """
     basis = resolve_basis(cfg.basis)
-    if not basis.is_complex:
-        raise ValueError("the aliasing study needs the Fourier basis")
     rows = []
     header = ("section", "function", "N", "K", "weights", "mode", "eta",
               "value_kind", "value")
@@ -348,8 +370,6 @@ def run_weight_sweep(cfg: ExperimentConfig) -> dict:
     rows rather than aborting the sweep.
     """
     basis = resolve_basis(cfg.basis)
-    if basis.is_complex:
-        raise ValueError("the weight sweep runs on Jacobi systems")
     funcs = ([get_function(fid) for fid in cfg.functions]
              if cfg.functions else functions_with_tag("sweep"))
     header = ("function", "gamma", "N", "K", "error", "objective",
@@ -535,9 +555,7 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
     meta file records the SHA-256 of the file's bytes."""
     with open(sample_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    data = np.loadtxt(sample_path)
-    if data.ndim == 1:
-        data = data[None, :]
+    data = np.loadtxt(sample_path, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("expected two columns: point and value")
     order = np.argsort(data[:, 0])

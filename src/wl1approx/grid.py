@@ -7,12 +7,16 @@ includes ghost points reflecting the interval endpoints; the reflection
 rule follows the basis family and is not selectable.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
 
 from .basis import BasisSpec, FOURIER, legendre
+
+
+POINT_FAMILIES = ("equispaced", "jittered", "uniform_random", "chebyshev")
 
 
 class DegenerateGridError(ValueError):
@@ -140,12 +144,12 @@ def generate(kind: str, N: int, seed: int | None = None,
 
 
 def load_points(path) -> np.ndarray:
-    pts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                pts.append(float(line))
-    if not pts:
+    """One abscissa per line; '#' starts a comment."""
+    with warnings.catch_warnings():  # an empty file is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        pts = np.loadtxt(path, ndmin=2)
+    if pts.shape[1] != 1:
+        raise ValueError(f"expected one point per line in {path}")
+    if not pts.size:
         raise DegenerateGridError(f"no points found in {path}")
-    return np.asarray(pts)
+    return pts[:, 0]

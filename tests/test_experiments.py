@@ -310,6 +310,12 @@ def test_approximate_runner(tmp_path):
     curve = open(out["curve"]).read().splitlines()
     assert curve[0] == "t,value"
     assert len(curve) > 100
+    # Two lines of one value each are two points without values, not one
+    # sample (t, y).
+    one_column = tmp_path / "one_column.txt"
+    one_column.write_text("-0.5\n0.5\n")
+    with pytest.raises(ValueError, match="two columns"):
+        run_approximate(cfg, str(one_column))
 
 
 def _write_samples(path, t, vals):
@@ -644,9 +650,46 @@ def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     (["diagnostics", "--m", ","], None,
      "--m: expected a comma-separated list, got ','"),
     (["weight-sweep"], "gammas = ,", "config key 'gammas': expected a"),
+    (["compare", "--resolution", "50"], None,
+     "--resolution: eval_resolution must be at least 100, got 50"),
+    (["compare"], "resolution = 50", "config key 'resolution': eval_"),
+    (["weight-sweep", "--gammas", "nan"], None,
+     "--gammas: gamma_list must be finite, got (nan,)"),
+    (["weight-sweep", "--gammas", "1,-1"], None,
+     "--gammas: gamma_list must be nonnegative"),
+    (["diagnostics", "--gamma", "-1"], None,
+     "--gamma: gamma must be nonnegative, got -1.0"),
+    (["compare", "--n", "10", "--k", "-5"], None,
+     "--k: K must be at least 1, got -5"),
+    (["compare", "--n", "10"], "k = 0",
+     "config key 'k': K must be at least 1, got 0"),
+    (["compare", "--n", "0"], None, "--n: n_list must be a nonempty list"),
+    (["diagnostics", "--n", "10", "--m", "0"], None,
+     "--m: m_list must be a nonempty list of sizes >= 1, got (0,)"),
+    (["compare", "--n", "10", "--points", "bogus"], None,
+     "--points: points must be file or one of equispaced"),
+    (["diagnostics", "--n", "10"], "points = bogus",
+     "config key 'points': points must be"),
+    (["diagnostics", "--n", "10", "--m", "3", "--k", "choose", "--epsilon",
+      "2"], None, "--epsilon: epsilon must be in (0, 1), got 2.0"),
+    (["compare", "--n", "10", "--functions", "nope"], None,
+     "error: --functions: functions must be ids among abs_cubed"),
+    (["compare", "--n", "10"], "functions = runge25,nope",
+     "config key 'functions': functions must be ids among"),
+    (["diagnostics", "--n", "10", "--functions", "runge25,abs_cubed"], None,
+     "--functions: diagnostics uses one reference function"),
+    (["compare", "--n", "10", "--seed", "-1"], None,
+     "--seed: seed must be nonnegative, got -1"),
+    (["weight-sweep", "--basis", "fourier"], None,
+     "--basis: basis must be a Jacobi basis, got 'fourier'"),
+    (["weight-sweep"], "basis = fourier", "config key 'basis': basis must"),
 ], ids=["bool-typo", "bool-empty", "seed-flag", "n-flag", "seed-key",
         "eta-flag", "k-flag", "k-key", "basis-flag", "basis-key", "m-flag",
-        "gammas-key"])
+        "gammas-key", "resolution-flag", "resolution-key", "gammas-nan",
+        "gammas-negative", "gamma-negative", "k-negative", "k-zero-key",
+        "n-zero", "m-zero", "points-flag", "points-key", "epsilon-flag",
+        "functions-flag", "functions-key", "functions-two", "seed-negative",
+        "weight-sweep-fourier-flag", "weight-sweep-fourier-key"])
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
                                           message):
     # A config boolean outside the true and false spellings used to read
@@ -654,7 +697,9 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
     # int()'s or float()'s message alone, without the flag or key.  --k
     # and --basis used to be parsed only by the runners, and an empty
     # list only failed in ExperimentConfig, which names fields, not
-    # options.
+    # options.  Values that parse but are out of range used to fail in
+    # ExperimentConfig or in a runner without the flag or key (an unknown
+    # function id as a quoted KeyError).
     if line is not None:
         (tmp_path / "run.cfg").write_text(line + "\n")
         argv = argv + ["--config", str(tmp_path / "run.cfg")]

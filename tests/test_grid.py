@@ -179,6 +179,12 @@ def test_load_points_reads_17_digit_values(tmp_path):
     with pytest.raises(DegenerateGridError):
         load_points(only_comments)
 
+    # A (t, y) samples file is not a points file, even with one line.
+    for text in ("0.1 0.2\n", "0.1 0.2\n0.3 0.4\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="one point per line"):
+            load_points(path)
+
 
 def test_pointset_carries_basis():
     ps = build_pointset([-0.25, 0.75], chebyshev())
