@@ -368,23 +368,13 @@ def eval_basis(spec: BasisSpec, i: int, t) -> np.ndarray:
     return eval_deriv(spec, i, t, order=0)
 
 
-def _deriv_factor(alpha: float, beta: float, j: int) -> float:
-    # d/dt P_j^(a,b) = factor * P_{j-1}^(a+1,b+1); the factor equals
-    # sqrt(lambda_j * kappa_j^(a,b) / kappa_{j-1}^(a+1,b+1)) with
-    # lambda_j = j * (j + a + b + 1), computed in log space.
-    lam = j * (j + alpha + beta + 1.0)
-    logk_num = np.log(kappa(alpha, beta, j))
-    logk_den = np.log(kappa(alpha + 1.0, beta + 1.0, j - 1))
-    return float(np.sqrt(lam) * np.exp(0.5 * (logk_num - logk_den)))
-
-
 def eval_deriv(spec: BasisSpec, i: int, t, order: int = 1) -> np.ndarray:
     """Derivative of order 0, 1 or 2 of one basis function at points t.
 
-    Jacobi derivatives use the parameter-shift identity, so that the
-    derivative of degree j is proportional to the degree j-1 polynomial
-    with parameters (alpha+1, beta+1).  For the exponential system `i` is
-    the frequency and the derivative is (i*pi*j)^k times the function.
+    Jacobi derivatives use the parameter-shift identity
+    d/dt P_j^(a,b) = (j + a + b + 1) / 2 * P_{j-1}^(a+1,b+1) (DLMF 18.9.15),
+    whose factor is exact to one rounding.  For the exponential system `i`
+    is the frequency and the derivative is (i*pi*j)^k times the function.
     """
     if order not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1 or 2")
@@ -401,7 +391,7 @@ def eval_deriv(spec: BasisSpec, i: int, t, order: int = 1) -> np.ndarray:
     factor = np.exp(_log_phi_scale(spec.alpha, spec.beta, j))
     a, b, jj = spec.alpha, spec.beta, j
     for _ in range(order):
-        factor *= _deriv_factor(a, b, jj)
+        factor *= (jj + a + b + 1.0) / 2.0
         a, b, jj = a + 1.0, b + 1.0, jj - 1
     return factor * next(_jacobi_row_blocks(a, b, t, [(0, jj + 1)]))[jj]
 
@@ -421,29 +411,21 @@ def chebyshev_extrema(n: int) -> np.ndarray:
     return grid
 
 
-_SUP_NORMS = {}   # per Jacobi spec, the longest vector of linf_norms
-
-
 def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     """Sup norms over [-1, 1] of the first K basis functions (storage order).
 
-    A degree's norm does not depend on K: Jacobi norms are searched once
-    per spec (_jacobi_sup_norms) and kept as one read-only vector, and a
-    request for K degrees or fewer returns its prefix, which has the bits
-    of a fresh search.
+    Jacobi norms are searched once per (spec, K) (_jacobi_sup_norms), and
+    every call with the same pair returns that one read-only array.
     """
     if spec.kind == FOURIER:
         return np.ones(K)
-    norms = _SUP_NORMS.get(spec)
-    if norms is None or norms.size < K:
-        norms = _jacobi_sup_norms(spec, K)
-        norms.setflags(write=False)
-        _SUP_NORMS[spec] = norms
-    return norms[:K]
+    return _jacobi_sup_norms(spec, K)
 
 
+@lru_cache(maxsize=128)
 def _jacobi_sup_norms(spec: BasisSpec, K: int) -> np.ndarray:
-    """Sup norms over [-1, 1] of the first K functions of a Jacobi spec.
+    """Sup norms over [-1, 1] of the first K functions of a Jacobi spec, as
+    one read-only array shared by every call with the same (spec, K).
 
     When max(alpha, beta) >= -1/2 the maximum of a Jacobi polynomial sits
     at an endpoint, where closed forms exist.  Otherwise the maximum is
@@ -456,11 +438,11 @@ def _jacobi_sup_norms(spec: BasisSpec, K: int) -> np.ndarray:
     """
     a, b = spec.alpha, spec.beta
     if max(a, b) >= -0.5:
-        j = np.arange(K, dtype=float)
-        log_at_plus1 = _log_binom(j + a, j)
-        log_at_minus1 = _log_binom(j + b, j)
-        return np.exp(_log_phi_scale(a, b, j)
-                      + np.maximum(log_at_plus1, log_at_minus1))
+        j = np.arange(K, dtype=float)  # at +1 or -1, whichever is larger
+        norms = np.exp(_log_phi_scale(a, b, j) + np.maximum(
+            _log_binom(j + a, j), _log_binom(j + b, j)))
+        norms.setflags(write=False)
+        return norms
     grid = chebyshev_extrema(4096)
     # The argmax of each column of |eval_table(spec, K, grid)|, taken on
     # its row blocks, so that no (4096, K) table is held.
@@ -491,7 +473,9 @@ def _jacobi_sup_norms(spec: BasisSpec, K: int) -> np.ndarray:
         x2[up], f2[up] = x[up], fx[up]
         x1[down], f1[down] = x[down], fx[down]
         active = hi - lo > 1e-10
-    return np.maximum(f1, f2)
+    norms = np.maximum(f1, f2)
+    norms.setflags(write=False)
+    return norms
 
 
 class ProjectionResult(NamedTuple):

@@ -381,8 +381,8 @@ def run_weight_sweep(cfg: ExperimentConfig) -> dict:
         pts = generate("equispaced", N)
         ps = build_pointset(pts, basis)
         mats[N] = pts, build_matrix(basis, ps, _k_for(cfg, basis, ps))
-    weights = {(gamma, N): make_weights(basis, U.shape[1], "poly_gamma",
-                                        gamma=gamma, relax=True)
+    weights = {(gamma, N): default_weights(basis, U.shape[1], gamma,
+                                           relax=True)
                for gamma in cfg.gamma_list for N, (_, U) in mats.items()}
     rows = []
     for f in funcs:
@@ -414,7 +414,7 @@ def _comparison_weights(basis, K):
         # are all 1.
         return make_weights(basis, K, "custom",
                             custom=np.sqrt(nested_rank(basis, K)))
-    return make_weights(basis, K, "poly_gamma", gamma=1.0, relax=True)
+    return default_weights(basis, K, 1.0, relax=True)
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:

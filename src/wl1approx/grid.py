@@ -1,19 +1,19 @@
 """Scattered point sets on [-1, 1] and their geometric quantities.
 
-A point set carries the Voronoi cells of its nodes, the measure of each
-cell under the basis's probability measure (quadrature weights tau), the
-fill distance h, and the half minimal separation xi.  The separation
-includes ghost points reflecting the interval endpoints; the reflection
-rule follows the basis family and is not selectable.
+A point set carries the measure of each node's Voronoi cell under the
+basis's probability measure (quadrature weights tau), the fill distance
+h, and the half minimal separation xi.  The separation includes ghost
+points reflecting the interval endpoints; the reflection rule follows the
+basis family and is not selectable.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
-from .basis import BasisSpec, FOURIER, legendre
+from .basis import BasisSpec, FOURIER
 
 
 POINT_FAMILIES = ("equispaced", "jittered", "uniform_random", "chebyshev")
@@ -25,26 +25,25 @@ class DegenerateGridError(ValueError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sorted nodes plus derived cell geometry.
+    """Sorted nodes plus their cell measures and density metrics.
 
     Fields
     ------
     points : ndarray, strictly increasing, inside [-1, 1]
-    edges : ndarray of length N+1; cell n is [edges[n], edges[n+1]]
-    tau : ndarray, probability measure of each cell; sums to 1
+    tau : ndarray, probability measure of each node's Voronoi cell in
+        [-1, 1]; sums to 1
     h : float, fill distance
-    xi : float, half minimal separation including ghost points
-    degenerate : bool, True when xi == 0 (points touching an endpoint
-        under the reflect rule); flagged rather than fatal
+    xi : float, half minimal separation including ghost points; 0 when a
+        point touches an endpoint under the reflect rule, which is allowed
+    basis : BasisSpec whose measure gives tau and whose family picks the
+        ghost-point rule
     """
 
     points: np.ndarray
-    edges: np.ndarray
     tau: np.ndarray
     h: float
     xi: float
-    degenerate: bool
-    basis: BasisSpec = field(default_factory=legendre)
+    basis: BasisSpec
 
     @property
     def n(self) -> int:
@@ -107,8 +106,8 @@ def build_pointset(points, basis: BasisSpec) -> PointSet:
     else:
         ghost_gaps = [pts[0] + 1.0, 1.0 - pts[-1]]  # t_1 - t_0 over 2 etc.
     xi = min(list(gaps / 2.0) + ghost_gaps)
-    return PointSet(points=pts, edges=edges, tau=tau, h=float(h), xi=float(xi),
-                    degenerate=(xi == 0.0), basis=basis)
+    return PointSet(points=pts, tau=tau, h=float(h), xi=float(xi),
+                    basis=basis)
 
 
 def generate(kind: str, N: int, seed: int | None = None,

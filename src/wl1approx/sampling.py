@@ -74,13 +74,12 @@ class SamplingMatrix:
 class WeightVector:
     """Positive weights for the weighted l1 objective.
 
-    violates_growth marks vectors that dip below the sup norm of the
-    corresponding basis function somewhere.  Such weights fall outside the
-    guarantees and are only produced on request.
+    w is read-only.  violates_growth marks vectors that dip below the sup
+    norm of the corresponding basis function somewhere.  Such weights fall
+    outside the guarantees and are only produced on request.
     """
 
     w: np.ndarray
-    scheme: str
     violates_growth: bool = False
 
     def __len__(self) -> int:
@@ -180,7 +179,7 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
         raise ValueError("weights must be positive and finite")
     violates = bool(np.any(w < sup * (1.0 - 1e-12)))
     w.setflags(write=False)
-    return WeightVector(w=w, scheme=scheme, violates_growth=violates)
+    return WeightVector(w=w, violates_growth=violates)
 
 
 def default_weights(basis: BasisSpec, K: int, gamma: float,

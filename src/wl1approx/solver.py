@@ -220,13 +220,11 @@ def _ipm(G, h, d, radius=0.0):
 
     The factored rows are rebuilt in place, in one buffer per solve.  For
     the second-order coefficient cones (complex data) they are
-    ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i.  That order of
-    rounding is kept on purpose: while real data took these cones too, the
-    one-pass G_i^T (beta_i (1 + c_i vz_i^2)) turned the ill-conditioned
-    solve with seed 155 from converged into max_iter.  On the orthant the
-    rows are one column scaling by construction.  Both blocks share the two
-    triangular solves; one dpotrs in their place still turns the
-    ill-conditioned solves with seeds 73 and 75 into max_iter.
+    ((G_i^T vz_i) c_i) vz_i + G_i^T, then times beta_i: one rank-one update
+    of G_i^T per cone.  On the orthant (real data) the rows are one column
+    scaling by construction.  Both blocks share the two triangular solves;
+    one dpotrs in their place still turns the ill-conditioned solves with
+    seeds 73 and 75 into max_iter.
 
     Yields (x, y, x.s) before each Newton step, the first at the starting
     point; the caller decides when to stop.  Returns when a step cannot

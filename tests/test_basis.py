@@ -267,6 +267,23 @@ def test_derivatives_match_finite_differences():
             assert np.max(np.abs(d2 - fd2)) < 1e-4 * scale2
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_jacobi_derivative_factor_is_closed_form(order):
+    # d/dt P_j^(a,b) = (j + a + b + 1) / 2 * P_{j-1}^(a+1,b+1) (DLMF
+    # 18.9.15), applied order times.  The factor holds to rounding even at
+    # j = 2080, where one taken through log-gamma values near 1e4 is off by
+    # 3e-13 (order 1) and 8e-13 (order 2).
+    a, b, j = 2.0, 0.5, 2080
+    t = np.linspace(-0.9, 0.9, 7)
+    factor = np.exp(_log_phi_scale(a, b, j))
+    for k in range(order):
+        factor *= (j + a + b + 1.0 + k) / 2.0
+    shifted = next(basis._jacobi_row_blocks(a + order, b + order, t,
+                                            [(0, j - order + 1)]))[-1]
+    np.testing.assert_allclose(eval_deriv(jacobi(a, b), j + 1, t, order),
+                               factor * shifted, rtol=1e-14)
+
+
 def test_fourier_derivative_identity():
     t = np.linspace(-1, 1, 9)
     for j in (-5, 2):
@@ -352,32 +369,49 @@ def test_interior_linf_norms_match_scalar_search(ab):
 def test_interior_linf_norms_blocked_equal_dense(K, block, monkeypatch):
     # The bracket pass takes blocks of degrees; one block of all K degrees
     # is the whole (4096, K) table, and the norms must be the same bits.
-    # The search is called directly, since linf_norms keeps its result.
-    spec = jacobi(-0.75, -0.75)
+    # The uncached search is called, since linf_norms keeps its result.
+    spec, search = jacobi(-0.75, -0.75), basis._jacobi_sup_norms.__wrapped__
     monkeypatch.setattr(basis, "_TABLE_BLOCK", block)
-    blocked = basis._jacobi_sup_norms(spec, K)
+    blocked = search(spec, K)
     monkeypatch.setattr(basis, "_TABLE_BLOCK", K)
-    np.testing.assert_array_equal(blocked, basis._jacobi_sup_norms(spec, K))
+    np.testing.assert_array_equal(blocked, search(spec, K))
 
 
 @pytest.mark.parametrize("spec", [jacobi(-0.75, -0.75), jacobi(1, 0)],
                          ids=lambda s: s.label())
-def test_linf_norms_search_once_per_spec(spec, monkeypatch):
-    # A degree's norm does not depend on K: linf_norms keeps the longest
-    # vector it has searched for a spec, read-only, and answers shorter
-    # requests with its prefix, which has the bits of a fresh search.
-    # Only a longer request searches again.
+def test_linf_norms_search_once_per_spec_and_K(spec):
+    # linf_norms keeps each (spec, K) it has searched as one read-only
+    # array, with the bits of a fresh search; a repeated pair returns that
+    # array and does not search again.
     search = basis._jacobi_sup_norms
-    fresh = {K: search(spec, K) for K in (5, 8, 12, 20)}
-    calls = []
-    monkeypatch.setattr(basis, "_SUP_NORMS", {})
-    monkeypatch.setattr(basis, "_jacobi_sup_norms",
-                        lambda s, K: calls.append(K) or search(s, K))
+    fresh = {K: search.__wrapped__(spec, K) for K in (5, 8, 12, 20)}
+    search.cache_clear()
+    kept = {}
     for K in (12, 5, 12, 20, 8, 20):
         norms = linf_norms(spec, K)
         np.testing.assert_array_equal(norms, fresh[K])
         assert not norms.flags.writeable
-    assert calls == [12, 20]
+        assert kept.setdefault(K, norms) is norms
+    assert search.cache_info().misses == 4
+
+
+def test_linf_norms_default_sweep_searches_once_per_K(monkeypatch):
+    # The default Jacobi weight sweep builds weights at K = 4N for
+    # N = 10, 20, 40, 80, then again from K = 40 for its next gamma: four
+    # interior searches, each taking one Chebyshev grid, and the repeat
+    # returns the first K = 40 array itself.
+    grids = []
+    grid = basis.chebyshev_extrema
+    monkeypatch.setattr(basis, "chebyshev_extrema",
+                        lambda n: grids.append(n) or grid(n))
+    basis._jacobi_sup_norms.cache_clear()
+    spec = jacobi(-0.75, -0.75)
+    first = linf_norms(spec, 40)
+    for K in (80, 160, 320):
+        linf_norms(spec, K)
+    assert linf_norms(spec, 40) is first
+    assert not first.flags.writeable
+    assert len(grids) == 4
 
 
 def test_interior_linf_norms_build_no_square_table(monkeypatch):
@@ -389,7 +423,7 @@ def test_interior_linf_norms_build_no_square_table(monkeypatch):
         raise AssertionError("eval_table called")
 
     monkeypatch.setattr(basis, "eval_table", no_table)
-    monkeypatch.setattr(basis, "_SUP_NORMS", {})
+    basis._jacobi_sup_norms.cache_clear()
     K = 1040
     tracemalloc.start()
     try:

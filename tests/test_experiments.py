@@ -178,7 +178,7 @@ def test_weight_sweep_builds_each_matrix_and_weight_once(tmp_path,
                                                          monkeypatch):
     # The matrix depends on N only and the weights on (gamma, N) only, so
     # two functions share them; rows still run function, gamma, N.
-    calls = {"build_matrix": 0, "make_weights": 0}
+    calls = {"build_matrix": 0, "default_weights": 0}
     for name in calls:
         def counting(*args, _name=name, _f=getattr(experiments, name),
                      **kwargs):
@@ -190,7 +190,7 @@ def test_weight_sweep_builds_each_matrix_and_weight_once(tmp_path,
                            functions=("runge25", "osc_cos30"),
                            out_dir=str(tmp_path), eval_resolution=2000)
     rows = open(run_weight_sweep(cfg)["csv"]).read().splitlines()[1:]
-    assert calls == {"build_matrix": 2, "make_weights": 4}
+    assert calls == {"build_matrix": 2, "default_weights": 4}
     assert [r.split(",")[:3] for r in rows] == [
         [f, g, n] for f in ("runge25", "osc_cos30") for g in ("0.5", "1")
         for n in ("10", "12")]

@@ -122,10 +122,8 @@ def test_weight_scheme_values():
 
     # default_weights picks the family's growth scheme and passes relax on
     df = default_weights(fourier(), 9, 0.5)
-    assert df.scheme == "fourier_gamma"
     np.testing.assert_array_equal(df.w, wf.w)
     dp = default_weights(legendre(), 4, 1.0)
-    assert dp.scheme == "poly_gamma"
     np.testing.assert_array_equal(dp.w, wp.w)
     dr = default_weights(legendre(), 4, 1.0, relax=True)
     np.testing.assert_array_equal(dr.w, np.arange(1.0, 5.0))
