@@ -41,7 +41,8 @@ class DiagnosticsReport:
 
     Rows produced by partial studies may carry nan in the certificate or
     truncation columns; fully populated rows are finite and nonnegative
-    throughout.
+    throughout.  alpha = ||B^H B - I||_2 on the leading M repeats E2 up to
+    rounding; both stay, since readers of the CSV take a row by position.
     """
 
     h: float

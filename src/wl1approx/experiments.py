@@ -26,7 +26,7 @@ from dataclasses import asdict, astuple, dataclass
 
 from . import basis as _basis
 from . import solver as _solver
-from .basis import BasisSpec, nested_rank, project_coefficients
+from .basis import BasisSpec, project_coefficients
 from .grid import POINT_FAMILIES, build_pointset, generate, load_points
 from .sampling import build_matrix, choose_K, default_weights, make_weights, \
     smallest_nonzero_singular_value
@@ -276,6 +276,15 @@ def _out(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _save(cfg: ExperimentConfig, stem: str, header, rows, extra: dict) -> dict:
+    """Write <stem>.csv and <stem>_meta.txt; return their paths."""
+    paths = {"csv": _out(cfg, stem + ".csv"),
+             "meta": _out(cfg, stem + "_meta.txt")}
+    _write_csv(paths["csv"], header, rows)
+    _write_meta(paths["meta"], cfg, extra)
+    return paths
+
+
 def _interp_residual(basis, z, pts, samples) -> float:
     at_nodes = synthesize(z, basis, pts)
     return float(np.max(np.abs(at_nodes - samples)))
@@ -352,13 +361,11 @@ def run_aliasing(cfg: ExperimentConfig) -> dict:
                 curves.append(np.real(synthesize(res.z, basis, curves[0])))
                 curve_names.append("approx_" + name.replace(":", ""))
 
-    csv_path = _out(cfg, "aliasing.csv")
-    _write_csv(csv_path, header, rows)
-    curves_path = _out(cfg, "aliasing_curves.csv")
-    _write_csv(curves_path, curve_names, zip(*curves))
-    meta_path = _out(cfg, "aliasing_meta.txt")
-    _write_meta(meta_path, cfg, {"eta": _fmt(eta), "K_recovery": _fmt(K)})
-    return {"csv": csv_path, "curves": curves_path, "meta": meta_path}
+    paths = _save(cfg, "aliasing", header, rows,
+                  {"eta": _fmt(eta), "K_recovery": _fmt(K)})
+    paths["curves"] = _out(cfg, "aliasing_curves.csv")
+    _write_csv(paths["curves"], curve_names, zip(*curves))
+    return paths
 
 
 def run_weight_sweep(cfg: ExperimentConfig) -> dict:
@@ -401,20 +408,7 @@ def run_weight_sweep(cfg: ExperimentConfig) -> dict:
                     rows.append((f.id, gamma, N, K, float("nan"),
                                  float("nan"), 0, "error",
                                  int(wv.violates_growth)))
-    csv_path = _out(cfg, "weight_sweep.csv")
-    _write_csv(csv_path, header, rows)
-    meta_path = _out(cfg, "weight_sweep_meta.txt")
-    _write_meta(meta_path, cfg, {"k_rule": cfg.k_rule})
-    return {"csv": csv_path, "meta": meta_path}
-
-
-def _comparison_weights(basis, K):
-    if basis.is_complex:
-        # Square root of the nested position; admissible since sup norms
-        # are all 1.
-        return make_weights(basis, K, "custom",
-                            custom=np.sqrt(nested_rank(basis, K)))
-    return default_weights(basis, K, 1.0, relax=True)
+    return _save(cfg, "weight_sweep", header, rows, {"k_rule": cfg.k_rule})
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:
@@ -434,20 +428,27 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
     header = ("function", "method", "N", "K", "M", "error", "objective",
               "iterations", "status", "interp_residual")
     rows = []
+    # One point set, A and w per point array: families that draw no seed
+    # share them across functions.  w is the nested rank to the power 1, or
+    # 1/2 for the exponentials (whose sup norms are all 1).
+    builds = {}
     for fi, f in enumerate(funcs):
         for N in _sizes(cfg):
             ss = np.random.SeedSequence([cfg.seed, fi, N])
             pt_seed, noise_seed = ss.spawn(2)
             pts = _points_for(cfg, N, pt_seed)
-            ps = build_pointset(pts, basis)
-            K = _k_for(cfg, basis, ps)
-            U = build_matrix(basis, ps, K)
+            if pts.tobytes() not in builds:
+                ps = build_pointset(pts, basis)
+                K = _k_for(cfg, basis, ps)
+                builds[pts.tobytes()] = ps, K, build_matrix(basis, ps, K), \
+                    make_weights(basis, K, "poly_gamma", relax=True,
+                                 gamma=0.5 if basis.is_complex else 1.0)
+            ps, K, U, wv = builds[pts.tobytes()]
             rng = np.random.default_rng(noise_seed)
             samples = f(ps.points)
             if cfg.noise > 0:
                 samples = samples + rng.uniform(-cfg.noise, cfg.noise,
                                                 ps.n)
-            wv = _comparison_weights(basis, K)
             prob = make_problem(U, samples, wv, eta=cfg.eta)
             mode = "inequality" if cfg.eta > 0 else "equality"
             res = solve_weighted_l1(prob, mode)
@@ -469,15 +470,11 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
             err = sup_error(f, z_best, basis, cfg.eval_resolution)
             rows.append((f.id, "oracle_ls", ps.n, K, M_best, err,
                          float("nan"), 0, "direct", float("nan")))
-    csv_path = _out(cfg, "compare.csv")
-    _write_csv(csv_path, header, rows)
-    meta_path = _out(cfg, "compare_meta.txt")
-    _write_meta(meta_path, cfg, {
+    return _save(cfg, "compare", header, rows, {
         "c_grid": " ".join("%g" % c for c in c_grid),
         "noise": _fmt(cfg.noise),
         "k_rule": cfg.k_rule,
     })
-    return {"csv": csv_path, "meta": meta_path}
 
 
 def run_diagnostics(cfg: ExperimentConfig) -> dict:

@@ -8,9 +8,9 @@ space matches the discrete inner product induced by the cell measures.
 Degree selection depends on the point set alone, not on the sampled
 function: K doubles from N until the numerical rank of the matrix stops
 growing and its smallest nonzero singular value clears the requested
-threshold.  RANK_RTOL is the cutoff, relative to the largest singular value,
-below which degree selection counts singular values as zero.  The
-weighted-l1 solve keeps its own, smaller cutoff (solver.SVD_RTOL).
+threshold.  One rank count, _numerical_rank(s, rtol), serves two cutoffs
+relative to the largest singular value: RANK_RTOL for degree selection and
+the smaller solver.SVD_RTOL for the weighted-l1 solve.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .basis import (
     frequencies,
     leading_indices,
     linf_norms,
+    nested_rank,
 )
 from .grid import PointSet
 
@@ -117,10 +118,10 @@ def _singular_values(entries: np.ndarray) -> np.ndarray:
             "SVD failed on a %s matrix: %s" % (entries.shape, exc))
 
 
-def _numerical_rank(s: np.ndarray) -> int:
+def _numerical_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return int(np.count_nonzero(s > rtol * s[0]))
 
 
 def smallest_nonzero_singular_value(A) -> float:
@@ -137,9 +138,9 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
                  custom=None) -> WeightVector:
     """Build a weight vector of length K under the named scheme.
 
-    poly_gamma:    w at position i (1-based) is i**gamma times the sup norm
-                   of the i-th function.  With relax=True the sup-norm factor
-                   is dropped, giving the literal i**gamma.
+    poly_gamma:    w at nested rank i (basis.nested_rank) is i**gamma times
+                   the sup norm.  With relax=True the sup-norm factor is
+                   dropped, giving the literal i**gamma.
     fourier_gamma: w at frequency j is 1 + |j|**gamma.
     unit:          w equals the sup norm of each function (the smallest
                    admissible choice).
@@ -163,17 +164,12 @@ def make_weights(basis: BasisSpec, K: int, scheme: str = "unit",
         if not basis.is_complex:
             raise ValueError("fourier_gamma weights need the Fourier system")
         w = 1.0 + np.abs(frequencies(K)) ** float(gamma)
+    elif scheme == "unit":
+        w = sup.copy()
     else:
-        if basis.is_complex and scheme == "poly_gamma":
-            raise ValueError("poly_gamma weights are position-based; "
-                             "use fourier_gamma for the Fourier system")
-        if scheme == "unit":
-            w = sup.copy()
-        else:
-            pos = np.arange(1, K + 1, dtype=float)
-            w = pos ** float(gamma)
-            if not relax:
-                w = w * sup
+        w = nested_rank(basis, K).astype(float) ** float(gamma)
+        if not relax:
+            w = w * sup
 
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be positive and finite")

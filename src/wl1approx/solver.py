@@ -7,7 +7,9 @@ program in the scaled variable zt = w z and solve it with one dense
 primal-dual interior-point method (Mehrotra predictor-corrector,
 Nesterov-Todd scaling).  The economy SVD U S Vh of A / w replaces the rows
 of A by the independent rows of S Vh, those of singular values above
-SVD_RTOL S_0, so coinciding sample rows drop out:
+SVD_RTOL S_0 (sampling._numerical_rank), so coinciding sample rows drop
+out.  U's kept columns are copied in Fortran order, because BLAS sums
+products with U in an order set by its layout.  The cones are:
 
 * one cone |zt_i| <= t_i per coefficient, minimizing sum t_i.  For
   complex data zt_i has two real coordinates (Re, Im), and the cone is a
@@ -62,7 +64,8 @@ from functools import lru_cache
 
 from .basis import BasisSpec, chebyshev_extrema, eval_table, \
     leading_indices, synthesize
-from .sampling import SamplingMatrix, WeightVector, make_weights
+from .sampling import SamplingMatrix, WeightVector, _numerical_rank, \
+    make_weights
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -497,8 +500,8 @@ def solve_weighted_l1(p: SamplingProblem, mode: str = "equality",
                            feasibility_residual=0.0, duality_gap=0.0,
                            iterations=0, status=STATUS_CONVERGED)
     U, S, Vh = la.svd(A / w, full_matrices=False)
-    keep = S > (S[0] * SVD_RTOL if S[0] > 0 else 0)
-    U, S, Vh = U[:, keep], S[keep], Vh[keep]
+    r = _numerical_rank(S, SVD_RTOL)
+    U, S, Vh = U[:, :r].copy(order="F"), S[:r], Vh[:r]
     Uy = U.conj().T @ y
     y_off = y - U @ Uy
     y_off -= U @ (U.conj().T @ y_off)    # once leaves eps ||y|| in range(A)

@@ -196,6 +196,27 @@ def test_weight_sweep_builds_each_matrix_and_weight_once(tmp_path,
         for n in ("10", "12")]
 
 
+@pytest.mark.parametrize("argv,builds", [
+    # equispaced points: one point set per N, shared by all six functions
+    (["compare"], 4),
+    # jittered points: each function draws its own point set per N
+    (["compare", "--points", "jittered", "--n", "10",
+      "--functions", "runge25,chirp"], 2),
+])
+def test_comparison_builds_once_per_point_set(tmp_path, monkeypatch, argv,
+                                              builds):
+    calls = []
+
+    def counting(basis, ps, K):
+        calls.append(ps.points.tobytes())
+        return build_matrix(basis, ps, K)
+
+    build_matrix = experiments.build_matrix
+    monkeypatch.setattr(experiments, "build_matrix", counting)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == len(set(calls)) == builds
+
+
 def test_aliasing_runner(tmp_path):
     cfg = ExperimentConfig(experiment="aliasing", basis="fourier",
                            out_dir=str(tmp_path), eval_resolution=2000)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from wl1approx import sampling
-from wl1approx.basis import (eval_basis, eval_table, fourier, frequencies,
-                             jacobi, legendre, linf_norms, nested_rank)
+from wl1approx.basis import (chebyshev, eval_basis, eval_table, fourier,
+                             frequencies, jacobi, legendre, linf_norms,
+                             nested_rank)
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import (MAX_TRUNCATION, SamplingMatrix,
                                 TruncationSearchError, WeightVector,
@@ -159,9 +160,30 @@ def test_relaxed_weights_flagged():
     assert not w1.violates_growth
 
 
+def test_poly_gamma_takes_the_nested_rank():
+    for K in range(1, 42):
+        # On the exponentials, relaxed poly_gamma at gamma = 1/2 is the
+        # square root of the nested rank that the comparison runs use, bit
+        # for bit.
+        wf = make_weights(fourier(), K, scheme="poly_gamma", gamma=0.5,
+                          relax=True)
+        np.testing.assert_array_equal(wf.w,
+                                      np.sqrt(nested_rank(fourier(), K)))
+        assert not wf.violates_growth
+        # On Jacobi systems the nested rank is the 1-based position, and
+        # the values are the position power's, bit for bit.
+        pos = np.arange(1, K + 1, dtype=float)
+        for spec, gamma in ((legendre(), 1.0), (chebyshev(), 0.5),
+                            (jacobi(-0.75, -0.75), 0.75)):
+            sup = linf_norms(spec, K)
+            for relax, want in ((True, pos ** gamma),
+                                (False, pos ** gamma * sup)):
+                w = make_weights(spec, K, scheme="poly_gamma", gamma=gamma,
+                                 relax=relax).w
+                np.testing.assert_array_equal(w, want)
+
+
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        make_weights(fourier(), 5, scheme="poly_gamma", gamma=1.0)
     with pytest.raises(ValueError):
         make_weights(legendre(), 5, scheme="fourier_gamma", gamma=1.0)
     with pytest.raises(ValueError):

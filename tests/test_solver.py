@@ -16,7 +16,7 @@ from wl1approx import basis as basis_module, solver as solver_module
 from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_basis,
                              eval_table, fourier, frequencies, jacobi,
                              leading_indices, legendre, linf_norms)
-from wl1approx.experiments import _comparison_weights, get_function
+from wl1approx.experiments import get_function
 from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
@@ -376,7 +376,8 @@ def test_data_off_the_range_by_a_hair_converge():
     A = build_matrix(spec, ps, 40)
     samples = get_function("peaks500")(ps.points) + np.random.default_rng(
         noise_seed).uniform(-1e-8, 1e-8, ps.n)
-    p = make_problem(A, samples, _comparison_weights(spec, 40))
+    w = make_weights(spec, 40, "poly_gamma", gamma=0.5, relax=True)
+    p = make_problem(A, samples, w)
     res = solve_weighted_l1(p)
     feas_abs = solver_module.TOL_FEAS * np.linalg.norm(p.y)
     assert res.status == STATUS_CONVERGED and res.iterations <= 9
