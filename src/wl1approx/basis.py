@@ -486,16 +486,12 @@ class ProjectionResult(NamedTuple):
 
 def _jacobi_values(n: int, alpha: float, beta: float,
                    x: np.ndarray) -> np.ndarray:
-    """P_n^(alpha,beta)(x) for integer n >= 0, with the bits of scipy's
+    """P_n^(alpha,beta)(x) for integer n >= 2, with the bits of scipy's
     eval_jacobi at integer n: the same forward recurrence on the
     differences of p_k = P_k / binom(k + alpha, k), op for op and in the
     same order, run over all nodes at once instead of one node at a time,
     then the same final binom factor."""
-    if n == 0:
-        return np.ones_like(x)
     xm1 = x - 1
-    if n == 1:
-        return 0.5 * (2 * (alpha + 1) + (alpha + beta + 2) * xm1)
     d = (alpha + beta + 2) * xm1 / (2 * (alpha + 1))
     p = d + 1
     tmp = np.empty_like(x)
@@ -514,16 +510,12 @@ def _jacobi_values(n: int, alpha: float, beta: float,
 
 
 def _legendre_values(n: int, x: np.ndarray):
-    """(P_n(x), P_{n-1}(x)) for integer n >= 0, with the bits of scipy's
-    eval_legendre at integer n (which takes P_{-1} = P_0): the same
-    recurrence on differences, op for op, over all nodes at once.  P_{n-1}
+    """(P_n(x), P_{n-1}(x)) for integer n >= 2, with the bits of scipy's
+    eval_legendre at integer n: the same recurrence on differences, op
+    for op, over all nodes at once.  P_{n-1}
     is the value one step before the end, as a run to n - 1 would leave
     it.  Nodes with |x| < 1e-5 take scipy's own values, since scipy sums
     a power series there."""
-    if n == 0:
-        return np.ones_like(x), np.ones_like(x)
-    if n == 1:
-        return x.copy(), np.ones_like(x)
     xm1 = x - 1
     d = xm1.copy()
     p = x.copy()

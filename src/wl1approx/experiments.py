@@ -271,16 +271,18 @@ def _write_meta(path, cfg: ExperimentConfig, extra: dict) -> None:
             fh.write("%s %s\n" % (key, extra[key]))
 
 
-def _out(cfg: ExperimentConfig, name: str) -> str:
+def _save(cfg: ExperimentConfig, stem: str, tables: dict,
+          extra: dict) -> dict:
+    """Write `tables`, {key: (file name, header, rows)}, as CSV and
+    <stem>_meta.txt into cfg.out_dir; return the paths by key, "meta" for
+    the meta file.  Runners call it once, after their last computation,
+    so a run that fails creates no file or directory."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
-
-
-def _save(cfg: ExperimentConfig, stem: str, header, rows, extra: dict) -> dict:
-    """Write <stem>.csv and <stem>_meta.txt; return their paths."""
-    paths = {"csv": _out(cfg, stem + ".csv"),
-             "meta": _out(cfg, stem + "_meta.txt")}
-    _write_csv(paths["csv"], header, rows)
+    paths = {}
+    for key, (name, header, rows) in tables.items():
+        paths[key] = os.path.join(cfg.out_dir, name)
+        _write_csv(paths[key], header, rows)
+    paths["meta"] = os.path.join(cfg.out_dir, stem + "_meta.txt")
     _write_meta(paths["meta"], cfg, extra)
     return paths
 
@@ -341,10 +343,8 @@ def run_aliasing(cfg: ExperimentConfig) -> dict:
                 make_weights(basis, K, "fourier_gamma", gamma=0.1)),
                ("fourier_gamma:0.5",
                 make_weights(basis, K, "fourier_gamma", gamma=0.5))]
-    curves = [np.linspace(-1.0, 1.0, 2001)]
-    curve_names = ["t"]
-    curves.append(f(curves[0]))
-    curve_names.append("f")
+    t = np.linspace(-1.0, 1.0, 2001)
+    curves = {"t": t, "f": f(t)}
     for name, wv in schemes:
         for mode, eta_run in (("equality", 0.0), ("inequality", eta)):
             prob = make_problem(U, samples, wv, eta=eta_run)
@@ -358,14 +358,14 @@ def run_aliasing(cfg: ExperimentConfig) -> dict:
                 rows.append(("recovery", f.id, N, K, name, mode, eta_run,
                              "interp_residual",
                              _interp_residual(basis, res.z, pts, samples)))
-                curves.append(np.real(synthesize(res.z, basis, curves[0])))
-                curve_names.append("approx_" + name.replace(":", ""))
+                curves["approx_" + name.replace(":", "")] = \
+                    np.real(synthesize(res.z, basis, t))
 
-    paths = _save(cfg, "aliasing", header, rows,
-                  {"eta": _fmt(eta), "K_recovery": _fmt(K)})
-    paths["curves"] = _out(cfg, "aliasing_curves.csv")
-    _write_csv(paths["curves"], curve_names, zip(*curves))
-    return paths
+    return _save(cfg, "aliasing", {
+        "csv": ("aliasing.csv", header, rows),
+        "curves": ("aliasing_curves.csv", tuple(curves),
+                   zip(*curves.values())),
+    }, {"eta": _fmt(eta), "K_recovery": _fmt(K)})
 
 
 def run_weight_sweep(cfg: ExperimentConfig) -> dict:
@@ -408,7 +408,9 @@ def run_weight_sweep(cfg: ExperimentConfig) -> dict:
                     rows.append((f.id, gamma, N, K, float("nan"),
                                  float("nan"), 0, "error",
                                  int(wv.violates_growth)))
-    return _save(cfg, "weight_sweep", header, rows, {"k_rule": cfg.k_rule})
+    return _save(cfg, "weight_sweep",
+                 {"csv": ("weight_sweep.csv", header, rows)},
+                 {"k_rule": cfg.k_rule})
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:
@@ -470,7 +472,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
             err = sup_error(f, z_best, basis, cfg.eval_resolution)
             rows.append((f.id, "oracle_ls", ps.n, K, M_best, err,
                          float("nan"), 0, "direct", float("nan")))
-    return _save(cfg, "compare", header, rows, {
+    return _save(cfg, "compare", {"csv": ("compare.csv", header, rows)}, {
         "c_grid": " ".join("%g" % c for c in c_grid),
         "noise": _fmt(cfg.noise),
         "k_rule": cfg.k_rule,
@@ -489,6 +491,15 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
     f = (get_function(cfg.functions[0]) if cfg.functions
          else get_function("runge25" if not basis.is_complex
                            else "peaks500"))
+    # The study reads only the last M and rejects one too large for its
+    # refinement levels, so it runs first: such a run fails at once.
+    scaling_kind = cfg.points if cfg.points != "file" else "equispaced"
+    if basis.is_complex and scaling_kind == "equispaced":
+        # Equispaced exponentials integrate exactly, so the deviations sit
+        # at machine precision and carry no slope information.
+        scaling_kind = "jittered"
+    srows, slopes = scaling_study(basis, scaling_kind, M=cfg.m_list[-1],
+                                  seed=cfg.seed)
     reports = []
     # L = 2K repeats across M; a prefix of a larger-L projection would
     # change the quadrature order, so each L is projected on its own.
@@ -511,18 +522,6 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
             reports.append(DiagnosticsReport(
                 h=ps.h, xi=ps.xi, N=ps.n, M=M, K=K, sigma_min=sigma,
                 trunc_w=trunc_w, trunc_wtilde=trunc_wtilde, **fields))
-    csv_path = _out(cfg, "diagnostics.csv")
-    _write_csv(csv_path, REPORT_COLUMNS, map(astuple, reports))
-
-    scaling_kind = cfg.points if cfg.points != "file" else "equispaced"
-    if basis.is_complex and scaling_kind == "equispaced":
-        # Equispaced exponentials integrate exactly, so the deviations sit
-        # at machine precision and carry no slope information.
-        scaling_kind = "jittered"
-    srows, slopes = scaling_study(basis, scaling_kind, M=cfg.m_list[-1],
-                                  seed=cfg.seed)
-    scaling_path = _out(cfg, "scaling.csv")
-    _write_csv(scaling_path, REPORT_COLUMNS, map(astuple, srows))
     # An unconverged projection still feeds trunc_w and trunc_wtilde with
     # its finest refinement; the meta file and stderr say how many there were.
     unconverged = sum(not p.converged for p in projections.values())
@@ -533,8 +532,10 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
               file=sys.stderr)
     # scaling.csv uses the study's own weight exponent and jitter, not
     # --gamma and --amplitude; the meta file records both.
-    meta_path = _out(cfg, "diagnostics_meta.txt")
-    _write_meta(meta_path, cfg, {
+    return _save(cfg, "diagnostics", {
+        "csv": ("diagnostics.csv", REPORT_COLUMNS, map(astuple, reports)),
+        "scaling": ("scaling.csv", REPORT_COLUMNS, map(astuple, srows)),
+    }, {
         "projections_unconverged": _fmt(unconverged),
         "reference_function": f.id,
         "scaling_amplitude": _fmt(SCALING_AMPLITUDE),
@@ -544,7 +545,6 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
         "slope_Einf": _fmt(slopes["Einf"]),
         "slope_F": _fmt(slopes["F"]),
     })
-    return {"csv": csv_path, "scaling": scaling_path, "meta": meta_path}
 
 
 def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
@@ -552,9 +552,7 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
     meta file records the SHA-256 of the file's bytes."""
     with open(sample_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    data = np.loadtxt(sample_path, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("expected two columns: point and value")
+    data = load_points(sample_path, columns=2)
     order = np.argsort(data[:, 0])
     pts, samples = data[order, 0], data[order, 1]
     basis = resolve_basis(cfg.basis)
@@ -565,25 +563,22 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
     prob = make_problem(U, samples, wv, eta=cfg.eta)
     mode = "inequality" if cfg.eta > 0 else "equality"
     res = solve_weighted_l1(prob, mode)
-    coeff_path = _out(cfg, "approx_coefficients.txt")
-    save_result(coeff_path, res)
     grid = np.linspace(-1.0, 1.0, cfg.eval_resolution)
     vals = synthesize(res.z, basis, grid)
-    curve_path = _out(cfg, "approx_curve.csv")
     if np.iscomplexobj(vals):
-        _write_csv(curve_path, ("t", "value_re", "value_im"),
-                   zip(grid, vals.real, vals.imag))
+        curve = ("t", "value_re", "value_im"), zip(grid, vals.real, vals.imag)
     else:
-        _write_csv(curve_path, ("t", "value"), zip(grid, vals))
-    meta_path = _out(cfg, "approx_meta.txt")
-    _write_meta(meta_path, cfg, {
+        curve = ("t", "value"), zip(grid, vals)
+    paths = _save(cfg, "approx", {"curve": ("approx_curve.csv", *curve)}, {
         "K": _fmt(K), "mode": mode, "status": res.status,
         "objective": _fmt(res.objective),
         "duality_gap": _fmt(res.duality_gap),
         "samples": _fmt(ps.n), "samples_sha256": digest,
     })
-    return {"coefficients": coeff_path, "curve": curve_path,
-            "meta": meta_path}
+    paths["coefficients"] = os.path.join(cfg.out_dir,
+                                         "approx_coefficients.txt")
+    save_result(paths["coefficients"], res)
+    return paths
 
 
 RUNNERS = {

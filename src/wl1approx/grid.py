@@ -142,13 +142,16 @@ def generate(kind: str, N: int, seed: int | None = None,
     raise ValueError(f"unknown point family {kind!r}")
 
 
-def load_points(path) -> np.ndarray:
-    """One abscissa per line; '#' starts a comment."""
+def load_points(path, columns: int = 1) -> np.ndarray:
+    """One abscissa per line, or with columns=2 the (n, 2) array of a
+    samples file's (t, y) lines; '#' starts a comment."""
     with warnings.catch_warnings():  # an empty file is reported below
         warnings.simplefilter("ignore", UserWarning)
-        pts = np.loadtxt(path, ndmin=2)
-    if pts.shape[1] != 1:
-        raise ValueError(f"expected one point per line in {path}")
-    if not pts.size:
+        data = np.loadtxt(path, ndmin=2)
+    if not data.size:
         raise DegenerateGridError(f"no points found in {path}")
-    return pts[:, 0]
+    if data.shape[1] != columns:
+        what = ("one point per line" if columns == 1
+                else "two columns, point and value,")
+        raise ValueError(f"expected {what} in {path}")
+    return data[:, 0] if columns == 1 else data

@@ -7,6 +7,7 @@ the numerics, which the dedicated module tests already pin down.
 
 import argparse
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -315,6 +316,23 @@ def test_diagnostics_counts_unconverged_projections(tmp_path, capsys,
         assert err == ""
 
 
+def test_diagnostics_rejects_a_large_m_before_any_file(tmp_path,
+                                                      monkeypatch):
+    # Equispaced Legendre points admit five refinement levels of the
+    # scaling study only up to M = 16; M = 17 fails before any projection
+    # and leaves no output directory.
+    projected = []
+    monkeypatch.setattr(experiments, "project_coefficients",
+                        lambda *args: projected.append(args))
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment="diagnostics", n_list=(10,),
+                           m_list=(17,), out_dir=str(out))
+    with pytest.raises(ValueError, match="levels admissible"):
+        run_diagnostics(cfg)
+    assert projected == []
+    assert not out.exists()
+
+
 def test_approximate_runner(tmp_path):
     t = np.linspace(-1, 1, 30)
     vals = np.tanh(3 * t)
@@ -451,6 +469,44 @@ def test_cli_failure_paths(tmp_path):
                      "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         cli.main(["not_an_experiment"])
+
+
+@pytest.mark.parametrize("text", ["", "# no samples\n\n# here either\n"],
+                         ids=["empty", "comments"])
+def test_cli_approximate_rejects_a_file_without_samples(tmp_path, capsys,
+                                                        text):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["approximate", str(samples), "--out", str(out)])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    assert "no points found in %s" % samples in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["aliasing", "--resolution", "2000"],
+    ["weight-sweep", "--n", "10", "--gammas", "0.5", "--functions",
+     "runge25", "--resolution", "2000"],
+    ["compare", "--n", "10", "--functions", "runge25", "--resolution",
+     "2000"],
+    ["diagnostics", "--n", "10", "--m", "2"],
+    ["approximate", "SAMPLES", "--resolution", "2000"],
+], ids=lambda argv: argv[0])
+def test_cli_prints_every_file_it_writes(tmp_path, capsys, argv):
+    samples = tmp_path / "samples.txt"
+    _write_samples(samples, np.linspace(-1, 1, 5), np.linspace(0, 1, 5))
+    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    printed = [line.split(" ", 1)
+               for line in capsys.readouterr().out.splitlines()]
+    assert len({name for name, _ in printed}) == len(printed)
+    assert sorted(path for _, path in printed) \
+        == sorted(str(p) for p in out.iterdir())
 
 
 def test_cli_names_nan_points(tmp_path, capsys):

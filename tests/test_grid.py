@@ -185,6 +185,22 @@ def test_load_points_reads_17_digit_values(tmp_path):
             load_points(path)
 
 
+def test_load_points_reads_a_samples_file(tmp_path):
+    data = np.column_stack([generate("uniform_random", 7, seed=3),
+                            np.linspace(-2.0, 2.0, 7)])
+    path = tmp_path / "samples.txt"
+    lines = ["# t y", ""] + ["%.17g %.17g" % tuple(row) for row in data]
+    path.write_text("\n".join(lines) + "\n")
+    got = load_points(path, columns=2)
+    assert got.shape == (7, 2)
+    np.testing.assert_array_equal(got, data)
+
+    for text in ("-0.5\n0.5\n", "-0.5 1 2\n0.5 3 4\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="two columns"):
+            load_points(path, columns=2)
+
+
 def test_pointset_carries_basis():
     ps = build_pointset([-0.25, 0.75], chebyshev())
     assert isinstance(ps, PointSet)
