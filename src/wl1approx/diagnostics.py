@@ -39,10 +39,11 @@ class CertificateResult:
 class DiagnosticsReport:
     """One diagnostics row; field order matches the CSV column order.
 
-    Rows produced by partial studies may carry nan in the certificate or
-    truncation columns; fully populated rows are finite and nonnegative
-    throughout.  alpha = ||B^H B - I||_2 on the leading M repeats E2 up to
-    rounding; both stay, since readers of the CSV take a row by position.
+    diagnose is the one place that fills these fields.  Scaling rows carry
+    nan truncation columns, a failed certificate theta = inf; all else is
+    finite and nonnegative.  alpha = ||B^H B - I||_2 on the leading M
+    repeats E2 up to rounding; both stay, since readers of the CSV take a
+    row by position.
     """
 
     h: float
@@ -171,24 +172,32 @@ def truncation_bound(U: SamplingMatrix, weights_ext, coeffs_ext,
             tail_l1w + float(wt[tail] @ np.abs(x[tail])) / sigma)
 
 
-def surrogate_quantities(basis: BasisSpec, ps: PointSet, M: int,
-                         gamma: float):
-    """Gram deviations, coherence and certificate on the finite surrogate.
+def diagnose(basis: BasisSpec, ps: PointSet, M: int, gamma: float,
+             U: SamplingMatrix | None = None,
+             coeffs=None) -> DiagnosticsReport:
+    """The diagnostics row of the leading M functions on the point set ps.
 
-    The surrogate has K = 4M columns, the coherence tail starts after the
-    leading R = 2M, the weights are default_weights(basis, K, gamma), and
-    the certificate is checked on the leading M.  Returns the surrogate
-    matrix and the DiagnosticsReport fields R, E2, Einf, F, alpha, theta.
+    E2, Einf, F and the certificate come from a surrogate with K = 4M
+    columns, the coherence tail after the leading R = 2M and the weights
+    default_weights(basis, 4M, gamma).  sigma_min and K are those of U, or
+    of the surrogate when U is None.  coeffs, a reference function's
+    coefficients in a storage longer than U's, feed the truncation bounds
+    against default_weights(basis, len(coeffs), gamma); else they are nan.
     """
     R = 2 * M
-    K = 2 * R
-    U = build_matrix(basis, ps, K)
-    W = default_weights(basis, K, gamma)
-    E2, Einf = compute_E(U, M)
-    F = compute_F(U, W, M, R)
-    cert = check_dual_certificate(U, W, leading_indices(basis, K, M))
-    return U, dict(R=R, E2=E2, Einf=Einf, F=F, alpha=cert.alpha,
-                   theta=cert.theta)
+    S = build_matrix(basis, ps, 2 * R)
+    W = default_weights(basis, 2 * R, gamma)
+    E2, Einf = compute_E(S, M)
+    F = compute_F(S, W, M, R)
+    cert = check_dual_certificate(S, W, leading_indices(basis, 2 * R, M))
+    U = S if U is None else U
+    sigma = smallest_nonzero_singular_value(U)
+    trunc = (float("nan"),) * 2 if coeffs is None else truncation_bound(
+        U, default_weights(basis, len(coeffs), gamma), coeffs, sigma)
+    return DiagnosticsReport(
+        h=ps.h, xi=ps.xi, N=ps.n, M=M, R=R, K=U.shape[1], E2=E2, Einf=Einf,
+        F=F, sigma_min=sigma, alpha=cert.alpha, theta=cert.theta,
+        trunc_w=trunc[0], trunc_wtilde=trunc[1])
 
 
 def _admissible(basis: BasisSpec, h: float, M: int) -> bool:
@@ -219,8 +228,9 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
 
     Runs n_levels grids with N doubling from 33 (exponentials) or 65,
     keeps the levels in the admissible mesh regime, and fits log-log
-    slopes of E2, Einf and F against the fill distance.  Returns (rows,
-    slopes) where slopes maps quantity name to fitted decay exponent.
+    slopes of E2, Einf and F against the fill distance.  Returns the rows,
+    each diagnose(basis, ps, M, SCALING_GAMMA) with K = 4M, and slopes,
+    the fitted decay exponent by quantity name.
 
     Jittered grids draw fresh points per level from a seed sequence, so the
     study is reproducible for a fixed seed.
@@ -237,11 +247,7 @@ def scaling_study(basis: BasisSpec, grid_kind: str, M: int,
         ps = build_pointset(pts, basis)
         if not _admissible(basis, ps.h, M):
             continue
-        U, fields = surrogate_quantities(basis, ps, M, SCALING_GAMMA)
-        rows.append(DiagnosticsReport(
-            h=ps.h, xi=ps.xi, N=n, M=M, K=U.shape[1],
-            sigma_min=smallest_nonzero_singular_value(U),
-            trunc_w=float("nan"), trunc_wtilde=float("nan"), **fields))
+        rows.append(diagnose(basis, ps, M, SCALING_GAMMA))
     if len(rows) < 5:
         raise ValueError(
             "only %d levels admissible; start from a finer grid" % len(rows))

@@ -28,10 +28,9 @@ from . import basis as _basis
 from . import solver as _solver
 from .basis import BasisSpec, project_coefficients
 from .grid import POINT_FAMILIES, build_pointset, generate, load_points
-from .sampling import build_matrix, choose_K, default_weights, make_weights, \
-    smallest_nonzero_singular_value
+from .sampling import build_matrix, choose_K, default_weights, make_weights
 from .diagnostics import REPORT_COLUMNS, SCALING_AMPLITUDE, SCALING_GAMMA, \
-    DiagnosticsReport, scaling_study, surrogate_quantities, truncation_bound
+    diagnose, scaling_study
 from .solver import make_problem, oracle_least_squares, save_result, \
     solve_least_squares, solve_weighted_l1, sup_error, synthesize
 
@@ -207,18 +206,15 @@ def resolve_basis(label: str) -> BasisSpec:
     raise ValueError("unknown basis %r" % (label,))
 
 
-def _sizes(cfg: ExperimentConfig) -> tuple:
-    """The values of N a runner loops over.  A points file fixes N at its
-    point count, so its point set is fitted once and n_list is not read."""
+def _point_source(cfg: ExperimentConfig):
+    """(sizes, draw): the values of N a runner loops over and draw(N, seed),
+    the points of one cell.  A points file is read once, here: it fixes N
+    at its point count, n_list is not read, and draw returns that array."""
     if cfg.points == "file":
-        return (load_points(cfg.points_file).size,)
-    return cfg.n_list
-
-
-def _points_for(cfg: ExperimentConfig, N: int, seed) -> np.ndarray:
-    if cfg.points == "file":
-        return load_points(cfg.points_file)
-    return generate(cfg.points, N, seed=seed, amplitude=cfg.amplitude)
+        pts = load_points(cfg.points_file)
+        return (pts.size,), lambda N, seed: pts
+    return cfg.n_list, lambda N, seed: generate(
+        cfg.points, N, seed=seed, amplitude=cfg.amplitude)
 
 
 def parse_k_rule(text):
@@ -434,11 +430,12 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
     # share them across functions.  w is the nested rank to the power 1, or
     # 1/2 for the exponentials (whose sup norms are all 1).
     builds = {}
+    sizes, draw = _point_source(cfg)
     for fi, f in enumerate(funcs):
-        for N in _sizes(cfg):
+        for N in sizes:
             ss = np.random.SeedSequence([cfg.seed, fi, N])
             pt_seed, noise_seed = ss.spawn(2)
-            pts = _points_for(cfg, N, pt_seed)
+            pts = draw(N, pt_seed)
             if pts.tobytes() not in builds:
                 ps = build_pointset(pts, basis)
                 K = _k_for(cfg, basis, ps)
@@ -482,10 +479,9 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
 def run_diagnostics(cfg: ExperimentConfig) -> dict:
     """Diagnostics table over the (N, M) grid plus a refinement study.
 
-    Per row: Gram deviations and coherence on a 4M-column surrogate, the
-    smallest nonzero singular value at the configured truncation, the
-    leading-support certificate, and truncation bounds fed by quadrature
-    coefficients of the reference function.
+    Each row is diagnostics.diagnose at --gamma, its truncation bounds fed
+    by the reference function's first L = 2K quadrature coefficients,
+    projected once per L.  A points file is read once, for every row.
     """
     basis = resolve_basis(cfg.basis)
     f = (get_function(cfg.functions[0]) if cfg.functions
@@ -504,24 +500,17 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
     # L = 2K repeats across M; a prefix of a larger-L projection would
     # change the quadrature order, so each L is projected on its own.
     projections = {}
-    for N in _sizes(cfg):
+    sizes, draw = _point_source(cfg)
+    for N in sizes:
         for M in cfg.m_list:
-            ss = np.random.SeedSequence([cfg.seed, N, M])
-            pts = _points_for(cfg, N, ss)
-            ps = build_pointset(pts, basis)
-            _, fields = surrogate_quantities(basis, ps, M, cfg.gamma)
-            K = _k_for(cfg, basis, ps)
-            U_K = build_matrix(basis, ps, K)
-            sigma = smallest_nonzero_singular_value(U_K)
-            L = 2 * K
-            w_ext = default_weights(basis, L, cfg.gamma)
+            ps = build_pointset(draw(N, np.random.SeedSequence(
+                [cfg.seed, N, M])), basis)
+            U_K = build_matrix(basis, ps, _k_for(cfg, basis, ps))
+            L = 2 * U_K.shape[1]
             if L not in projections:
                 projections[L] = project_coefficients(f, basis, L)
-            trunc_w, trunc_wtilde = truncation_bound(
-                U_K, w_ext, projections[L].coeffs, sigma)
-            reports.append(DiagnosticsReport(
-                h=ps.h, xi=ps.xi, N=ps.n, M=M, K=K, sigma_min=sigma,
-                trunc_w=trunc_w, trunc_wtilde=trunc_wtilde, **fields))
+            reports.append(diagnose(basis, ps, M, cfg.gamma, U_K,
+                                    projections[L].coeffs))
     # An unconverged projection still feeds trunc_w and trunc_wtilde with
     # its finest refinement; the meta file and stderr say how many there were.
     unconverged = sum(not p.converged for p in projections.values())

@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 
 from wl1approx.basis import (eval_basis, fourier, frequencies,
-                             leading_indices, legendre, linf_norms)
+                             leading_indices, legendre, linf_norms,
+                             project_coefficients)
 from wl1approx.grid import build_pointset, generate
-from wl1approx.sampling import (build_matrix, make_weights,
+from wl1approx.sampling import (build_matrix, default_weights, make_weights,
                                 smallest_nonzero_singular_value)
 from wl1approx.diagnostics import (REPORT_COLUMNS, CertificateResult,
                                    DiagnosticsReport, check_dual_certificate,
                                    compute_E, compute_F, scaling_study,
                                    truncation_bound)
-from wl1approx.experiments import _write_csv
+from wl1approx.experiments import (ExperimentConfig, _fmt, _write_csv,
+                                   get_function, run_diagnostics)
 
 
 def brute_gram(U, M):
@@ -240,6 +242,41 @@ def test_report_csv_layout(tmp_path):
     assert cells[0] == "0.10000000000000001"
     assert cells[2] == "10" and cells[3] == "3" and cells[5] == "12"
     assert cells[-2] == "nan" and cells[-1] == "inf"
+
+
+@pytest.mark.parametrize("spec,label,fid", [
+    (legendre(), "legendre", "runge25"), (fourier(), "fourier", "peaks500")],
+    ids=["legendre", "fourier"])
+def test_diagnostics_row_is_built_from_the_public_parts(tmp_path, spec,
+                                                        label, fid):
+    # One (N, M) cell recomputed from its parts: the surrogate quantities
+    # on 4M columns at --gamma, sigma_min and the truncation bounds at the
+    # run's K = 4N against the first 2K coefficients.
+    N, M, gamma = 12, 3, 0.75
+    cfg = ExperimentConfig(experiment="diagnostics", basis=label,
+                           n_list=(N,), m_list=(M,), gamma=gamma,
+                           functions=(fid,), out_dir=str(tmp_path))
+    out = run_diagnostics(cfg)
+    ps = build_pointset(generate("equispaced", N), spec)
+    S = build_matrix(spec, ps, 4 * M)
+    W = default_weights(spec, 4 * M, gamma)
+    E2, Einf = compute_E(S, M)
+    cert = check_dual_certificate(S, W, leading_indices(spec, 4 * M, M))
+    U = build_matrix(spec, ps, 4 * N)
+    sigma = smallest_nonzero_singular_value(U)
+    coeffs = project_coefficients(get_function(fid), spec, 8 * N).coeffs
+    trunc = truncation_bound(U, default_weights(spec, 8 * N, gamma), coeffs,
+                             sigma)
+    expect = (ps.h, ps.xi, N, M, 2 * M, 4 * N, E2, Einf,
+              compute_F(S, W, M, 2 * M), sigma, cert.alpha, cert.theta,
+              *trunc)
+    lines = open(out["csv"]).read().splitlines()
+    assert lines[1:] == [",".join(_fmt(v) for v in expect)]
+
+    for line in open(out["scaling"]).read().splitlines()[1:]:
+        row = dict(zip(REPORT_COLUMNS, line.split(",")))
+        assert row["K"] == str(4 * M)
+        assert row["trunc_w"] == row["trunc_wtilde"] == "nan"
 
 
 def test_scaling_study_legendre_decay():

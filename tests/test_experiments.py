@@ -538,6 +538,28 @@ def test_cli_points_file_is_fitted_once(tmp_path):
         assert {row.split(",")[2] for row in rows} == {"12"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--resolution", "2000"],  # six functions
+    ["diagnostics", "--m", "1,2"],
+], ids=["compare", "diagnostics"])
+def test_points_file_is_read_once_per_run(tmp_path, monkeypatch, argv):
+    # Every cell takes its points from one read, however many functions or
+    # values of M the run loops over.
+    points = tmp_path / "points.txt"
+    np.savetxt(points, np.linspace(-0.95, 0.95, 12))
+    reads = []
+    load = experiments.load_points
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "load_points", counting)
+    assert cli.main(argv + ["--points", "file:%s" % points,
+                            "--out", str(tmp_path / "out")]) == 0
+    assert reads == [str(points)]
+
+
 @pytest.mark.parametrize("command", ["compare", "diagnostics"])
 @pytest.mark.parametrize("n_from", ["flag", "config"])
 def test_cli_points_file_rejects_n(tmp_path, capsys, command, n_from):
