@@ -31,8 +31,8 @@ from .grid import POINT_FAMILIES, build_pointset, generate, load_points
 from .sampling import build_matrix, choose_K, default_weights, make_weights
 from .diagnostics import REPORT_COLUMNS, SCALING_AMPLITUDE, SCALING_GAMMA, \
     diagnose, scaling_study
-from .solver import make_problem, oracle_least_squares, save_result, \
-    solve_least_squares, solve_weighted_l1, sup_error, synthesize
+from .solver import make_problem, oracle_least_squares, solve_least_squares, \
+    solve_weighted_l1, sup_error, synthesize
 
 # Least-squares size grids for the comparison runs: M = c*sqrt(N) on the
 # polynomial side, M = c*N on the trigonometric side.
@@ -211,7 +211,7 @@ def _point_source(cfg: ExperimentConfig):
     the points of one cell.  A points file is read once, here: it fixes N
     at its point count, n_list is not read, and draw returns that array."""
     if cfg.points == "file":
-        pts = load_points(cfg.points_file)
+        pts, _ = load_points(cfg.points_file)
         return (pts.size,), lambda N, seed: pts
     return cfg.n_list, lambda N, seed: generate(
         cfg.points, N, seed=seed, amplitude=cfg.amplitude)
@@ -536,12 +536,20 @@ def run_diagnostics(cfg: ExperimentConfig) -> dict:
     })
 
 
+def _value_table(key: str, labels, vals):
+    """(header, rows) of a CSV table: a column of labels named `key`, then
+    the values; complex values take two columns, real and imaginary part."""
+    if np.iscomplexobj(vals):
+        return (key, "value_re", "value_im"), zip(labels, vals.real, vals.imag)
+    return (key, "value"), zip(labels, vals)
+
+
 def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
-    """Fit coefficients to samples from a two-column (t, y) file.  The
-    meta file records the SHA-256 of the file's bytes."""
-    with open(sample_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    data = load_points(sample_path, columns=2)
+    """Fit coefficients to a two-column (t, y) samples file, read once.
+    Writes approx_curve.csv, approx_coefficients.csv (one row per degree
+    or frequency) and approx_meta.txt, which records the solve and the
+    SHA-256 of the bytes that were fitted."""
+    data, digest = load_points(sample_path, columns=2)
     order = np.argsort(data[:, 0])
     pts, samples = data[order, 0], data[order, 1]
     basis = resolve_basis(cfg.basis)
@@ -553,21 +561,20 @@ def run_approximate(cfg: ExperimentConfig, sample_path) -> dict:
     mode = "inequality" if cfg.eta > 0 else "equality"
     res = solve_weighted_l1(prob, mode)
     grid = np.linspace(-1.0, 1.0, cfg.eval_resolution)
-    vals = synthesize(res.z, basis, grid)
-    if np.iscomplexobj(vals):
-        curve = ("t", "value_re", "value_im"), zip(grid, vals.real, vals.imag)
-    else:
-        curve = ("t", "value"), zip(grid, vals)
-    paths = _save(cfg, "approx", {"curve": ("approx_curve.csv", *curve)}, {
+    label = "frequency" if basis.is_complex else "degree"
+    return _save(cfg, "approx", {
+        "curve": ("approx_curve.csv",
+                  *_value_table("t", grid, synthesize(res.z, basis, grid))),
+        "coefficients": ("approx_coefficients.csv",
+                         *_value_table(label, U.column_labels(), res.z)),
+    }, {
         "K": _fmt(K), "mode": mode, "status": res.status,
         "objective": _fmt(res.objective),
+        "feasibility_residual": _fmt(res.feasibility_residual),
         "duality_gap": _fmt(res.duality_gap),
+        "iterations": _fmt(res.iterations),
         "samples": _fmt(ps.n), "samples_sha256": digest,
     })
-    paths["coefficients"] = os.path.join(cfg.out_dir,
-                                         "approx_coefficients.txt")
-    save_result(paths["coefficients"], res)
-    return paths
 
 
 RUNNERS = {

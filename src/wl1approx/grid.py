@@ -7,6 +7,8 @@ points reflecting the interval endpoints; the reflection rule follows the
 basis family and is not selectable.
 """
 
+import hashlib
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -65,20 +67,15 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _measure_cdf(basis: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """CDF of the basis probability measure at x in [-1, 1]."""
-    if basis.kind == FOURIER:
-        return (np.asarray(x) + 1.0) / 2.0
-    # Jacobi measure c*(1-t)^a*(1+t)^b maps to a Beta distribution under
-    # u = (1+t)/2, which betainc evaluates with full endpoint accuracy.
-    u = np.clip((np.asarray(x) + 1.0) / 2.0, 0.0, 1.0)
-    return betainc(basis.beta + 1.0, basis.alpha + 1.0, u)
-
-
 def cell_measures(basis: BasisSpec, edges: np.ndarray) -> np.ndarray:
     """Measure of each cell [edges[n], edges[n+1]] under the basis measure."""
-    cdf = _measure_cdf(basis, edges)
-    return np.diff(cdf)
+    x = np.asarray(edges)
+    if basis.kind == FOURIER:
+        return np.diff((x + 1.0) / 2.0)
+    # Jacobi measure c*(1-t)^a*(1+t)^b maps to a Beta distribution under
+    # u = (1+t)/2, which betainc evaluates with full endpoint accuracy.
+    u = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
+    return np.diff(betainc(basis.beta + 1.0, basis.alpha + 1.0, u))
 
 
 def build_pointset(points, basis: BasisSpec) -> PointSet:
@@ -142,16 +139,21 @@ def generate(kind: str, N: int, seed: int | None = None,
     raise ValueError(f"unknown point family {kind!r}")
 
 
-def load_points(path, columns: int = 1) -> np.ndarray:
-    """One abscissa per line, or with columns=2 the (n, 2) array of a
-    samples file's (t, y) lines; '#' starts a comment."""
+def load_points(path, columns: int = 1) -> tuple[np.ndarray, str]:
+    """(points, digest): one abscissa per line, or with columns=2 the
+    (n, 2) array of a samples file's (t, y) lines; '#' starts a comment.
+    The file is read once, and digest is the SHA-256 hex of the bytes
+    that were parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     with warnings.catch_warnings():  # an empty file is reported below
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, ndmin=2)
+        data = np.loadtxt(io.BytesIO(raw), ndmin=2)
     if not data.size:
         raise DegenerateGridError(f"no points found in {path}")
     if data.shape[1] != columns:
         what = ("one point per line" if columns == 1
                 else "two columns, point and value,")
         raise ValueError(f"expected {what} in {path}")
-    return data[:, 0] if columns == 1 else data
+    points = data[:, 0] if columns == 1 else data
+    return points, hashlib.sha256(raw).hexdigest()

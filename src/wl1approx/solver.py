@@ -732,19 +732,3 @@ def lp_oracle(A, y, w):
     if not res.success:
         raise RuntimeError("LP oracle failed: %s" % (res.message,))
     return res.x[:K] - res.x[K:], float(res.fun)
-
-
-def save_result(path, result: SolveResult) -> None:
-    """Plain-text record: status header, scalars, then one coefficient per
-    line (real and imaginary parts for complex data)."""
-    with open(path, "w") as fh:
-        fh.write("status %s\n" % result.status)
-        fh.write("objective %.17g\n" % result.objective)
-        fh.write("feasibility_residual %.17g\n" % result.feasibility_residual)
-        fh.write("duality_gap %.17g\n" % result.duality_gap)
-        fh.write("iterations %d\n" % result.iterations)
-        for zi in result.z:
-            if np.iscomplexobj(result.z):
-                fh.write("%.17g %.17g\n" % (zi.real, zi.imag))
-            else:
-                fh.write("%.17g\n" % zi)

@@ -21,6 +21,9 @@ from wl1approx.experiments import (POLY_C_GRID, SWEEP_GAMMAS, TRIG_C_GRID,
                                    get_function, resolve_basis, run_aliasing,
                                    run_approximate, run_comparison,
                                    run_diagnostics, run_weight_sweep)
+from wl1approx.grid import build_pointset
+from wl1approx.sampling import build_matrix, default_weights
+from wl1approx.solver import make_problem, solve_weighted_l1
 
 KNOWN_TAGS = {"aliasing_demo", "sweep", "poly_compare", "trig_compare",
               "periodic", "analytic", "entire", "singular", "kink"}
@@ -344,8 +347,12 @@ def test_approximate_runner(tmp_path):
                            k_rule="choose", out_dir=str(tmp_path),
                            eval_resolution=2000)
     out = run_approximate(cfg, str(samples))
-    txt = open(out["coefficients"]).read().splitlines()
-    assert txt[0].startswith("status ")
+    meta = open(out["meta"]).read().splitlines()
+    assert any(line.startswith("status ") for line in meta)
+    K = int(next(line.split()[1] for line in meta if line.startswith("K ")))
+    table = open(out["coefficients"]).read().splitlines()
+    assert table[0] == "degree,value"
+    assert len(table) == 1 + K
     curve = open(out["curve"]).read().splitlines()
     assert curve[0] == "t,value"
     assert len(curve) > 100
@@ -395,10 +402,67 @@ def test_approximate_runner_fourier_writes_complex_lines(tmp_path):
     assert curve[0] == "t,value_re,value_im"
     assert len(curve) == 1 + 2000
     assert np.all(np.isfinite(np.loadtxt(curve[1:], delimiter=",")))
+    assert "status converged" in open(out["meta"]).read().splitlines()
     lines = open(out["coefficients"]).read().splitlines()
-    assert lines[0].startswith("status ")
-    coeffs = np.loadtxt(lines[5:], ndmin=2)
-    assert coeffs.shape == (40, 2) and np.all(np.isfinite(coeffs))
+    assert lines[0] == "frequency,value_re,value_im"
+    coeffs = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    assert coeffs.shape == (40, 3) and np.all(np.isfinite(coeffs))
+
+
+def test_approximate_digest_names_the_fitted_bytes(tmp_path, monkeypatch):
+    # The samples file changes just before the run reads it: the digest in
+    # the meta file must be that of the bytes that were fitted.
+    samples = tmp_path / "samples.txt"
+    _write_samples(samples, np.linspace(-1, 1, 5), np.linspace(0, 1, 5))
+    load = experiments.load_points
+
+    def rewriting(path, *args, **kwargs):
+        t = np.linspace(-1, 1, 7)
+        _write_samples(samples, t, 1 - t ** 2)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "load_points", rewriting)
+    cfg = ExperimentConfig(experiment="approximate", out_dir=str(tmp_path),
+                           eval_resolution=2000)
+    meta = open(run_approximate(cfg, str(samples))["meta"]).read()
+    assert "samples 7" in meta.splitlines()
+    assert "samples_sha256 %s" % hashlib.sha256(
+        samples.read_bytes()).hexdigest() in meta.splitlines()
+
+
+@pytest.mark.parametrize("label,header", [
+    ("legendre", "degree,value"),
+    ("fourier", "frequency,value_re,value_im"),
+])
+def test_approximate_coefficient_table_round_trips(tmp_path, label, header):
+    # approx_coefficients.csv parses back to the solver's z bit for bit,
+    # labelled by degree or frequency; the meta file holds the solve's
+    # scalars in the same 17-digit format.
+    t = np.linspace(-1, 1, 10)
+    y = np.cos(np.pi * t) + 0.25 * t
+    samples = tmp_path / "samples.txt"
+    _write_samples(samples, t, y)
+    cfg = ExperimentConfig(experiment="approximate", basis=label,
+                           out_dir=str(tmp_path), eval_resolution=2000)
+    out = run_approximate(cfg, str(samples))
+
+    spec = resolve_basis(label)
+    U = build_matrix(spec, build_pointset(t, spec), 4 * t.size)
+    wv = default_weights(spec, U.shape[1], cfg.gamma,
+                         relax=cfg.relax_weights)
+    res = solve_weighted_l1(make_problem(U, y, wv), "equality")
+    lines = open(out["coefficients"]).read().splitlines()
+    assert lines[0] == header
+    table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    np.testing.assert_array_equal(table[:, 0], U.column_labels())
+    parts = (np.column_stack([res.z.real, res.z.imag])
+             if np.iscomplexobj(res.z) else res.z[:, None])
+    assert table[:, 1:].shape == parts.shape
+    assert table[:, 1:].tobytes() == parts.tobytes()
+    meta = open(out["meta"]).read().splitlines()
+    for key in ("status", "objective", "feasibility_residual",
+                "duality_gap", "iterations"):
+        assert "%s %s" % (key, experiments._fmt(getattr(res, key))) in meta
 
 
 def test_comparison_runner_fourier_weights(tmp_path):

@@ -7,6 +7,8 @@ for the uniform measure and against scipy's regularized incomplete beta
 for the polynomial measures.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -171,7 +173,9 @@ def test_load_points_reads_17_digit_values(tmp_path):
     lines += ["%.17g" % p for p in pts[:10]] + ["   ", "# more"]
     lines += ["  %.17g  " % p for p in pts[10:]] + [""]
     path.write_text("\n".join(lines))
-    np.testing.assert_array_equal(load_points(path), pts)
+    got, digest = load_points(path)
+    np.testing.assert_array_equal(got, pts)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
     only_comments = tmp_path / "empty.txt"
     only_comments.write_text("# no points\n\n# here either\n")
@@ -191,8 +195,9 @@ def test_load_points_reads_a_samples_file(tmp_path):
     path = tmp_path / "samples.txt"
     lines = ["# t y", ""] + ["%.17g %.17g" % tuple(row) for row in data]
     path.write_text("\n".join(lines) + "\n")
-    got = load_points(path, columns=2)
+    got, digest = load_points(path, columns=2)
     assert got.shape == (7, 2)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     np.testing.assert_array_equal(got, data)
 
     for text in ("-0.5\n0.5\n", "-0.5 1 2\n0.5 3 4\n"):

@@ -21,10 +21,9 @@ from wl1approx.grid import build_pointset, generate
 from wl1approx.sampling import build_matrix, default_weights, make_weights
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
                               STATUS_MAX_ITER, TOL_GAP, SamplingProblem,
-                              SolveResult, l1_objective, lp_oracle,
-                              make_problem, oracle_least_squares, save_result,
-                              solve_least_squares, solve_weighted_l1,
-                              sup_error, synthesize)
+                              l1_objective, lp_oracle, make_problem,
+                              oracle_least_squares, solve_least_squares,
+                              solve_weighted_l1, sup_error, synthesize)
 
 
 def cospi_expsin(t):
@@ -796,19 +795,6 @@ def test_sup_error_zero_for_exact_function():
     assert sup_error(f, z, spec) < 1e-13
     with pytest.raises(ValueError):
         sup_error(f, z, spec, resolution=1)
-
-
-def test_save_result_roundtrip(tmp_path):
-    p, _ = small_problem(N=8, K=16)
-    res = solve_weighted_l1(p)
-    path = tmp_path / "run.txt"
-    save_result(path, res)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "status converged"
-    assert lines[1].startswith("objective ")
-    assert abs(float(lines[1].split()[1]) - res.objective) == 0.0
-    assert len(lines) == 5 + len(res.z)
-    assert isinstance(res, SolveResult)
 
 
 # Property tests: small real instances on a grid of spacing 0.05, so that
