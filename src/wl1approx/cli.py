@@ -59,12 +59,6 @@ def _float_list(text):
     return _list(float, text)
 
 
-def _names(text):
-    if not text:
-        return None
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -97,7 +91,8 @@ _OPTIONS = {
     "amplitude": ("amplitude", float, "jitter amplitude in cell widths"),
     "resolution": ("eval_resolution", int,
                    "evaluation grid size for error measurement"),
-    "functions": ("functions", _names, "comma-separated test function ids"),
+    "functions": ("functions", lambda text: _list(str.strip, text),
+                  "comma-separated test function ids"),
     "relax_weights": ("relax_weights", _bool,
                       "allow weights below the sup-norm floor"),
     "out": ("out_dir", str, "output directory"),

@@ -186,6 +186,7 @@ def test_truncation_bound_zero_tail():
     x[:8] = np.random.default_rng(3).normal(size=8)
     sigma = smallest_nonzero_singular_value(U)
     assert truncation_bound(U, w_ext, x, sigma) == (0.0, 0.0)
+    assert truncation_bound(U, w_ext[:8], x[:8], sigma) == (0.0, 0.0)
 
 
 def test_truncation_bound_formula_and_modes():

@@ -135,11 +135,7 @@ def test_comparison_runner_rows_and_determinism(tmp_path):
     assert float(wl1[9]) <= 1e-6  # noiseless equality interpolates
     assert lines[-1].split(",")[1] == "oracle_ls"
 
-    cfg2 = ExperimentConfig(experiment="compare", n_list=(10,),
-                            functions=("runge25",), noise=0.0,
-                            out_dir=str(tmp_path / "b"),
-                            eval_resolution=2000)
-    out2 = run_comparison(cfg2)
+    out2 = run_comparison(replace(cfg, out_dir=str(tmp_path / "b")))
     assert open(out2["csv"]).read() == text
 
     meta = open(out["meta"]).read()
@@ -201,8 +197,8 @@ def test_weight_sweep_builds_each_matrix_and_weight_once(tmp_path,
 
 
 @pytest.mark.parametrize("argv,builds", [
-    # equispaced points: one point set per N, shared by all six functions
-    (["compare"], 4),
+    # equispaced points: one point set per N, shared by the functions
+    (["compare", "--functions", "runge25,chirp", "--resolution", "2000"], 4),
     # jittered points: each function draws its own point set per N
     (["compare", "--points", "jittered", "--n", "10",
       "--functions", "runge25,chirp"], 2),
@@ -336,13 +332,16 @@ def test_diagnostics_rejects_a_large_m_before_any_file(tmp_path,
     assert not out.exists()
 
 
-def test_approximate_runner(tmp_path):
-    t = np.linspace(-1, 1, 30)
-    vals = np.tanh(3 * t)
-    samples = tmp_path / "samples.txt"
-    with open(samples, "w") as fh:
+def _write_samples(path, t, vals):
+    with open(path, "w") as fh:
         for a, b in zip(t, vals):
             fh.write("%.17g %.17g\n" % (a, b))
+
+
+def test_approximate_runner(tmp_path):
+    t = np.linspace(-1, 1, 30)
+    samples = tmp_path / "samples.txt"
+    _write_samples(samples, t, np.tanh(3 * t))
     cfg = ExperimentConfig(experiment="approximate", n_list=(30,),
                            k_rule="choose", out_dir=str(tmp_path),
                            eval_resolution=2000)
@@ -362,12 +361,6 @@ def test_approximate_runner(tmp_path):
     one_column.write_text("-0.5\n0.5\n")
     with pytest.raises(ValueError, match="two columns"):
         run_approximate(cfg, str(one_column))
-
-
-def _write_samples(path, t, vals):
-    with open(path, "w") as fh:
-        for a, b in zip(t, vals):
-            fh.write("%.17g %.17g\n" % (a, b))
 
 
 def test_approximate_meta_names_its_samples(tmp_path):
@@ -497,22 +490,6 @@ def test_diagnostics_fourier_scaling_on_jittered_points(tmp_path):
     assert "scaling_grid jittered" in meta
 
 
-def test_cli_end_to_end(tmp_path):
-    rc = cli.main(["compare", "--n", "10", "--functions", "runge25",
-                   "--noise", "0", "--resolution", "2000",
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "compare.csv").exists()
-    assert (tmp_path / "compare_meta.txt").exists()
-
-
-def test_cli_uses_subcommand_defaults(tmp_path):
-    rc = cli.main(["aliasing", "--resolution", "2000",
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "aliasing.csv").exists()
-
-
 def test_cli_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n = 12,24\nfunctions = runge25\nnoise = 0\n"
@@ -525,30 +502,14 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     assert ns == {"12"}   # explicit flag wins over the file value
 
 
-def test_cli_failure_paths(tmp_path):
-    assert cli.main(["compare", "--n", "0", "--out", str(tmp_path)]) == 2
-    assert cli.main(["compare", "--functions", "missing_fn",
-                     "--out", str(tmp_path)]) == 2
-    assert cli.main(["diagnostics", "--m", ",", "--n", "20",
-                     "--out", str(tmp_path)]) == 2
-    with pytest.raises(SystemExit):
-        cli.main(["not_an_experiment"])
-
-
 @pytest.mark.parametrize("text", ["", "# no samples\n\n# here either\n"],
                          ids=["empty", "comments"])
 def test_cli_approximate_rejects_a_file_without_samples(tmp_path, capsys,
                                                         text):
     samples = tmp_path / "samples.txt"
     samples.write_text(text)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli.main(["approximate", str(samples), "--out", str(out)])
-    assert rc == 2
-    assert [str(w.message) for w in caught] == []
-    assert "no points found in %s" % samples in capsys.readouterr().err
-    assert not out.exists()
+    err = _rejected(tmp_path, capsys, ["approximate", str(samples)])
+    assert "no points found in %s" % samples in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -571,18 +532,6 @@ def test_cli_prints_every_file_it_writes(tmp_path, capsys, argv):
     assert len({name for name, _ in printed}) == len(printed)
     assert sorted(path for _, path in printed) \
         == sorted(str(p) for p in out.iterdir())
-
-
-def test_cli_names_nan_points(tmp_path, capsys):
-    # A NaN abscissa must be rejected as a point, not later as bad data.
-    samples = tmp_path / "samples.txt"
-    samples.write_text("-0.5 1.0\nnan 2.0\n0.5 3.0\n")
-    points = tmp_path / "points.txt"
-    points.write_text("-0.5\nnan\n0.5\n")
-    for argv in (["approximate", str(samples)],
-                 ["compare", "--points", "file:%s" % points]):
-        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert "points must lie in [-1, 1]" in capsys.readouterr().err
 
 
 def test_cli_points_file_is_fitted_once(tmp_path):
@@ -633,13 +582,9 @@ def test_cli_points_file_rejects_n(tmp_path, capsys, command, n_from):
     np.savetxt(points, np.linspace(-0.95, 0.95, 12))
     argv = [command, "--points", "file:%s" % points]
     if n_from == "flag":
-        argv += ["--n", "10,20"]
+        assert "--n" in _rejected(tmp_path, capsys, argv + ["--n", "10,20"])
     else:
-        (tmp_path / "cfg.txt").write_text("n = 10,20\n")
-        argv += ["--config", str(tmp_path / "cfg.txt")]
-    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert "--n" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+        assert "--n" in _rejected(tmp_path, capsys, argv, "n = 10,20")
 
 
 # Options each subcommand registers: exactly the ones its runner reads,
@@ -664,6 +609,22 @@ def _exit_code(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def _rejected(tmp_path, capsys, argv, line=None):
+    """stderr of argv run with --out and, given a line, a config file that
+    holds it.  The run must exit 2, warn nothing and create no output
+    directory."""
+    if line is not None:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 def test_cli_option_sets():
@@ -699,9 +660,7 @@ def test_cli_rejects_options_the_runner_ignores(tmp_path, capsys, argv,
     t = np.linspace(-1, 1, 12)
     np.savetxt(samples, np.column_stack([t, np.tanh(3 * t)]))
     argv = [str(samples) if a == "SAMPLES" else a for a in argv]
-    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert offending in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert offending in _rejected(tmp_path, capsys, argv)
 
 
 def test_cli_aliasing_help_names_its_eta_default(capsys):
@@ -713,13 +672,10 @@ def test_cli_aliasing_help_names_its_eta_default(capsys):
 def test_cli_points_file_without_path_names_the_flag(tmp_path, capsys):
     # Without --n, whose own message names the flag too.
     for points in ("file", "file:"):
-        argv = ["compare", "--functions", "runge25", "--points", points,
-                "--out", str(tmp_path / "out")]
-        assert _exit_code(argv) == 2
-        err = capsys.readouterr().err
+        err = _rejected(tmp_path, capsys, ["compare", "--functions",
+                                           "runge25", "--points", points])
         assert "--points file:PATH" in err and "points_file" not in err, \
             points
-        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, name", [
@@ -731,19 +687,7 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, flags, name):
     # -1 without noise, jacobi:nan,0 until a NaN reached an SVD, and
     # --amplitude nan into a traceback from the jitter draw.
     argv = ["compare", "--n", "10", "--functions", "runge25"] + flags
-    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert name in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_names_a_non_finite_gamma(tmp_path, capsys):
-    # This used to exit 2 with "weights must be positive and finite", which
-    # names neither the option nor its value.
-    argv = ["diagnostics", "--n", "10", "--m", "2", "--gamma", "nan",
-            "--out", str(tmp_path / "out")]
-    assert _exit_code(argv) == 2
-    assert "gamma must be finite, got nan" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert name in _rejected(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv, line, key", [
@@ -756,12 +700,8 @@ def test_cli_names_a_non_finite_gamma(tmp_path, capsys):
 ], ids=["compare-gama", "weight-sweep-seed", "compare-points_file"])
 def test_cli_config_rejects_keys_that_are_not_options(tmp_path, capsys,
                                                       argv, line, key):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("resolution = 2000\n%s\n" % line)
-    argv = argv + ["--config", str(cfgfile), "--out", str(tmp_path / "out")]
-    assert _exit_code(argv) == 2
-    assert repr(key) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    err = _rejected(tmp_path, capsys, argv, "resolution = 2000\n" + line)
+    assert repr(key) in err
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -780,7 +720,8 @@ def test_cli_default_config_hash_unchanged(argv, digest):
 
 @pytest.mark.parametrize("source, relax", [
     (["--relax-weights"], True), ("relax-weights = true", True),
-    ("relax-weights = false", False)], ids=["flag", "true", "false"])
+    ("relax-weights = false", False), ("relax-weights = off", False)],
+    ids=["flag", "true", "false", "off"])
 def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     argv = ["approximate", "s.txt"]
     if isinstance(source, list):
@@ -839,6 +780,10 @@ def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
      "error: --functions: functions must be ids among abs_cubed"),
     (["compare", "--n", "10"], "functions = runge25,nope",
      "config key 'functions': functions must be ids among"),
+    (["weight-sweep", "--functions", ","], None,
+     "--functions: expected a comma-separated list, got ','"),
+    (["weight-sweep"], "functions =",
+     "config key 'functions': expected a comma-separated list, got ''"),
     (["diagnostics", "--n", "10", "--functions", "runge25,abs_cubed"], None,
      "--functions: diagnostics uses one reference function"),
     (["compare", "--n", "10", "--seed", "-1"], None,
@@ -846,13 +791,22 @@ def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     (["weight-sweep", "--basis", "fourier"], None,
      "--basis: basis must be a Jacobi basis, got 'fourier'"),
     (["weight-sweep"], "basis = fourier", "config key 'basis': basis must"),
+    (["not_an_experiment"], None, "invalid choice: 'not_an_experiment'"),
+    (["diagnostics", "--n", "10", "--m", "2", "--gamma", "nan"], None,
+     "--gamma: gamma must be finite, got nan"),
+    (["approximate", "{tmp}/nan_samples.txt"], None,
+     "error: points must lie in [-1, 1]"),
+    (["compare", "--points", "file:{tmp}/nan_points.txt"], None,
+     "error: points must lie in [-1, 1]"),
 ], ids=["bool-typo", "bool-empty", "seed-flag", "n-flag", "seed-key",
         "eta-flag", "k-flag", "k-key", "basis-flag", "basis-key", "m-flag",
         "gammas-key", "resolution-flag", "resolution-key", "gammas-nan",
         "gammas-negative", "gamma-negative", "k-negative", "k-zero-key",
         "n-zero", "m-zero", "points-flag", "points-key", "epsilon-flag",
-        "functions-flag", "functions-key", "functions-two", "seed-negative",
-        "weight-sweep-fourier-flag", "weight-sweep-fourier-key"])
+        "functions-flag", "functions-key", "functions-empty-flag",
+        "functions-empty-key", "functions-two", "seed-negative",
+        "weight-sweep-fourier-flag", "weight-sweep-fourier-key",
+        "unknown-command", "gamma-nan", "nan-sample", "nan-point"])
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
                                           message):
     # A config boolean outside the true and false spellings used to read
@@ -862,10 +816,10 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, line,
     # list only failed in ExperimentConfig, which names fields, not
     # options.  Values that parse but are out of range used to fail in
     # ExperimentConfig or in a runner without the flag or key (an unknown
-    # function id as a quoted KeyError).
-    if line is not None:
-        (tmp_path / "run.cfg").write_text(line + "\n")
-        argv = argv + ["--config", str(tmp_path / "run.cfg")]
-    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # function id as a quoted KeyError, a NaN gamma as "weights must be
+    # positive and finite").  A NaN abscissa is rejected as a point, not
+    # later as bad data.
+    (tmp_path / "nan_samples.txt").write_text("-0.5 1.0\nnan 2.0\n0.5 3.0\n")
+    (tmp_path / "nan_points.txt").write_text("-0.5\nnan\n0.5\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert message in _rejected(tmp_path, capsys, argv, line)
