@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .basis import BasisSpec, chebyshev_extrema, eval_table, \
-    leading_indices, synthesize
+    leading_indices, linf_norms, synthesize
 from .sampling import SamplingMatrix, WeightVector, _numerical_rank, \
     make_weights
 
@@ -103,7 +103,7 @@ class SamplingProblem:
     A: SamplingMatrix
     y: np.ndarray
     w: WeightVector
-    eta: float = 0.0
+    eta: float
 
 
 @dataclass(frozen=True)
@@ -596,7 +596,8 @@ def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:
     return z
 
 
-_GRID_BLOCK_BYTES = 1 << 20  # table bytes per block of the oracle's sweep
+_GRID_BLOCK_BYTES = 1 << 20  # table bytes per block of the oracle's bounds
+_BOUND_STRIDE = 8  # the oracle's bounds take every 8th error-grid point
 
 
 def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
@@ -610,14 +611,27 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     expository tool, not a practical method.
 
     The fits are the rows of one (L, L) matrix, row M - 1 holding the
-    M-term fit on its leading storage positions and zeros elsewhere.
-    The grid is swept in blocks of rows of eval_table(basis, L, grid) of
-    at most _GRID_BLOCK_BYTES each (at least one row), one matrix product
-    per block, so memory stays at one block, its product and the L^2
-    coefficients.  The table's entries are computed point by point, so
-    each block holds the rows of the full table, but a product over all
-    L columns rounds differently from a product over each fit's M, and
-    errors may differ from that per-M sum at rounding level.
+    M-term fit on its leading storage positions and zeros elsewhere.  A
+    fit's error is that of its row as sup_error measures it
+    (_grid_error), but only the fits that can still win are measured
+    (branch and bound):
+
+    * bound: each fit's error on every _BOUND_STRIDE-th grid point, one
+      product per block of at most _GRID_BLOCK_BYTES of rows of
+      eval_table(basis, L, points) (at least one row).  A maximum over
+      part of the grid is at most the maximum over all of it.  Both
+      routes agree with the exact table product within
+      16 L eps sum_i |z_i| ||phi_i||_inf (sup_error), and |a - f| rounds
+      by at most eps of itself, so the bound less 2 eps of itself and
+      twice that margin is at most the computed full error.
+    * order and prune: fits are measured in increasing order of bound,
+      keeping the first M of smallest error, until a bound exceeds the
+      best error or is not finite.  No fit left can then win: an
+      infinite or NaN bound is a fit infinite or NaN on the grid.
+
+    So the answer is that of measuring every fit, after one or two
+    full-grid errors instead of L.  It can differ from a table product
+    over the whole grid only where two errors tie within rounding.
     """
     n, K = A.shape
     L = min(n, K)
@@ -627,20 +641,29 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
         Z[M - 1, leading_indices(A.basis, L, M)] = z
     grid = chebyshev_extrema(resolution)
     fg = np.broadcast_to(np.asarray(f_true(grid)), grid.shape)
-    err = np.zeros(L)
+    sub, fsub = grid[::_BOUND_STRIDE], fg[::_BOUND_STRIDE]
+    bound = np.zeros(L)
     row_bytes = L * (16 if A.basis.is_complex else 8)
     step = max(1, _GRID_BLOCK_BYTES // row_bytes)
-    for r0 in range(0, grid.size, step):
+    for r0 in range(0, sub.size, step):
         rows = slice(r0, r0 + step)
         # Row M - 1 of approx holds the M-term fit on the block's points.
-        approx = Z @ eval_table(A.basis, L, grid[rows]).T
-        approx -= fg[rows]
-        np.maximum(err, np.max(np.abs(approx), axis=1), out=err)
-    finite = np.isfinite(err)
-    if not finite.any():
+        approx = Z @ eval_table(A.basis, L, sub[rows]).T
+        approx -= fsub[rows]
+        np.maximum(bound, np.max(np.abs(approx), axis=1), out=bound)
+    eps = np.finfo(float).eps
+    bound = bound * (1 - 2 * eps) \
+        - 32 * L * eps * (np.abs(Z) @ linf_norms(A.basis, L))
+    best, i_best = np.inf, -1
+    for i in np.argsort(bound, kind="stable"):
+        if not bound[i] <= best or bound[i] == np.inf:
+            break
+        err = _grid_error(Z[i], A.basis, grid, fg)
+        if err < best or err == best and i < i_best:
+            best, i_best = err, i
+    if i_best < 0:
         return None, None
-    M = int(np.argmin(np.where(finite, err, np.inf))) + 1
-    return M, fits[M - 1]
+    return i_best + 1, fits[i_best]
 
 
 def _dct1(x, n: int) -> np.ndarray:
@@ -676,6 +699,17 @@ def _chebyshev_matrix(basis: BasisSpec, K: int) -> np.ndarray:
     return T
 
 
+def _grid_error(z, basis: BasisSpec, grid, fg) -> float:
+    """max |sum_i z_i phi_i - fg| on grid = chebyshev_extrema(n), fg the
+    truth there: sup_error's route."""
+    n, K = len(grid), len(z)
+    if basis.is_complex or not 1 < K < n:
+        approx = synthesize(z, basis, grid)
+    else:
+        approx = _dct1(_chebyshev_matrix(basis, K) @ z, n)[::-1]
+    return float(np.max(np.abs(approx - fg)))
+
+
 def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     """Max pointwise error of the synthesized approximant on a dense grid.
 
@@ -693,14 +727,8 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     FFT of length 19998 = 2 * 3^2 * 11 * 101, about half of a Jacobi
     call; a faster length moves the grid, and so every reported error.
     """
-    z = np.asarray(z)
     grid = chebyshev_extrema(resolution)
-    n, K = len(grid), len(z)
-    if basis.is_complex or not 1 < K < n:
-        approx = synthesize(z, basis, grid)
-    else:
-        approx = _dct1(_chebyshev_matrix(basis, K) @ z, n)[::-1]
-    return float(np.max(np.abs(approx - np.asarray(f_true(grid)))))
+    return _grid_error(np.asarray(z), basis, grid, np.asarray(f_true(grid)))
 
 
 def lp_oracle(A, y, w):

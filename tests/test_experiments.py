@@ -6,6 +6,7 @@ the numerics, which the dedicated module tests already pin down.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import warnings
 from dataclasses import replace
@@ -133,6 +134,10 @@ def test_comparison_runner_rows_and_determinism(tmp_path):
     wl1 = lines[1].split(",")
     assert wl1[1] == "wl1" and wl1[2] == "10" and wl1[3] == "40"
     assert float(wl1[9]) <= 1e-6  # noiseless equality interpolates
+    # M = max(1, min(round(c sqrt(N)), N, K)) for each c of the grid.
+    ls = [line.split(",") for line in lines[2:-1]]
+    assert [(row[1], int(row[4])) for row in ls] == [
+        ("ls_c%g" % c, M) for c, M in zip(POLY_C_GRID, (2, 3, 5, 6, 8, 9))]
     assert lines[-1].split(",")[1] == "oracle_ls"
 
     out2 = run_comparison(replace(cfg, out_dir=str(tmp_path / "b")))
@@ -142,6 +147,17 @@ def test_comparison_runner_rows_and_determinism(tmp_path):
     assert "config_hash" in meta
     for banned in ("date", "time", "stamp"):
         assert banned not in meta.lower()
+
+
+def test_records_are_frozen():
+    ps = build_pointset([-0.5, 0.5], basis.legendre())
+    U = build_matrix(basis.legendre(), ps, 2)
+    records = [(get_function("runge25"), "id"),
+               (ExperimentConfig(experiment="compare"), "seed"), (ps, "h"),
+               (make_problem(U, np.ones(2), np.ones(2)), "eta")]
+    for record, field in records:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_comparison_noise_changes_rows(tmp_path):
@@ -625,6 +641,13 @@ def _rejected(tmp_path, capsys, argv, line=None):
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
     return capsys.readouterr().err
+
+
+def test_cli_without_a_command_prints_usage(capsys):
+    assert _exit_code([]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wl1approx")
+    assert "the following arguments are required: command" in err
 
 
 def test_cli_option_sets():

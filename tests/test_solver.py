@@ -575,22 +575,76 @@ def oracle_instance(spec, N, f):
     return build_matrix(spec, ps, K), np.sqrt(ps.tau) * f(ps.points)
 
 
-@pytest.mark.parametrize("N", [12, 40])
-@pytest.mark.parametrize("spec", [legendre(), chebyshev(), jacobi(1.0, 0.0),
-                                  fourier()], ids=lambda s: s.label())
-def test_oracle_least_squares_matches_per_M_sweep(spec, N):
+@pytest.mark.parametrize("spec, N, noise", [
+    pytest.param(spec, N, 0.0, id="%s-%d" % (spec.label(), N))
+    for N in (12, 40)
+    for spec in (legendre(), chebyshev(), jacobi(1.0, 0.0), fourier())] + [
+    pytest.param(fourier(), 40, 1e-6, id="fourier-40-noise"),
+    pytest.param(legendre(), 80, 0.0, id="jacobi:0,0-80")])
+def test_oracle_least_squares_matches_per_M_sweep(spec, N, noise):
     # The fits are the same lstsq calls, so the coefficients are the same
     # bits; the errors come from another summation order, so the chosen M
     # may only move to a reference error within rounding of the minimum.
+    # With noise, M = 17, 18 and 19 lie within 1.4% of each other at the
+    # noise floor; the pruned search must still find the first minimum.
     f = cospi_expsin if spec.is_complex else \
         (lambda t: 1.0 / (1.0 + 25 * t ** 2))
     A, y = oracle_instance(spec, N, f)
+    if noise:
+        rng = np.random.default_rng(N)
+        y = y + np.sqrt(A.pointset.tau) * rng.uniform(-noise, noise, len(y))
     M_ref, z_ref, errors = _oracle_reference(A, y, f)
     M, z = oracle_least_squares(A, y, f)
     assert M == M_ref or errors[M - 1] <= errors.min() * (1 + 1e-12)
     np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
     if M == M_ref:
         np.testing.assert_array_equal(z, z_ref)
+
+
+def test_oracle_least_squares_measures_few_fits_on_the_full_grid(
+        monkeypatch):
+    # The bounds take every 8th point of the 10000-point grid; the fits
+    # that can still win are measured through the Chebyshev matrix, not
+    # the table.  A sweep of every fit over the grid takes 10000 points.
+    f = lambda t: 1.0 / (1.0 + 25 * t ** 2)
+    A, y = oracle_instance(legendre(), 40, f)
+    points, measured = [], []
+    grid_error = solver_module._grid_error
+
+    def counted(spec, K, t):
+        points.append(np.size(t))
+        return eval_table(spec, K, t)
+
+    def counted_error(z, *args):
+        measured.append(z)
+        return grid_error(z, *args)
+
+    monkeypatch.setattr(solver_module, "eval_table", counted)
+    monkeypatch.setattr(solver_module, "_grid_error", counted_error)
+    M, z = oracle_least_squares(A, y, f, resolution=10000)
+    assert sum(points) <= 10000 // 4 and len(measured) <= 2
+    np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
+
+
+@pytest.mark.parametrize("spec, N, f", [
+    (jacobi(1.0, 0.0), 40, lambda t: t * t),
+    (legendre(), 12, lambda t: np.zeros_like(t)),
+], ids=["square", "zero"])
+def test_oracle_least_squares_equals_the_exhaustive_search(spec, N, f):
+    # Every fit of M >= 3 terms reproduces t^2, so their errors tie within
+    # rounding (near 1e-15); for zero data they all tie at 0.  The bounds
+    # less their rounding margin still find the first M of smallest error
+    # among all L fits, each measured as sup_error measures it.
+    A, y = oracle_instance(spec, N, f)
+    L = min(A.shape)
+    grid = chebyshev_extrema(10000)
+    errors = []
+    for M in range(1, L + 1):
+        z = np.zeros(L)
+        z[leading_indices(spec, L, M)] = solve_least_squares(A, y, M)
+        errors.append(solver_module._grid_error(z, spec, grid, f(grid)))
+    M, z = oracle_least_squares(A, y, f)
+    assert M == int(np.argmin(errors)) + 1
 
 
 def test_oracle_least_squares_broadcasts_a_scalar_truth():
@@ -605,9 +659,12 @@ def test_oracle_least_squares_broadcasts_a_scalar_truth():
     assert sup_error(lambda t: 0.5, z, spec) <= 1e-13
 
 
-def test_oracle_least_squares_skips_non_finite_errors():
+def test_oracle_least_squares_skips_non_finite_errors(monkeypatch):
+    # A non-finite truth makes every bound non-finite, so no fit is
+    # measured on the full grid.
     spec = legendre()
     A, y = oracle_instance(spec, 12, lambda t: 1.0 / (1.0 + 25 * t ** 2))
+    monkeypatch.setattr(solver_module, "_grid_error", None)
     assert oracle_least_squares(A, y, lambda t: np.nan) == (None, None)
     assert oracle_least_squares(A, y, lambda t: np.inf) == (None, None)
 
