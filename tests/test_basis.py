@@ -769,6 +769,15 @@ def test_gauss_rule_is_bit_identical_to_scipy(ab, Q):
     assert np.array_equal(w, ws), np.flatnonzero(w != ws).tolist()
 
 
+@pytest.mark.parametrize("ab", [(1000.5, 0.5), (0.5, -0.5)], ids=str)
+def test_gauss_rule_branches_are_bit_identical_to_scipy(ab):
+    # alpha + beta > 1000 takes the weight mass from exp(betaln) and
+    # alpha + beta = 0 its own diagonal, as scipy does.
+    x, w = basis._gauss_jacobi(64, *ab)
+    xs, ws = roots_jacobi(64, *ab)
+    assert np.array_equal(x, xs) and np.array_equal(w, ws)
+
+
 @pytest.mark.parametrize("ab, scipy_calls", [((-0.75, -0.75), 1),
                                              ((-0.5, -0.5), 1),
                                              ((0.0, 0.0), 0),

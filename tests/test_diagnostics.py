@@ -12,11 +12,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from problems import problem
 from wl1approx.basis import (eval_basis, fourier, frequencies,
                              leading_indices, legendre, linf_norms,
                              project_coefficients)
-from wl1approx.grid import build_pointset, generate
-from wl1approx.sampling import (build_matrix, default_weights, make_weights,
+from wl1approx.sampling import (default_weights, make_weights,
                                 smallest_nonzero_singular_value)
 from wl1approx.diagnostics import (REPORT_COLUMNS, CertificateResult,
                                    DiagnosticsReport, check_dual_certificate,
@@ -44,9 +44,7 @@ def brute_gram(U, M):
 def test_compute_e_matches_brute_force(spec):
     rng = np.random.default_rng(17)
     for trial in range(6):
-        pts = np.sort(rng.uniform(-1, 1, 18))
-        ps = build_pointset(pts, spec)
-        U = build_matrix(spec, ps, 11)
+        U = problem(spec, np.sort(rng.uniform(-1, 1, 18)), 11).A
         for M in (2, 5, 9):
             E2, Einf = compute_E(U, M)
             D = np.eye(M) - brute_gram(U, M)
@@ -56,9 +54,7 @@ def test_compute_e_matches_brute_force(spec):
 
 def test_compute_e_two_point_example():
     # G = diag(1, 3/4) for the symmetric pair, so both deviations are 1/4.
-    ps = build_pointset([-0.5, 0.5], legendre())
-    U = build_matrix(legendre(), ps, 2)
-    E2, Einf = compute_E(U, 2)
+    E2, Einf = compute_E(problem(legendre(), [-0.5, 0.5], 2).A, 2)
     assert abs(E2 - 0.25) < 1e-14
     assert abs(Einf - 0.25) < 1e-14
 
@@ -66,11 +62,9 @@ def test_compute_e_two_point_example():
 def test_compute_f_matches_brute_force():
     rng = np.random.default_rng(29)
     for spec in (legendre(), fourier()):
-        pts = np.sort(rng.uniform(-1, 1, 14))
-        ps = build_pointset(pts, spec)
         K, M, R = 13, 3, 6
-        U = build_matrix(spec, ps, K)
-        W = make_weights(spec, K, scheme="unit")
+        p = problem(spec, np.sort(rng.uniform(-1, 1, 14)), K, weights="unit")
+        U, W = p.A, p.w
         got = compute_F(U, W, M, R)
         C = U.entries.conj().T @ U.entries[:, leading_indices(spec, K, M)]
         rows = np.abs(C).sum(axis=1) / W.w
@@ -80,9 +74,8 @@ def test_compute_f_matches_brute_force():
 
 
 def test_compute_f_validation():
-    ps = build_pointset(generate("equispaced", 8), legendre())
-    U = build_matrix(legendre(), ps, 10)
-    W = make_weights(legendre(), 10)
+    p = problem(legendre(), 8, 10, weights="unit")
+    U, W = p.A, p.w
     with pytest.raises(ValueError):
         compute_F(U, W, 5, 4)
     with pytest.raises(ValueError):
@@ -99,12 +92,11 @@ def test_compute_f_cauchy_schwarz_envelope():
         spec = legendre() if trial % 2 else fourier()
         N = int(rng.integers(8, 20))
         pts = np.sort(rng.uniform(-1, 1, N))
-        ps = build_pointset(pts, spec)
         K = int(rng.integers(8, 14))
         M = int(rng.integers(1, 5))
         R = int(rng.integers(M, K - 1))
-        U = build_matrix(spec, ps, K)
-        W = make_weights(spec, K, scheme="unit")
+        p = problem(spec, pts, K, weights="unit")
+        U, W = p.A, p.w
         F = compute_F(U, W, M, R)
         E2, _ = compute_E(U, M)
         sup = linf_norms(spec, K)
@@ -115,15 +107,16 @@ def test_compute_f_cauchy_schwarz_envelope():
 
 
 def test_certificate_validation():
-    ps = build_pointset(generate("equispaced", 6), legendre())
-    U = build_matrix(legendre(), ps, 8)
-    W = make_weights(legendre(), 8)
+    p = problem(legendre(), 6, 8, weights="unit")
+    U, W = p.A, p.w
     with pytest.raises(ValueError):
         check_dual_certificate(U, W, [])
     with pytest.raises(ValueError):
         check_dual_certificate(U, W, [1, 1])
     with pytest.raises(ValueError):
-        check_dual_certificate(U, W, [8])
+        check_dual_certificate(U, W, [0, 8])
+    with pytest.raises(ValueError):
+        check_dual_certificate(U, W, [-1, 0])
     with pytest.raises(ValueError):
         check_dual_certificate(U, W, [0, 1], signs=[1.0, 0.5])
     with pytest.raises(ValueError):
@@ -132,17 +125,15 @@ def test_certificate_validation():
 
 def test_certificate_single_node():
     spec = legendre()
-    ps = build_pointset([0.0], spec)
-    U1 = build_matrix(spec, ps, 1)
-    W1 = make_weights(spec, 1)
-    cert = check_dual_certificate(U1, W1, [0])
+    p1 = problem(spec, [0.0], 1, weights="unit")
+    cert = check_dual_certificate(p1.A, p1.w, [0])
     assert isinstance(cert, CertificateResult)
     assert cert.alpha == 0.0 and cert.theta == 0.0 and cert.satisfied
 
     K = 5
-    U = build_matrix(spec, ps, K)
-    W = make_weights(spec, K)
-    got = check_dual_certificate(U, W, [0])
+    p = problem(spec, [0.0], K, weights="unit")
+    W = p.w
+    got = check_dual_certificate(p.A, W, [0])
     vals = np.array([eval_basis(spec, i, np.array([0.0]))[0]
                      for i in range(1, K + 1)])
     expect_theta = np.max(np.abs(vals[1:]) / W.w[1:])
@@ -153,8 +144,7 @@ def test_certificate_single_node():
 
 def test_certificate_aliased_columns():
     spec = fourier()
-    ps = build_pointset(generate("equispaced", 11), spec)
-    U = build_matrix(spec, ps, 21)
+    U = problem(spec, 11, 21).A
     fr = frequencies(21)
     pos0 = int(np.flatnonzero(fr == 0)[0])
 
@@ -178,8 +168,7 @@ def test_certificate_aliased_columns():
 
 def test_truncation_bound_zero_tail():
     spec = legendre()
-    ps = build_pointset(generate("equispaced", 10), spec)
-    U = build_matrix(spec, ps, 8)
+    U = problem(spec, 10, 8).A
     w_ext = make_weights(spec, 12, scheme="poly_gamma", gamma=1.0,
                          relax=True).w
     x = np.zeros(12)
@@ -191,9 +180,8 @@ def test_truncation_bound_zero_tail():
 
 def test_truncation_bound_formula_and_modes():
     spec = legendre()
-    ps = build_pointset(generate("equispaced", 10), spec)
     K, L = 8, 14
-    U = build_matrix(spec, ps, K)
+    U = problem(spec, 10, K).A
     rng = np.random.default_rng(4)
     x = rng.normal(size=L) / np.arange(1, L + 1) ** 2
     w = make_weights(spec, L, scheme="poly_gamma", gamma=1.0, relax=True).w
@@ -210,20 +198,18 @@ def test_truncation_bound_formula_and_modes():
     assert abs(got_plain - expect_plain) < 1e-12 * expect_plain
     assert abs(got_tilde - expect_tilde) < 1e-12 * expect_tilde
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shorter than the truncation"):
         truncation_bound(U, w[:7], x[:7], sigma)
 
 
 def test_truncation_bound_decreases_with_k():
     spec = legendre()
-    ps = build_pointset(generate("equispaced", 30), spec)
     L = 80
-    res = np.random.default_rng(8)
     x = np.exp(-0.4 * np.arange(L))
     w = make_weights(spec, L, scheme="poly_gamma", gamma=1.0, relax=True).w
     bounds = []
     for K in (10, 20, 40):
-        U = build_matrix(spec, ps, K)
+        U = problem(spec, 30, K).A
         sigma = smallest_nonzero_singular_value(U)
         bounds.append(truncation_bound(U, w, x, sigma)[0])
     assert bounds[0] > bounds[1] > bounds[2]
@@ -258,12 +244,11 @@ def test_diagnostics_row_is_built_from_the_public_parts(tmp_path, spec,
                            n_list=(N,), m_list=(M,), gamma=gamma,
                            functions=(fid,), out_dir=str(tmp_path))
     out = run_diagnostics(cfg)
-    ps = build_pointset(generate("equispaced", N), spec)
-    S = build_matrix(spec, ps, 4 * M)
-    W = default_weights(spec, 4 * M, gamma)
+    p = problem(spec, N, 4 * M, gamma=gamma)
+    S, W, ps = p.A, p.w, p.A.pointset
     E2, Einf = compute_E(S, M)
     cert = check_dual_certificate(S, W, leading_indices(spec, 4 * M, M))
-    U = build_matrix(spec, ps, 4 * N)
+    U = problem(spec, N, 4 * N).A
     sigma = smallest_nonzero_singular_value(U)
     coeffs = project_coefficients(get_function(fid), spec, 8 * N).coeffs
     trunc = truncation_bound(U, default_weights(spec, 8 * N, gamma), coeffs,

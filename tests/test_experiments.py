@@ -14,17 +14,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from problems import problem
 from wl1approx import basis, cli, experiments
-from wl1approx.diagnostics import REPORT_COLUMNS
+from wl1approx.diagnostics import REPORT_COLUMNS, CertificateResult
 from wl1approx.experiments import (POLY_C_GRID, SWEEP_GAMMAS, TRIG_C_GRID,
                                    ExperimentConfig, TEST_FUNCTIONS,
                                    config_hash, functions_with_tag,
                                    get_function, resolve_basis, run_aliasing,
                                    run_approximate, run_comparison,
                                    run_diagnostics, run_weight_sweep)
-from wl1approx.grid import build_pointset
-from wl1approx.sampling import build_matrix, default_weights
-from wl1approx.solver import make_problem, solve_weighted_l1
+from wl1approx.solver import solve_weighted_l1, synthesize
 
 KNOWN_TAGS = {"aliasing_demo", "sweep", "poly_compare", "trig_compare",
               "periodic", "analytic", "entire", "singular", "kink"}
@@ -49,6 +48,8 @@ def test_registry_hand_values():
     assert abs(ce(np.array([0.0]))[0] - 1.0) < 1e-14
     assert abs(ce(np.array([1.0]))[0] + 1.0) < 1e-14
     assert get_function("odd_log")(np.array([0.0]))[0] == 0.0
+    assert get_function("near_pole_sin")(np.array([0.0]))[0] == 0.98
+    assert get_function("pole_offright")(np.array([1.0]))[0] == 1.0
 
 
 def test_registry_lookup():
@@ -85,6 +86,7 @@ def test_config_validation_and_hash():
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 16
     assert int(config_hash(a), 16) >= 0
+    assert experiments.parse_k_rule("1") == 1
 
 
 @pytest.mark.parametrize("field, value", [("eta", np.nan), ("eta", np.inf),
@@ -150,11 +152,11 @@ def test_comparison_runner_rows_and_determinism(tmp_path):
 
 
 def test_records_are_frozen():
-    ps = build_pointset([-0.5, 0.5], basis.legendre())
-    U = build_matrix(basis.legendre(), ps, 2)
+    p = problem(basis.legendre(), [-0.5, 0.5], 2, np.ones(2), np.ones(2))
     records = [(get_function("runge25"), "id"),
-               (ExperimentConfig(experiment="compare"), "seed"), (ps, "h"),
-               (make_problem(U, np.ones(2), np.ones(2)), "eta")]
+               (ExperimentConfig(experiment="compare"), "seed"),
+               (p.A.pointset, "h"), (p, "eta"),
+               (CertificateResult(0.0, 0.0, True), "alpha")]
     for record, field in records:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, getattr(record, field))
@@ -165,11 +167,17 @@ def test_comparison_noise_changes_rows(tmp_path):
                 eval_resolution=2000)
     quiet = run_comparison(ExperimentConfig(
         out_dir=str(tmp_path / "q"), noise=0.0, **base))
-    noisy = run_comparison(ExperimentConfig(
-        out_dir=str(tmp_path / "n"), noise=1e-4, **base))
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "n"), noise=1e-4, **base)
+    noisy = run_comparison(cfg)
     rq = open(quiet["csv"]).read().splitlines()[1].split(",")
     rn = open(noisy["csv"]).read().splitlines()[1].split(",")
     assert float(rq[5]) != float(rn[5])
+    # The noisy wl1 fit from its cell's seeded draw and relaxed weights.
+    seed = np.random.SeedSequence([cfg.seed, 0, 10]).spawn(2)[1]
+    noise = np.random.default_rng(seed).uniform(-1e-4, 1e-4, 10)
+    p = problem(basis.legendre(), 10, 40,
+                lambda t: get_function("runge25")(t) + noise, relax=True)
+    assert float(rn[6]) == solve_weighted_l1(p).objective
 
 
 def test_weight_sweep_runner(tmp_path):
@@ -252,7 +260,28 @@ def test_aliasing_runner(tmp_path):
         assert abs(float(obj[8]) - 1.0) <= 1e-8
         dom = by_kind[("alias_solve", N, "dominant_frequency")][0]
         assert dom[8] == "0"
-    assert (tmp_path / "aliasing_curves.csv").exists()
+    # The recovery half: each weight scheme's equality fit at N = 20,
+    # solved again, gives its residual at the nodes and its curve on t.
+    header, *body = (tmp_path / "aliasing_curves.csv").read_text().splitlines()
+    curves = dict(zip(header.split(","), np.array(
+        [line.split(",") for line in body], dtype=float).T))
+    t = curves.pop("t")
+    np.testing.assert_array_equal(t, np.linspace(-1, 1, 2001))
+    spec, f = basis.fourier(), get_function("cospi_expsin")
+    rows = by_kind[("recovery", "20", "interp_residual")]
+    assert list(curves) == ["f"] + ["approx_" + r[4].replace(":", "")
+                                    for r in rows]
+    for row, (scheme, gamma) in zip(rows, [("unit", 0.0),
+                                           ("fourier_gamma", 0.1),
+                                           ("fourier_gamma", 0.5)]):
+        assert row[5] == "equality"
+        p = problem(spec, 20, 80, f, scheme, gamma=gamma)
+        z, pts = solve_weighted_l1(p).z, p.A.pointset.points
+        assert float(row[8]) == np.max(np.abs(synthesize(z, spec, pts)
+                                              - f(pts)))
+        np.testing.assert_array_equal(
+            curves["approx_" + row[4].replace(":", "")],
+            synthesize(z, spec, t).real)
     with pytest.raises(ValueError):
         run_aliasing(ExperimentConfig(experiment="aliasing",
                                       basis="legendre",
@@ -455,15 +484,13 @@ def test_approximate_coefficient_table_round_trips(tmp_path, label, header):
                            out_dir=str(tmp_path), eval_resolution=2000)
     out = run_approximate(cfg, str(samples))
 
-    spec = resolve_basis(label)
-    U = build_matrix(spec, build_pointset(t, spec), 4 * t.size)
-    wv = default_weights(spec, U.shape[1], cfg.gamma,
-                         relax=cfg.relax_weights)
-    res = solve_weighted_l1(make_problem(U, y, wv), "equality")
+    p = problem(resolve_basis(label), t, 4 * t.size, y, gamma=cfg.gamma,
+                relax=cfg.relax_weights)
+    res = solve_weighted_l1(p, "equality")
     lines = open(out["coefficients"]).read().splitlines()
     assert lines[0] == header
     table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    np.testing.assert_array_equal(table[:, 0], U.column_labels())
+    np.testing.assert_array_equal(table[:, 0], p.A.column_labels())
     parts = (np.column_stack([res.z.real, res.z.imag])
              if np.iscomplexobj(res.z) else res.z[:, None])
     assert table[:, 1:].shape == parts.shape
@@ -743,8 +770,9 @@ def test_cli_default_config_hash_unchanged(argv, digest):
 
 @pytest.mark.parametrize("source, relax", [
     (["--relax-weights"], True), ("relax-weights = true", True),
-    ("relax-weights = false", False), ("relax-weights = off", False)],
-    ids=["flag", "true", "false", "off"])
+    ("relax-weights = false", False), ("relax-weights = off", False),
+    ("relax-weights = 1", True), ("relax-weights = no", False)],
+    ids=["flag", "true", "false", "off", "1", "no"])
 def test_cli_relax_weights_from_flag_or_config(tmp_path, source, relax):
     argv = ["approximate", "s.txt"]
     if isinstance(source, list):

@@ -31,6 +31,11 @@ def test_three_point_separation():
     ps = build_pointset([-0.5, 0.0, 0.5], legendre())
     assert ps.h == 0.5
     assert ps.xi == 0.25
+    # The largest gap is the left boundary's, t_1 + 1, then an interior
+    # one; the exponentials' ghost gaps are half the boundary gaps.
+    assert build_pointset([0.5, 0.6, 0.9], legendre()).h == 1.5
+    assert build_pointset([-0.9, -0.8, 0.8, 0.9], legendre()).h == 0.8
+    assert build_pointset([-0.5, 0.9], fourier()).xi == pytest.approx(0.05)
 
 
 def test_endpoint_touch_is_degenerate_not_fatal():

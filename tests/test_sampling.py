@@ -8,6 +8,7 @@ search against its own advertised postcondition plus small frozen cases.
 import numpy as np
 import pytest
 
+from problems import problem
 from wl1approx import sampling
 from wl1approx.basis import (chebyshev, eval_basis, eval_table, fourier,
                              frequencies, jacobi, legendre, linf_norms,
@@ -20,8 +21,7 @@ from wl1approx.sampling import (MAX_TRUNCATION, SamplingMatrix,
 
 
 def test_single_point_row():
-    ps = build_pointset([0.0], legendre())
-    A = build_matrix(legendre(), ps, 2)
+    A = problem(legendre(), [0.0], 2).A
     assert A.shape == (1, 2)
     np.testing.assert_allclose(A.entries, [[1.0, 0.0]], atol=1e-15)
 
@@ -45,18 +45,15 @@ def test_matrix_rejects_mismatched_measure():
 
 
 def test_column_labels():
-    ps = build_pointset([-0.5, 0.5], fourier())
-    A = build_matrix(fourier(), ps, 5)
+    A = problem(fourier(), [-0.5, 0.5], 5).A
     np.testing.assert_array_equal(A.column_labels(), [-2, -1, 0, 1, 2])
-    psl = build_pointset([-0.5, 0.5], legendre())
     # polynomial columns are labelled by degree
-    np.testing.assert_array_equal(build_matrix(legendre(), psl,
-                                               3).column_labels(), [0, 1, 2])
+    np.testing.assert_array_equal(
+        problem(legendre(), [-0.5, 0.5], 3).A.column_labels(), [0, 1, 2])
 
 
 def test_leading_block_is_centered_slice():
-    ps = build_pointset(generate("equispaced", 8), fourier())
-    A = build_matrix(fourier(), ps, 9)
+    A = problem(fourier(), 8, 9).A
     lead = A.leading(5)
     np.testing.assert_array_equal(lead, A.entries[:, 2:7])
 
@@ -67,9 +64,7 @@ def test_column_norm_bound():
     for spec in (legendre(), fourier()):
         sup = linf_norms(spec, 12)
         for trial in range(20):
-            pts = np.sort(rng.uniform(-1, 1, 15))
-            ps = build_pointset(pts, spec)
-            A = build_matrix(spec, ps, 12)
+            A = problem(spec, np.sort(rng.uniform(-1, 1, 15)), 12).A
             norms = np.linalg.norm(A.entries, axis=0)
             assert np.all(norms <= sup * (1 + 1e-12))
 
@@ -77,8 +72,7 @@ def test_column_norm_bound():
 def test_aliased_fourier_columns_identical():
     # On the 11-point endpoint grid every t is a multiple of 1/5, so the
     # frequency pairs (0, +-10) collapse to the same sampled column.
-    ps = build_pointset(generate("equispaced", 11), fourier())
-    A = build_matrix(fourier(), ps, 21)
+    A = problem(fourier(), 11, 21).A
     fr = frequencies(21)
     c0 = A.entries[:, fr == 0].ravel()
     for j in (10, -10):
@@ -96,8 +90,7 @@ def test_smallest_nonzero_singular_value():
 
 
 def test_equispaced_legendre_sigma_comfortable():
-    ps = build_pointset(generate("equispaced", 20), legendre())
-    A = build_matrix(legendre(), ps, 80)
+    A = problem(legendre(), 20, 80).A
     assert smallest_nonzero_singular_value(A) >= 0.5
 
 
@@ -209,13 +202,15 @@ def test_choose_k_single_point():
 
 def test_choose_k_postcondition_and_growth():
     ks = {}
-    for N in (20, 40):
+    for N in (10, 20, 40):
         ps = build_pointset(generate("equispaced", N), legendre())
         K = choose_K(legendre(), ps, 0.5)
         ks[N] = K
         A = build_matrix(legendre(), ps, K)
         assert smallest_nonzero_singular_value(A) > 0.5
         assert K <= 4 * N
+    # The search doubles K from N, so 10 points give 20 (16 from K = 1).
+    assert ks[10] == 20
     # at most superlinear growth between grid doublings
     assert ks[40] <= ks[20] * 2 ** 1.5
 
@@ -238,8 +233,7 @@ def test_choose_k_cap(monkeypatch):
 
 
 def test_sampling_matrix_is_frozen():
-    ps = build_pointset([0.0], legendre())
-    A = build_matrix(legendre(), ps, 2)
+    A = problem(legendre(), [0.0], 2).A
     assert isinstance(A, SamplingMatrix)
     with pytest.raises(AttributeError):
         A.entries = np.zeros((1, 2))

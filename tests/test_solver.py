@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from problems import problem, runge
 from wl1approx import basis as basis_module, solver as solver_module
-from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_basis,
-                             eval_table, fourier, frequencies, jacobi,
-                             leading_indices, legendre, linf_norms)
+from wl1approx.basis import (chebyshev, chebyshev_extrema, eval_table,
+                             fourier, jacobi, leading_indices, legendre,
+                             linf_norms)
 from wl1approx.experiments import get_function
-from wl1approx.grid import build_pointset, generate
-from wl1approx.sampling import build_matrix, default_weights, make_weights
+from wl1approx.grid import generate
 from wl1approx.solver import (MAX_ITER, STATUS_CONVERGED, STATUS_INFEASIBLE,
                               STATUS_MAX_ITER, TOL_GAP, SamplingProblem,
                               l1_objective, lp_oracle, make_problem,
@@ -30,27 +30,16 @@ def cospi_expsin(t):
     return np.cos(np.pi * t) * np.exp(np.sin(np.pi * t))
 
 
-def small_problem(N=20, K=80, gamma=1.0, f=None, eta=0.0):
-    spec = legendre()
-    ps = build_pointset(generate("equispaced", N), spec)
-    A = build_matrix(spec, ps, K)
-    W = make_weights(spec, K, scheme="poly_gamma", gamma=gamma, relax=True)
-    fn = f if f is not None else (lambda t: 1.0 / (1.0 + 50 * t ** 2))
-    return make_problem(A, fn(ps.points), W, eta=eta), fn
-
-
 def test_make_problem_scales_samples():
-    p, _ = small_problem(N=5, K=5)
-    np.testing.assert_array_equal(
-        p.y, np.sqrt(p.A.pointset.tau) * (1.0 / (1.0 + 50 * p.A.pointset.points ** 2)))
+    p = problem(legendre(), 5, 5, relax=True)
+    ps = p.A.pointset
+    np.testing.assert_array_equal(p.y, np.sqrt(ps.tau) * runge(50)(ps.points))
     assert isinstance(p, SamplingProblem)
 
 
 def test_make_problem_validation():
-    spec = legendre()
-    ps = build_pointset(generate("equispaced", 5), spec)
-    A = build_matrix(spec, ps, 6)
-    W = make_weights(spec, 6)
+    p = problem(legendre(), 5, 6, weights="unit")
+    A, W = p.A, p.w
     with pytest.raises(ValueError):
         make_problem(A, np.ones(4), W)
     with pytest.raises(ValueError):
@@ -67,49 +56,20 @@ def test_make_problem_validation():
 def test_make_problem_rejects_non_finite_eta(eta):
     # A NaN radius would pass for a ball and end in max_iter with a NaN
     # gap; an infinite one gives a NaN z.
-    p, _ = small_problem(N=5, K=6)
+    p = problem(legendre(), 5, 6, relax=True)
     with pytest.raises(ValueError, match="eta must be finite"):
         make_problem(p.A, np.ones(5), p.w, eta=eta)
 
 
 def test_single_point_solution_is_unit_spike():
-    spec = legendre()
-    ps = build_pointset([0.0], spec)
-    A = build_matrix(spec, ps, 2)
-    p = make_problem(A, np.array([1.0]), make_weights(spec, 2))
-    res = solve_weighted_l1(p)
+    res = solve_weighted_l1(problem(legendre(), [0.0], 2, [1.0], "unit"))
     assert res.status == STATUS_CONVERGED
     np.testing.assert_allclose(res.z, [1.0, 0.0], atol=1e-9)
     assert abs(res.objective - 1.0) < 1e-9
 
 
-def test_matches_lp_oracle_on_random_instances():
-    rng = np.random.default_rng(21)
-    spec = legendre()
-    for trial in range(30):
-        N = int(rng.integers(2, 7))
-        K = int(rng.integers(N, 13))
-        pts = np.sort(rng.uniform(-1, 1, N))
-        ps = build_pointset(pts, spec)
-        A = build_matrix(spec, ps, K)
-        z_true = rng.normal(size=K) * (rng.random(K) < 0.6)
-        y = A.entries @ z_true
-        w = make_weights(spec, K, scheme="custom",
-                         custom=np.sqrt(2 * np.arange(1, K + 1) - 1)
-                         * (1.0 + rng.random(K)))
-        samples = y / np.sqrt(ps.tau)
-        p = make_problem(A, samples, w)
-        res = solve_weighted_l1(p)
-        z_lp, obj_lp = lp_oracle(A, p.y, w.w)
-        assert res.status == STATUS_CONVERGED, f"trial {trial}"
-        assert abs(res.objective - obj_lp) <= 1e-6 * max(1.0, obj_lp), \
-            f"trial {trial}: {res.objective} vs {obj_lp}"
-
-
 def test_lp_oracle_rejects_complex():
-    spec = fourier()
-    ps = build_pointset(generate("equispaced", 4), spec)
-    A = build_matrix(spec, ps, 4)
+    A = problem(fourier(), 4, 4).A
     with pytest.raises(ValueError):
         lp_oracle(A, np.ones(4), np.ones(4))
 
@@ -117,11 +77,9 @@ def test_lp_oracle_rejects_complex():
 def ill_conditioned_problem(seed):
     # Random points, jacobi(1, 0), N = 40 + seed % 41, K = 2N, runge25:
     # cond(A) is near 1e9.
-    spec, N = jacobi(1.0, 0.0), 40 + seed % 41
-    pts = generate("uniform_random", N, seed=seed)
-    A = build_matrix(spec, build_pointset(pts, spec), 2 * N)
-    w = default_weights(spec, 2 * N, 1.0)
-    return make_problem(A, 1.0 / (1.0 + 25.0 * pts ** 2), w)
+    N = 40 + seed % 41
+    return problem(jacobi(1.0, 0.0), generate("uniform_random", N, seed=seed),
+                   2 * N, runge(25))
 
 
 def test_lp_oracle_is_tight_on_an_ill_conditioned_instance():
@@ -162,35 +120,39 @@ def well_conditioned_problem(spec, N, eta):
     # points on [-1, 1) for Fourier: cond(A / w) between 16 and 54.
     pts = (generate("equispaced", N + 1)[:-1] if spec.is_complex
            else generate("chebyshev", N))
-    A = build_matrix(spec, build_pointset(pts, spec), 4 * N)
-    w = default_weights(spec, 4 * N, 1.0, relax=True)
     noise = np.random.default_rng(N).uniform(-eta, eta, N)
     samples = np.exp(np.sin(np.pi * pts)) / (1.25 + pts) + noise
-    return make_problem(A, samples, w, eta=eta)
+    return problem(spec, pts, 4 * N, samples, relax=True, eta=eta)
 
 
 @pytest.mark.parametrize("spec, N, eta, steps", [
     (legendre(), 60, 0.0, 11), (legendre(), 40, 1e-3, 13),
     (fourier(), 40, 0.0, 6), (fourier(), 80, 1e-3, 15),
     (legendre(), 80, 0.0, 11), (legendre(), 80, 1e-3, 13)])
-def test_well_conditioned_step_counts(spec, N, eta, steps):
+def test_well_conditioned_step_counts(monkeypatch, spec, N, eta, steps):
     # Step counts of well-conditioned solves on the four paths (real or
     # complex, equality or ball), the same on one and two BLAS threads.
     # The real cases at N = 80 are the largest sizes the benchmark fits.
     # A rewrite of the Newton step that changes more than its last bits
     # shows up here; one that only rounds differently may not, and the
-    # ill-conditioned pins above are the finer check.
+    # ill-conditioned pins above are the finer check.  The corrector
+    # refines only while its largest residual is above the threshold: the
+    # complex equality solve then takes 30 triangular solves (52 with the
+    # threshold set from the smallest residual).
+    calls = count_lapack(monkeypatch, "dtrtrs")
     res = solve_weighted_l1(well_conditioned_problem(spec, N, eta),
                             "inequality" if eta else "equality")
     assert res.status == STATUS_CONVERGED
     assert res.iterations == steps
+    if spec.is_complex and not eta:
+        assert len(calls) == 30
 
 
-def count_factorizations(monkeypatch):
+def count_lapack(monkeypatch, *names):
     # _ipm imports its LAPACK routines when it runs, so wrapped ones count.
     from scipy.linalg import lapack
     calls = []
-    for name in ("dpotrf", "dgeqrf"):
+    for name in names:
         def counted(*args, _name=name, _f=getattr(lapack, name), **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
@@ -202,7 +164,7 @@ def test_newton_factor_is_cholesky_until_its_spread_is_too_wide(monkeypatch):
     # Each setup factors the normal equations by Cholesky while the
     # factor's squared diagonal spread stays within CHOL_SPREAD; after the
     # first that does not, the solve takes QR of the factored rows.
-    calls = count_factorizations(monkeypatch)
+    calls = count_lapack(monkeypatch, "dpotrf", "dgeqrf")
     p = well_conditioned_problem(fourier(), 40, 0.0)
     res = solve_weighted_l1(p)
     assert calls == ["dpotrf"] * (res.iterations + 1)
@@ -228,15 +190,11 @@ def test_real_and_complex_paths_agree(eta):
     # orthonormal map, so the iterates agree too: every complementarity
     # x.s matches to rounding.  A turn that is not orthonormal, (t +- zt)
     # / 2, moves the starting point and fails this in ball mode.
-    spec = legendre()
     pts = generate("jittered", 40, seed=7)
-    A = build_matrix(spec, build_pointset(pts, spec), 160)
-    w = default_weights(spec, 160, 0.5)
-    samples = 1.0 / (1.0 + 25.0 * pts ** 2)
     mode = "inequality" if eta else "equality"
-    p1 = make_problem(A, samples, w, eta=eta)
+    p1 = problem(legendre(), pts, 160, runge(25), gamma=0.5, eta=eta)
     r1 = solve_weighted_l1(p1, mode)
-    r2 = solve_weighted_l1(make_problem(A, samples.astype(complex), w,
+    r2 = solve_weighted_l1(make_problem(p1.A, runge(25)(pts) + 0j, p1.w,
                                         eta=eta), mode)
     assert r1.status == r2.status == STATUS_CONVERGED
     assert r1.iterations == r2.iterations
@@ -247,109 +205,27 @@ def test_real_and_complex_paths_agree(eta):
         <= 1e-12 * h0
     assert np.max(np.abs(r2.z.imag)) <= 1e-12
     if not eta:
-        _, obj_lp = lp_oracle(A, p1.y, w.w)
+        _, obj_lp = lp_oracle(p1.A, p1.y, p1.w.w)
         assert abs(r1.objective - obj_lp) <= 1e-8 * obj_lp
 
 
-def test_feasibility_of_converged_runs():
-    p, _ = small_problem()
-    res = solve_weighted_l1(p)
-    assert res.status == STATUS_CONVERGED
-    resid = np.linalg.norm(p.A.entries @ res.z - p.y)
-    assert resid <= 1e-8 * max(1.0, np.linalg.norm(p.y))
-    assert res.feasibility_residual <= 1e-8
-    assert res.duality_gap <= 1e-7 * max(1.0, res.objective)
-
-
-def test_interpolation_property():
-    for f, spec, scheme, gamma in [
-            (cospi_expsin, fourier(), "fourier_gamma", 0.5),
-            (lambda t: 1.0 / (1.0 + 50 * t ** 2), legendre(), "poly_gamma",
-             1.0)]:
-        ps = build_pointset(generate("equispaced", 20), spec)
-        A = build_matrix(spec, ps, 80)
-        W = make_weights(spec, 80, scheme=scheme, gamma=gamma,
-                         relax=(scheme == "poly_gamma"))
-        res = solve_weighted_l1(make_problem(A, f(ps.points), W))
-        vals = synthesize(res.z, spec, ps.points)
-        gap = np.max(np.abs(vals - f(ps.points)))
-        assert gap <= 1e-7 * (1.0 + np.max(np.abs(f(ps.points))))
-
-
 def test_scaling_covariance():
-    p, fn = small_problem(N=12, K=24)
+    p = problem(legendre(), 12, 24, relax=True)
     res1 = solve_weighted_l1(p)
     c = 3.7
-    ps = p.A.pointset
-    p2 = make_problem(p.A, c * fn(ps.points), p.w)
+    p2 = make_problem(p.A, c * runge(50)(p.A.pointset.points), p.w)
     res2 = solve_weighted_l1(p2)
     scale = max(1.0, np.max(np.abs(res2.z)))
     assert np.max(np.abs(res2.z - c * np.asarray(res1.z))) <= 1e-6 * scale
     assert abs(res2.objective - c * res1.objective) <= 1e-6 * res2.objective
 
 
-def test_monitored_objective_decreases():
-    # gap_history holds the interior-point complementarity x.s at the start
-    # and after each Newton step; it falls to the gap tolerance.
-    p, _ = small_problem(N=40, K=160)
-    res = solve_weighted_l1(p)
-
-    spec = fourier()
-    ps = build_pointset(generate("equispaced", 20), spec)
-    A = build_matrix(spec, ps, 80)
-    W = make_weights(spec, 80, scheme="fourier_gamma", gamma=0.5)
-    pin = make_problem(A, cospi_expsin(ps.points), W, eta=1e-2)
-    rin = solve_weighted_l1(pin, mode="inequality")
-    for r in (res, rin):
-        assert r.status == STATUS_CONVERGED
-        hist = np.array(r.gap_history)
-        assert len(hist) >= 3
-        assert np.all(np.diff(hist) <= 1e-6 * hist[0])
-        assert hist[-1] <= TOL_GAP * max(1.0, r.objective)
-
-
-def test_aliasing_family_prefers_zero_frequency():
-    spec = fourier()
-    for P in (5, 10):
-        N, K = 2 * P + 1, 4 * P + 1
-        ps = build_pointset(generate("equispaced", N), spec)
-        A = build_matrix(spec, ps, K)
-        W = make_weights(spec, K, scheme="fourier_gamma", gamma=0.5)
-        res = solve_weighted_l1(make_problem(A, np.ones(N), W))
-        fr = frequencies(K)
-        top = fr[int(np.argmax(np.abs(res.z)))]
-        assert top == 0, f"P={P}: dominant frequency {top}"
-        assert abs(fr[np.argmax(np.abs(res.z))]) != 2 * P
-
-
 def test_unweighted_aliasing_objective_value():
     # With flat weights every aliased spike costs exactly 1 (acceptance
     # criterion 2 checks the spikes at frequencies 0 and +-10).
-    spec = fourier()
-    ps = build_pointset(generate("equispaced", 11), spec)
-    A = build_matrix(spec, ps, 21)
-    W = make_weights(spec, 21, scheme="unit")
-    res = solve_weighted_l1(make_problem(A, np.ones(11), W))
+    res = solve_weighted_l1(problem(fourier(), 11, 21, np.ones(11), "unit"))
     assert res.status == STATUS_CONVERGED
     assert abs(res.objective - 1.0) <= 1e-8
-
-
-def test_infeasible_system_detected():
-    # Period-2 exponentials cannot separate the two endpoints, so samples
-    # of a non-periodic function there are unreachable.
-    spec = fourier()
-    ps = build_pointset([-1.0, 1.0], spec)
-    A = build_matrix(spec, ps, 5)
-    W = make_weights(spec, 5)
-    p = make_problem(A, ps.points.astype(float), W)
-    res = solve_weighted_l1(p)
-    assert res.status == STATUS_INFEASIBLE
-    assert res.iterations == 0
-    assert res.duality_gap == np.inf
-    res_ball = solve_weighted_l1(
-        make_problem(A, ps.points.astype(float), W, eta=0.1),
-        mode="inequality")
-    assert res_ball.status == STATUS_INFEASIBLE
 
 
 def test_data_off_the_range_by_a_hair_converge():
@@ -360,14 +236,11 @@ def test_data_off_the_range_by_a_hair_converge():
     # measures against off_range, and the solve converges on the
     # projected data.  The objective pinned below is that of 10 steps
     # certified against eta, which end in max_iter.
-    spec = fourier()
     pt_seed, noise_seed = np.random.SeedSequence([0, 0, 10]).spawn(2)
-    ps = build_pointset(generate("equispaced", 10, seed=pt_seed), spec)
-    A = build_matrix(spec, ps, 40)
-    samples = get_function("peaks500")(ps.points) + np.random.default_rng(
-        noise_seed).uniform(-1e-8, 1e-8, ps.n)
-    w = make_weights(spec, 40, "poly_gamma", gamma=0.5, relax=True)
-    p = make_problem(A, samples, w)
+    noise = np.random.default_rng(noise_seed).uniform(-1e-8, 1e-8, 10)
+    p = problem(fourier(), generate("equispaced", 10, seed=pt_seed), 40,
+                lambda t: get_function("peaks500")(t) + noise, "poly_gamma",
+                gamma=0.5, relax=True)
     res = solve_weighted_l1(p)
     feas_abs = solver_module.TOL_FEAS * np.linalg.norm(p.y)
     assert res.status == STATUS_CONVERGED and res.iterations <= 9
@@ -378,9 +251,8 @@ def test_data_off_the_range_by_a_hair_converge():
 
 
 def test_inequality_relaxes_objective():
-    p_eq, fn = small_problem(N=16, K=48)
-    res_eq = solve_weighted_l1(p_eq)
-    p_in, _ = small_problem(N=16, K=48, eta=1e-2)
+    res_eq = solve_weighted_l1(problem(legendre(), 16, 48, relax=True))
+    p_in = problem(legendre(), 16, 48, relax=True, eta=1e-2)
     res_in = solve_weighted_l1(p_in, mode="inequality")
     assert res_in.status == STATUS_CONVERGED
     resid = np.linalg.norm(p_in.A.entries @ res_in.z - p_in.y)
@@ -389,7 +261,7 @@ def test_inequality_relaxes_objective():
 
 
 def test_inequality_eta_zero_routes_to_equality():
-    p, _ = small_problem(N=10, K=20)
+    p = problem(legendre(), 10, 20, relax=True)
     r_eq = solve_weighted_l1(p)
     r_in = solve_weighted_l1(p, mode="inequality")
     np.testing.assert_array_equal(r_in.z, r_eq.z)
@@ -397,8 +269,8 @@ def test_inequality_eta_zero_routes_to_equality():
 
 
 def test_max_iter_is_honest():
-    p, _ = small_problem(N=10, K=40)
-    res = solve_weighted_l1(p, max_iter=30)
+    res = solve_weighted_l1(problem(legendre(), 10, 40, relax=True),
+                            max_iter=30)
     assert res.iterations <= 30
     assert res.status in ("converged", "max_iter")
     assert MAX_ITER == 100
@@ -410,28 +282,34 @@ def test_max_iter_is_honest():
 def test_result_fields_are_recomputed_from_z(basis, eta, max_iter):
     # The reported residual is max(||A z - y|| - eta, 0) for the returned z,
     # capped or not, and a converged result never carries a negative gap.
-    spec = legendre() if basis == "legendre" else fourier()
-    ps = build_pointset(generate("equispaced", 20), spec)
-    A = build_matrix(spec, ps, 80)
-    if spec.is_complex:
-        W = make_weights(spec, 80, scheme="fourier_gamma", gamma=0.5)
-        f = cospi_expsin
-    else:
-        W = make_weights(spec, 80, scheme="poly_gamma", gamma=1.0, relax=True)
-        f = lambda t: 1.0 / (1.0 + 50 * t ** 2)
-    p = make_problem(A, f(ps.points), W, eta=eta)
+    # gap_history, the complementarity x.s at the start and after each
+    # Newton step, falls to the gap tolerance; it is not the certificate's
+    # gap, and the Fourier equality solve ends it at 1.08 TOL_GAP.  An
+    # exact fit interpolates.
+    spec, f, gamma = ((legendre(), runge(50), 1.0) if basis == "legendre"
+                      else (fourier(), cospi_expsin, 0.5))
+    p = problem(spec, 20, 80, f, gamma=gamma, relax=True, eta=eta)
     res = solve_weighted_l1(p, mode="inequality" if eta else "equality",
                             max_iter=max_iter)
-    true = max(np.linalg.norm(A.entries @ res.z - p.y) - eta, 0.0)
+    true = max(np.linalg.norm(p.A.entries @ res.z - p.y) - eta, 0.0)
     assert res.feasibility_residual == pytest.approx(true, rel=1e-12,
                                                      abs=1e-15)
-    assert res.objective == pytest.approx(l1_objective(res.z, W.w),
+    assert res.objective == pytest.approx(l1_objective(res.z, p.w.w),
                                           rel=1e-14)
+    hist = np.array(res.gap_history)
+    assert len(hist) == res.iterations + 1
+    assert np.all(np.diff(hist) <= 1e-6 * hist[0])
     if max_iter == 2:
         assert res.status == STATUS_MAX_ITER and res.iterations == 2
-    else:
-        assert res.status == STATUS_CONVERGED
-        assert 0.0 <= res.duality_gap <= TOL_GAP * max(1.0, res.objective)
+        return
+    assert res.status == STATUS_CONVERGED and res.feasibility_residual <= 1e-8
+    assert 0.0 <= res.duality_gap <= TOL_GAP * max(1.0, res.objective)
+    slack = 2.0 if spec.is_complex and not eta else 1.0
+    assert hist[-1] <= slack * TOL_GAP * max(1.0, res.objective)
+    if not eta:
+        pts = p.A.pointset.points
+        gap = np.max(np.abs(synthesize(res.z, spec, pts) - f(pts)))
+        assert gap <= 1e-7 * (1.0 + np.max(np.abs(f(pts))))
 
 
 def test_stalled_solve_stops_early(monkeypatch):
@@ -439,35 +317,18 @@ def test_stalled_solve_stops_early(monkeypatch):
     # make no progress instead of running on toward max_iter.  The
     # tolerance is read when the solve runs, not when the module loads.
     monkeypatch.setattr(solver_module, "TOL_GAP", 0.0)
-    p, _ = small_problem(N=20, K=80)
-    res = solve_weighted_l1(p)
+    res = solve_weighted_l1(problem(legendre(), 20, 80, relax=True))
     assert res.status == STATUS_MAX_ITER
     assert res.iterations <= 30
     assert 0.0 <= res.duality_gap <= 1e-10 * res.objective
 
 
 def test_zero_data_gives_zero_solution():
-    p, _ = small_problem(N=10, K=20, f=lambda t: 0.0 * t)
+    p = problem(legendre(), 10, 20, np.zeros(10), relax=True)
     for mode in ("equality", "inequality"):
         res = solve_weighted_l1(p, mode=mode)
         assert res.status == STATUS_CONVERGED
         assert not np.any(res.z) and res.objective == 0.0
-
-
-def test_least_squares_recovery_and_min_norm():
-    spec = legendre()
-    ps = build_pointset(generate("equispaced", 20), spec)
-    A = build_matrix(spec, ps, 80)
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=6)
-    y = A.leading(6) @ x
-    got = solve_least_squares(A, y, 6)
-    np.testing.assert_allclose(got, x, atol=1e-10)
-
-    ps1 = build_pointset([0.0], spec)
-    A1 = build_matrix(spec, ps1, 2)
-    z = solve_least_squares(A1, np.array([2.0]), 2)
-    np.testing.assert_allclose(z, [2.0, 0.0], atol=1e-12)
 
 
 def _svd_min_norm(B, y):
@@ -483,11 +344,8 @@ def test_least_squares_on_block_where_gelsd_fails():
     # Equispaced Legendre, N=160, K=640, M=123: condition number ~3e16, and
     # numpy's lstsq (LAPACK gelsd) stops with "SVD did not converge" on
     # some LAPACK builds.
-    spec = legendre()
-    f = lambda t: 1.0 / (1.0 + 50 * t ** 2)
-    ps = build_pointset(generate("equispaced", 160), spec)
-    A = build_matrix(spec, ps, 640)
-    y = np.sqrt(ps.tau) * f(ps.points)
+    p = problem(legendre(), 160, 640)
+    A, y = p.A, p.y
     B = A.leading(123)
     z = solve_least_squares(A, y, 123)
     assert z.shape == (123,) and np.all(np.isfinite(z))
@@ -497,23 +355,18 @@ def test_least_squares_on_block_where_gelsd_fails():
     assert abs(res - res_ref) <= 1e-12 * ynorm
     assert np.linalg.norm(z) <= np.linalg.norm(z_ref) * (1 + 1e-8)
 
-    M_best, coeffs = oracle_least_squares(A, y, f)
+    M_best, coeffs = oracle_least_squares(A, y, runge(50))
     assert 1 <= M_best <= 160 and np.all(np.isfinite(coeffs))
 
 
 def test_least_squares_falls_back_when_lstsq_raises(monkeypatch):
-    spec = legendre()
-    ps = build_pointset(generate("equispaced", 20), spec)
-    A = build_matrix(spec, ps, 80)
+    A, Af = problem(legendre(), 20, 80).A, problem(fourier(), 15, 41).A
+    A1 = problem(legendre(), [0.0], 2).A
     rng = np.random.default_rng(11)
     y = rng.normal(size=20)
     expect = {M: solve_least_squares(A, y, M) for M in (6, 20, 30)}
-    psf = build_pointset(generate("equispaced", 15), fourier())
-    Af = build_matrix(fourier(), psf, 41)
     yf = rng.normal(size=15) + 1j * rng.normal(size=15)
     expect_f = solve_least_squares(Af, yf, 21)
-    ps1 = build_pointset([0.0], spec)
-    A1 = build_matrix(spec, ps1, 2)
 
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least "
@@ -530,20 +383,6 @@ def test_least_squares_falls_back_when_lstsq_raises(monkeypatch):
     np.testing.assert_allclose(z, expect_f, atol=1e-10)
     z = solve_least_squares(A1, np.array([2.0]), 2)
     np.testing.assert_allclose(z, [2.0, 0.0], atol=1e-12)
-
-
-def test_oracle_least_squares_beats_fixed_truncation():
-    spec = legendre()
-    f = lambda t: 1.0 / (1.0 + 25 * t ** 2)
-    ps = build_pointset(generate("equispaced", 20), spec)
-    A = build_matrix(spec, ps, 80)
-    y = np.sqrt(ps.tau) * f(ps.points)
-    M_best, coeffs = oracle_least_squares(A, y, f)
-    assert 1 <= M_best <= 20
-    err_best = sup_error(f, coeffs, spec)
-    M_ref = int(np.ceil(np.sqrt(20)))
-    err_ref = sup_error(f, solve_least_squares(A, y, M_ref), spec)
-    assert err_best <= err_ref * (1 + 1e-12)
 
 
 def _oracle_reference(A, y, f_true, resolution=10000):
@@ -565,16 +404,6 @@ def _oracle_reference(A, y, f_true, resolution=10000):
     return best[1], best[2], np.array(errors)
 
 
-def oracle_instance(spec, N, f):
-    if spec.is_complex:
-        # [-1, 1) sampled periodically: t = +-1 give the same row.
-        pts, K = generate("jittered", N + 1, seed=N)[:-1], 2 * N + 1
-    else:
-        pts, K = generate("jittered", N, seed=N), 4 * N
-    ps = build_pointset(pts, spec)
-    return build_matrix(spec, ps, K), np.sqrt(ps.tau) * f(ps.points)
-
-
 @pytest.mark.parametrize("spec, N, noise", [
     pytest.param(spec, N, 0.0, id="%s-%d" % (spec.label(), N))
     for N in (12, 40)
@@ -587,9 +416,12 @@ def test_oracle_least_squares_matches_per_M_sweep(spec, N, noise):
     # may only move to a reference error within rounding of the minimum.
     # With noise, M = 17, 18 and 19 lie within 1.4% of each other at the
     # noise floor; the pruned search must still find the first minimum.
-    f = cospi_expsin if spec.is_complex else \
-        (lambda t: 1.0 / (1.0 + 25 * t ** 2))
-    A, y = oracle_instance(spec, N, f)
+    # N jittered points, on [-1, 1) for the exponentials (t = +-1 give the
+    # same row), and K = 2N + 1 or 4N.
+    f = cospi_expsin if spec.is_complex else runge(25)
+    p = problem(spec, generate("jittered", N + spec.is_complex, seed=N)[:N],
+                2 * N + 1 if spec.is_complex else 4 * N, f)
+    A, y = p.A, p.y
     if noise:
         rng = np.random.default_rng(N)
         y = y + np.sqrt(A.pointset.tau) * rng.uniform(-noise, noise, len(y))
@@ -606,8 +438,9 @@ def test_oracle_least_squares_measures_few_fits_on_the_full_grid(
     # The bounds take every 8th point of the 10000-point grid; the fits
     # that can still win are measured through the Chebyshev matrix, not
     # the table.  A sweep of every fit over the grid takes 10000 points.
-    f = lambda t: 1.0 / (1.0 + 25 * t ** 2)
-    A, y = oracle_instance(legendre(), 40, f)
+    f = runge(25)
+    p = problem(legendre(), generate("jittered", 40, seed=40), 160, f)
+    A, y = p.A, p.y
     points, measured = [], []
     grid_error = solver_module._grid_error
 
@@ -635,7 +468,8 @@ def test_oracle_least_squares_equals_the_exhaustive_search(spec, N, f):
     # rounding (near 1e-15); for zero data they all tie at 0.  The bounds
     # less their rounding margin still find the first M of smallest error
     # among all L fits, each measured as sup_error measures it.
-    A, y = oracle_instance(spec, N, f)
+    p = problem(spec, generate("jittered", N, seed=N), 4 * N, f)
+    A, y = p.A, p.y
     L = min(A.shape)
     grid = chebyshev_extrema(10000)
     errors = []
@@ -651,7 +485,8 @@ def test_oracle_least_squares_broadcasts_a_scalar_truth():
     # A constant f_true may return a scalar; it is the constant array's
     # sweep, so the answer is the same bits.
     spec = legendre()
-    A, y = oracle_instance(spec, 20, lambda t: np.full_like(t, 0.5))
+    p = problem(spec, generate("jittered", 20, seed=20), 80, np.full(20, 0.5))
+    A, y = p.A, p.y
     M, z = oracle_least_squares(A, y, lambda t: 0.5)
     M_arr, z_arr = oracle_least_squares(A, y, lambda t: np.full_like(t, 0.5))
     assert M == M_arr
@@ -662,8 +497,8 @@ def test_oracle_least_squares_broadcasts_a_scalar_truth():
 def test_oracle_least_squares_skips_non_finite_errors(monkeypatch):
     # A non-finite truth makes every bound non-finite, so no fit is
     # measured on the full grid.
-    spec = legendre()
-    A, y = oracle_instance(spec, 12, lambda t: 1.0 / (1.0 + 25 * t ** 2))
+    p = problem(legendre(), generate("jittered", 12, seed=12), 48, runge(25))
+    A, y = p.A, p.y
     monkeypatch.setattr(solver_module, "_grid_error", None)
     assert oracle_least_squares(A, y, lambda t: np.nan) == (None, None)
     assert oracle_least_squares(A, y, lambda t: np.inf) == (None, None)
@@ -673,7 +508,9 @@ def test_oracle_least_squares_peak_memory_is_one_block():
     # Fourier, L = 80: the (10000, 80) complex table of a per-M sweep
     # alone is 12.8 MB.  The blocked sweep holds one block of rows, its
     # product and the 80 x 80 coefficients.
-    A, y = oracle_instance(fourier(), 80, cospi_expsin)
+    p = problem(fourier(), generate("jittered", 81, seed=80)[:-1], 161,
+                cospi_expsin)
+    A, y = p.A, p.y
     tracemalloc.start()
     try:
         M, z = oracle_least_squares(A, y, cospi_expsin)
@@ -772,20 +609,6 @@ def test_chebyshev_grid_sum_matches_table(spec, n, K):
         assert sup_error(f, zz, spec, resolution=n) <= bound
 
 
-def test_sup_error_of_complex_jacobi_coefficients():
-    # The matrix path keeps real and imaginary parts apart: against the
-    # real part of the table product, the error is the largest imaginary
-    # part.
-    spec, K = jacobi(1, 0), 40
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=K) + 1j * rng.normal(size=K)
-    expect = eval_table(spec, K, chebyshev_extrema(10000)) @ z
-    bound = 16 * K * EPS * np.sum(np.abs(z) * linf_norms(spec, K))
-    f_real = lambda t: (eval_table(spec, K, t) @ z).real
-    assert abs(sup_error(f_real, z, spec)
-               - np.max(np.abs(expect.imag))) <= bound
-
-
 def test_sup_error_takes_the_cheaper_path(monkeypatch):
     # A Jacobi expansion of 1 < K < n terms takes the cached Chebyshev
     # matrix and one DCT-I of size n; K = 1, K >= n and the exponentials
@@ -829,16 +652,6 @@ def test_chebyshev_matrix_cache_is_bounded_and_read_only():
     assert cached.cache_info().currsize == 8
 
 
-def test_sup_error_zero_for_exact_function():
-    spec = legendre()
-    z = np.array([0.5, -1.2, 0.25])
-    f = lambda t: (0.5 * eval_basis(spec, 1, t) - 1.2 * eval_basis(spec, 2, t)
-                   + 0.25 * eval_basis(spec, 3, t))
-    assert sup_error(f, z, spec) < 1e-13
-    with pytest.raises(ValueError):
-        sup_error(f, z, spec, resolution=1)
-
-
 # Property tests: small real instances on a grid of spacing 0.05, so that
 # no two sample points nearly coincide.
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -852,10 +665,8 @@ def real_instances(draw):
                          max_size=min(8, K), unique=True))
     coef = draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K))
     w = draw(st.lists(st.floats(0.5, 2.0), min_size=K, max_size=K))
-    spec = legendre()
-    ps = build_pointset(np.sort(grid) / 20.0, spec)
-    A = build_matrix(spec, ps, K)
-    samples = (A.entries @ np.array(coef)) / np.sqrt(ps.tau)
+    A = problem(legendre(), np.sort(grid) / 20.0, K).A
+    samples = (A.entries @ np.array(coef)) / np.sqrt(A.pointset.tau)
     return A, samples, np.array(w)
 
 
@@ -912,12 +723,14 @@ def test_property_objective_scales_with_data(inst, c, negate):
        st.floats(0.5, 1.0), st.sampled_from(["equality", "inequality"]))
 def test_property_off_range_data_is_infeasible(P, inner, jump, mode):
     # Period-2 exponentials take equal values at t = -1 and t = 1, so
-    # samples that differ there lie off the range of A.
-    spec = fourier()
-    ps = build_pointset(np.linspace(-1.0, 1.0, 6), spec)
-    A = build_matrix(spec, ps, 2 * P + 1)
-    samples = np.array([0.0] + inner + [jump])
-    res = solve_weighted_l1(
-        make_problem(A, samples, np.ones(2 * P + 1), eta=1e-3), mode=mode)
+    # samples that differ there lie off the range of A.  The solve stops
+    # before its first step and reports the residual of the z it returns.
+    p = problem(fourier(), np.linspace(-1.0, 1.0, 6), 2 * P + 1,
+                np.array([0.0] + inner + [jump]), np.ones(2 * P + 1),
+                eta=1e-3)
+    res = solve_weighted_l1(p, mode=mode)
     assert res.status == STATUS_INFEASIBLE
-    assert res.iterations == 0
+    assert res.iterations == 0 and res.duality_gap == np.inf
+    eta = p.eta if mode == "inequality" else 0.0
+    true = max(np.linalg.norm(p.A.entries @ res.z - p.y) - eta, 0.0)
+    assert res.feasibility_residual == pytest.approx(true, rel=1e-12)
