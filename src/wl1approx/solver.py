@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .basis import BasisSpec, chebyshev_extrema, eval_table, \
-    leading_indices, linf_norms, synthesize
+    leading_indices, linf_norms, nested_rank, synthesize
 from .sampling import SamplingMatrix, WeightVector, _numerical_rank, \
     make_weights
 
@@ -598,21 +598,62 @@ def solve_least_squares(A: SamplingMatrix, y, M: int) -> np.ndarray:
 
 _GRID_BLOCK_BYTES = 1 << 20  # table bytes per block of the oracle's bounds
 _BOUND_STRIDE = 8  # the oracle's bounds take every 8th error-grid point
+# Prefix fits of larger 1-norm condition number are left to lstsq.
+_QR_COND_MAX = 1 / math.sqrt(np.finfo(float).eps)
+
+
+def _prefix_fits(A: SamplingMatrix, y) -> np.ndarray:
+    """The (L, L) matrix of least-squares fits, L = min(N, K): row M - 1
+    holds the M-term fit on leading_indices(basis, L, M), zeros elsewhere.
+
+    With the leading L columns in nested order, B = Q R and g = Q^H y,
+    the M-term fit is R_M^-1 g_M, R_M the leading M x M block of R.  R is
+    upper triangular, so R_M^-1 is the leading block of R^-1, and the
+    fit's coefficient i is the sum of row i of R^-1 diag(g) up to column
+    M - 1: one cumulative sum gives every fit, exactly zero past M.
+    kappa_1(R_M) = ||R_M||_1 ||R_M^-1||_1 is a running maximum of column
+    sums times another; a fit of kappa_1 above _QR_COND_MAX, or NaN, is
+    solve_least_squares(A, y, M) instead, with its minimum-norm cutoff.
+    kappa_1(R_M) is at least max |R_ii| / min |R_ii| over i < M, so only
+    the leading block of R within that spread is inverted, and no zero
+    pivot reaches the inverse.
+    """
+    L = min(A.shape)
+    order = np.argsort(nested_rank(A.basis, L), kind="stable")
+    Q, R = la.qr(A.leading(L)[:, order])
+    g = Q.conj().T @ np.asarray(y)
+    d = np.abs(np.diagonal(R))
+    m = np.count_nonzero(np.maximum.accumulate(d)
+                         < _QR_COND_MAX * np.minimum.accumulate(d))
+    Rinv = la.inv(R[:m, :m])
+    cond = (np.maximum.accumulate(np.abs(R[:m, :m]).sum(axis=0))
+            * np.maximum.accumulate(np.abs(Rinv).sum(axis=0)))
+    m = np.count_nonzero(cond <= _QR_COND_MAX)
+    Z = np.zeros((L, L), np.result_type(Rinv, g))
+    Z[:m, order[:m]] = np.cumsum(Rinv[:m, :m] * g[:m], axis=1).T
+    for M in range(m + 1, L + 1):
+        Z[M - 1, leading_indices(A.basis, L, M)] = \
+            solve_least_squares(A, y, M)
+    return Z
 
 
 def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     """Best least-squares truncation size in hindsight.
 
-    Fits M = 1 ... L, L = min(N, K), by solve_least_squares and measures
-    each fit's sup error against the true function on
-    chebyshev_extrema(resolution).  Returns (best M, its coefficients):
-    the first M of strictly smallest error, never one of non-finite error,
-    and (None, None) if no error is finite.  Needs the truth, so this is an
-    expository tool, not a practical method.
+    Fits M = 1 ... L, L = min(N, K), and measures each fit's sup error
+    against the true function on chebyshev_extrema(resolution).  Returns
+    (best M, solve_least_squares(A, y, M)): the first M of strictly
+    smallest error, never one of non-finite error, and (None, None) if no
+    error is finite.  Needs the truth, so this is an expository tool, not
+    a practical method.
 
-    The fits are the rows of one (L, L) matrix, row M - 1 holding the
-    M-term fit on its leading storage positions and zeros elsewhere.  A
-    fit's error is that of its row as sup_error measures it
+    The fits are the rows of one (L, L) matrix from one QR factorization
+    (_prefix_fits), row M - 1 holding the M-term fit on its leading
+    storage positions and zeros elsewhere.  A fit whose condition number
+    exceeds _QR_COND_MAX = 1 / sqrt(eps) is solve_least_squares' instead;
+    the others agree with it within rounding, and the winner is refitted
+    by solve_least_squares, so its coefficients are the same bits at
+    every M.  A fit's error is that of its row as sup_error measures it
     (_grid_error), but only the fits that can still win are measured
     (branch and bound):
 
@@ -633,12 +674,8 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     full-grid errors instead of L.  It can differ from a table product
     over the whole grid only where two errors tie within rounding.
     """
-    n, K = A.shape
-    L = min(n, K)
-    fits = [solve_least_squares(A, y, M) for M in range(1, L + 1)]
-    Z = np.zeros((L, L), np.result_type(*fits))
-    for M, z in enumerate(fits, 1):
-        Z[M - 1, leading_indices(A.basis, L, M)] = z
+    Z = _prefix_fits(A, y)
+    L = len(Z)
     grid = chebyshev_extrema(resolution)
     fg = np.broadcast_to(np.asarray(f_true(grid)), grid.shape)
     sub, fsub = grid[::_BOUND_STRIDE], fg[::_BOUND_STRIDE]
@@ -663,7 +700,7 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
             best, i_best = err, i
     if i_best < 0:
         return None, None
-    return i_best + 1, fits[i_best]
+    return i_best + 1, solve_least_squares(A, y, i_best + 1)
 
 
 def _dct1(x, n: int) -> np.ndarray:

@@ -19,8 +19,9 @@ from wl1approx.basis import (eval_basis, fourier, frequencies,
 from wl1approx.sampling import (default_weights, make_weights,
                                 smallest_nonzero_singular_value)
 from wl1approx.diagnostics import (REPORT_COLUMNS, CertificateResult,
-                                   DiagnosticsReport, check_dual_certificate,
-                                   compute_E, compute_F, scaling_study,
+                                   DiagnosticsReport, _admissible,
+                                   check_dual_certificate, compute_E,
+                                   compute_F, scaling_study,
                                    truncation_bound)
 from wl1approx.experiments import (ExperimentConfig, _fmt, _write_csv,
                                    get_function, run_diagnostics)
@@ -291,6 +292,12 @@ def test_scaling_study_jittered_reproducible():
 
 
 def test_scaling_study_validation():
+    # The regimes of the decay laws, boundaries included: h M <= 1 for the
+    # exponentials, h M^2 <= 1 for Jacobi bases.
+    assert _admissible(fourier(), 0.25, 4)
+    assert not _admissible(fourier(), 0.3, 4)
+    assert _admissible(legendre(), 0.0625, 4)
+    assert not _admissible(legendre(), 0.07, 4)
     with pytest.raises(ValueError):
         scaling_study(legendre(), "equispaced", 4, n_levels=4)
     with pytest.raises(ValueError):

@@ -594,6 +594,24 @@ def test_cli_points_file_is_fitted_once(tmp_path):
         assert {row.split(",")[2] for row in rows} == {"12"}
 
 
+def test_comparison_least_squares_rows_on_five_points(tmp_path):
+    # At N = 5, round(c sqrt(N)) exceeds N for c = 2.5 and 3, so those
+    # fits take all N terms, and no size exceeds N.  The direct fits
+    # leave the solver columns at their placeholders.
+    points = tmp_path / "points.txt"
+    np.savetxt(points, [-1, -0.5, 0, 0.5, 1])
+    assert cli.main(["compare", "--functions", "runge25", "--resolution",
+                     "2000", "--points", "file:%s" % points,
+                     "--out", str(tmp_path / "out")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "compare.csv").read_text().splitlines()[2:]]
+    assert [row[1] for row in rows] \
+        == ["ls_c%g" % c for c in POLY_C_GRID] + ["oracle_ls"]
+    assert [int(row[4]) for row in rows[:-1]] == [1, 2, 3, 4, 5, 5]
+    assert 1 <= int(rows[-1][4]) <= 5
+    assert {tuple(row[6:]) for row in rows} == {("nan", "0", "direct", "nan")}
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--resolution", "2000"],  # six functions
     ["diagnostics", "--m", "1,2"],

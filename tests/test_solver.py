@@ -385,23 +385,13 @@ def test_least_squares_falls_back_when_lstsq_raises(monkeypatch):
     np.testing.assert_allclose(z, [2.0, 0.0], atol=1e-12)
 
 
-def _oracle_reference(A, y, f_true, resolution=10000):
-    # The sweep as it stood before the grid was blocked: the full
-    # (resolution, L) table and one matrix-vector product per M.  Returns
-    # (M, z, errors over M = 1 ... L).
-    n, K = A.shape
+def _oracle_errors(A, y, f_true, resolution=10000):
+    # The exhaustive search: every one of the oracle's own fits measured
+    # on the whole grid as sup_error measures it.
     grid = chebyshev_extrema(resolution)
-    fg = np.asarray(f_true(grid))
-    table = eval_table(A.basis, min(n, K), grid)
-    best, errors = (np.inf, None, None), []
-    for M in range(1, min(n, K) + 1):
-        z = solve_least_squares(A, y, M)
-        lead = leading_indices(A.basis, table.shape[1], M)
-        approx = table[:, lead[0]:lead[-1] + 1] @ z
-        errors.append(float(np.max(np.abs(approx - fg))))
-        if errors[-1] < best[0]:
-            best = (errors[-1], M, z)
-    return best[1], best[2], np.array(errors)
+    fg = np.broadcast_to(np.asarray(f_true(grid)), grid.shape)
+    return np.array([solver_module._grid_error(z, A.basis, grid, fg)
+                     for z in solver_module._prefix_fits(A, y)])
 
 
 @pytest.mark.parametrize("spec, N, noise", [
@@ -411,11 +401,10 @@ def _oracle_reference(A, y, f_true, resolution=10000):
     pytest.param(fourier(), 40, 1e-6, id="fourier-40-noise"),
     pytest.param(legendre(), 80, 0.0, id="jacobi:0,0-80")])
 def test_oracle_least_squares_matches_per_M_sweep(spec, N, noise):
-    # The fits are the same lstsq calls, so the coefficients are the same
-    # bits; the errors come from another summation order, so the chosen M
-    # may only move to a reference error within rounding of the minimum.
-    # With noise, M = 17, 18 and 19 lie within 1.4% of each other at the
-    # noise floor; the pruned search must still find the first minimum.
+    # The pruned search finds the first minimum of the exhaustive one, or
+    # an error within rounding of it, and returns its lstsq refit.  With
+    # noise, M = 17, 18 and 19 lie within 1.4% of each other at the noise
+    # floor; the pruned search must still find the first minimum.
     # N jittered points, on [-1, 1) for the exponentials (t = +-1 give the
     # same row), and K = 2N + 1 or 4N.
     f = cospi_expsin if spec.is_complex else runge(25)
@@ -425,12 +414,11 @@ def test_oracle_least_squares_matches_per_M_sweep(spec, N, noise):
     if noise:
         rng = np.random.default_rng(N)
         y = y + np.sqrt(A.pointset.tau) * rng.uniform(-noise, noise, len(y))
-    M_ref, z_ref, errors = _oracle_reference(A, y, f)
+    errors = _oracle_errors(A, y, f)
     M, z = oracle_least_squares(A, y, f)
-    assert M == M_ref or errors[M - 1] <= errors.min() * (1 + 1e-12)
+    assert M == np.argmin(errors) + 1 \
+        or errors[M - 1] <= errors.min() * (1 + 1e-12)
     np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
-    if M == M_ref:
-        np.testing.assert_array_equal(z, z_ref)
 
 
 def test_oracle_least_squares_measures_few_fits_on_the_full_grid(
@@ -467,18 +455,48 @@ def test_oracle_least_squares_equals_the_exhaustive_search(spec, N, f):
     # Every fit of M >= 3 terms reproduces t^2, so their errors tie within
     # rounding (near 1e-15); for zero data they all tie at 0.  The bounds
     # less their rounding margin still find the first M of smallest error
-    # among all L fits, each measured as sup_error measures it.
+    # among all L of the oracle's fits, each measured as sup_error
+    # measures it.
     p = problem(spec, generate("jittered", N, seed=N), 4 * N, f)
     A, y = p.A, p.y
-    L = min(A.shape)
-    grid = chebyshev_extrema(10000)
-    errors = []
-    for M in range(1, L + 1):
-        z = np.zeros(L)
-        z[leading_indices(spec, L, M)] = solve_least_squares(A, y, M)
-        errors.append(solver_module._grid_error(z, spec, grid, f(grid)))
+    errors = _oracle_errors(A, y, f)
     M, z = oracle_least_squares(A, y, f)
-    assert M == int(np.argmin(errors)) + 1
+    assert M == np.argmin(errors) + 1
+    np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
+
+
+@pytest.mark.parametrize("spec, N, f, past", [
+    (fourier(), 40, cospi_expsin, 0), (legendre(), 80, runge(25), 25)],
+    ids=["fourier-40", "jacobi:0,0-80"])
+def test_oracle_fits_every_prefix_from_one_qr(monkeypatch, spec, N, f, past):
+    # lstsq fits only the prefixes past the condition cutoff, here the
+    # last `past` ones (M = 56 ... 80 for Legendre), and the winner once
+    # more; the per-M sweep called it L times.  The QR fits agree with
+    # lstsq within 100 cond(A_M) eps of their size, the others are its
+    # bits, and each row is zero off its leading positions.
+    p = problem(spec, generate("jittered", N + spec.is_complex, seed=N)[:N],
+                2 * N + 1 if spec.is_complex else 4 * N, f)
+    A, y = p.A, p.y
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    oracle_least_squares(A, y, f)
+    assert len(calls) == past + 1
+    eps = np.finfo(float).eps
+    for M, row in enumerate(solver_module._prefix_fits(A, y), 1):
+        lead = leading_indices(spec, N, M)
+        z = solve_least_squares(A, y, M)
+        assert not np.any(np.delete(row, lead))
+        if M > N - past:
+            np.testing.assert_array_equal(row[lead], z)
+        else:
+            cond = np.linalg.cond(A.leading(M))
+            assert np.max(np.abs(row[lead] - z)) \
+                <= 100 * cond * eps * np.max(np.abs(z))
 
 
 def test_oracle_least_squares_broadcasts_a_scalar_truth():
