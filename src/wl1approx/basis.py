@@ -229,24 +229,35 @@ def _table_rows(spec: BasisSpec, K: int, t: np.ndarray, block: int = 0):
         yield j0, P
 
 
-def _fourier_horner(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_i z_i exp(i pi j_i t) over the stored frequencies j_i of a
-    size-len(z) system, by Horner's rule: in w = exp(i pi t) over the
-    frequencies 0 ... K - h - 1, and in conj(w) over -1 ... -h, where
-    h = floor(K / 2).  Each pass costs one complex multiply-add per
-    frequency and point; no phase is folded and no cosine is taken."""
-    K = len(z)
-    h = K // 2
+def _unit_phasor(t: np.ndarray) -> np.ndarray:
+    """exp(i pi t) as cos(pi t) + i sin(pi t), of the unfolded angle."""
     angle = np.pi * t
     w = np.empty(t.size, dtype=complex)
     np.cos(angle, out=w.real)
     np.sin(angle, out=w.imag)
+    return w
+
+
+def _fourier_horner(z: np.ndarray, t: np.ndarray, w=None) -> np.ndarray:
+    """sum_i z_i exp(i pi j_i t) over the stored frequencies j_i of a
+    size-len(z) system, by Horner's rule: in w = exp(i pi t) over the
+    frequencies 0 ... K - h - 1, and in conj(w) over -1 ... -h, where
+    h = floor(K / 2).  Each pass costs one complex multiply-add per
+    frequency and point; no phase is folded and no cosine is taken.
+
+    w, if given, is that phasor, cos(pi t) + i sin(pi t), as a caller
+    caches it for a fixed grid; it is only read, never written, and its
+    conjugate is a new array."""
+    K = len(z)
+    h = K // 2
+    if w is None:
+        w = _unit_phasor(t)
     out = np.full(t.size, z[K - 1], dtype=complex)
     for i in range(K - 2, h - 1, -1):       # frequencies K - h - 2 ... 0
         out *= w
         out += z[i]
     if h:
-        np.conjugate(w, out=w)
+        w = np.conjugate(w)
         neg = np.full(t.size, z[0], dtype=complex)
         for i in range(1, h):                # frequencies -h + 1 ... -1
             neg *= w
@@ -411,10 +422,17 @@ def chebyshev_extrema(n: int) -> np.ndarray:
     return grid
 
 
+def has_closed_form_norms(spec: BasisSpec) -> bool:
+    """Whether linf_norms(spec, K) is closed form: for the exponentials
+    (all 1) and for Jacobi with max(alpha, beta) >= -1/2, whose maxima
+    sit at an endpoint.  Other Jacobi norms take an interior search."""
+    return spec.is_complex or max(spec.alpha, spec.beta) >= -0.5
+
+
 def linf_norms(spec: BasisSpec, K: int) -> np.ndarray:
     """Sup norms over [-1, 1] of the first K basis functions (storage order).
 
-    Jacobi norms are searched once per (spec, K) (_jacobi_sup_norms), and
+    Jacobi norms are computed once per (spec, K) (_jacobi_sup_norms), and
     every call with the same pair returns that one read-only array.
     """
     if spec.kind == FOURIER:
@@ -437,7 +455,7 @@ def _jacobi_sup_norms(spec: BasisSpec, K: int) -> np.ndarray:
     _TABLE_BLOCK + 2 rows of K points and no (K, K) table.
     """
     a, b = spec.alpha, spec.beta
-    if max(a, b) >= -0.5:
+    if has_closed_form_norms(spec):
         j = np.arange(K, dtype=float)  # at +1 or -1, whichever is larger
         norms = np.exp(_log_phi_scale(a, b, j) + np.maximum(
             _log_binom(j + a, j), _log_binom(j + b, j)))

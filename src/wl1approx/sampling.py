@@ -8,7 +8,10 @@ space matches the discrete inner product induced by the cell measures.
 Degree selection depends on the point set alone, not on the sampled
 function: K doubles from N until the numerical rank of the matrix stops
 growing and its smallest nonzero singular value clears the requested
-threshold.  One rank count, _numerical_rank(s, rtol), serves two cutoffs
+threshold.  Once the N x K matrix has full row rank N, the rank cannot
+grow; where the basis has closed-form sup norms, they bound the largest
+singular value at 2K, and the search stops without building that matrix
+(choose_K).  One rank count, _numerical_rank(s, rtol), serves two cutoffs
 relative to the largest singular value: RANK_RTOL for degree selection and
 the smaller solver.SVD_RTOL for the weighted-l1 solve.
 """
@@ -22,6 +25,7 @@ from .basis import (
     BasisSpec,
     eval_table,
     frequencies,
+    has_closed_form_norms,
     leading_indices,
     linf_norms,
     nested_rank,
@@ -194,8 +198,19 @@ def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float) -> int:
 
     Doubles K from N upward and stops once the numerical rank of the
     sampling matrix matches that at 2K and the smallest nonzero singular
-    value exceeds 1 - epsilon.  Raises TruncationSearchError when no K
-    below MAX_TRUNCATION qualifies.
+    value exceeds 1 - epsilon.  Raises TruncationSearchError when 2K
+    would pass MAX_TRUNCATION first.
+
+    The N x 2K matrix is built only when its rank is in doubt.  If the
+    N x K one has full row rank N, with sigma_N > 1 - epsilon, adding
+    columns cannot lower sigma_N (Weyl), and its largest singular value
+    is at most its Frobenius norm, at most ||linf_norms(basis, 2K)||_2,
+    since the cell measures tau sum to 1.  So where
+    RANK_RTOL ||linf_norms(basis, 2K)||_2 < sigma_N / 2 the rank at 2K
+    is N as well, and K is returned without the 2K matrix; the factor 2
+    leaves room for the rounding of both SVDs.  This needs norms in
+    closed form (basis.has_closed_form_norms): an interior search would
+    cost more than the matrix it saves.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -207,9 +222,13 @@ def choose_K(basis: BasisSpec, ps: PointSet, epsilon: float) -> int:
             raise TruncationSearchError(
                 "no K below the cap %d reached the singular-value target"
                 % (MAX_TRUNCATION,))
-        s2 = _singular_values(build_matrix(basis, ps, 2 * K).entries)
         rank = _numerical_rank(s)
-        if rank > 0 and rank == _numerical_rank(s2) \
-                and s[rank - 1] > 1.0 - epsilon:
+        qualifies = rank > 0 and s[rank - 1] > 1.0 - epsilon
+        if qualifies and rank == ps.n and has_closed_form_norms(basis) \
+                and RANK_RTOL * np.linalg.norm(linf_norms(basis, 2 * K)) \
+                < s[rank - 1] / 2:
+            return K
+        s2 = _singular_values(build_matrix(basis, ps, 2 * K).entries)
+        if qualifies and rank == _numerical_rank(s2):
             return K
         K, s = 2 * K, s2

@@ -49,8 +49,11 @@ Least squares (plain and oracle) and synthesis round out the toolbox;
 synthesize is basis.synthesize.  sup_error measures an approximant on the
 Chebyshev extrema; a Jacobi expansion gets there by one product with a
 cached matrix of Chebyshev coefficients and one DCT-I instead of a sum
-over every degree at every grid point.  A tiny-instance linear-programming
-oracle (HiGHS) is included for cross-checking the l1 path on real data.
+over every degree at every grid point, and an exponential one by Horner's
+rule in a cached phasor of the grid.  The truth on the grid is cached per
+(f_true, resolution), so f_true must be pure.  A tiny-instance
+linear-programming oracle (HiGHS) is included for cross-checking the l1
+path on real data.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ import numpy.linalg as la
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .basis import BasisSpec, chebyshev_extrema, eval_table, \
-    leading_indices, linf_norms, nested_rank, synthesize
+from .basis import BasisSpec, _fourier_horner, _unit_phasor, \
+    chebyshev_extrema, eval_table, leading_indices, linf_norms, \
+    nested_rank, synthesize
 from .sampling import SamplingMatrix, WeightVector, _numerical_rank, \
     make_weights
 
@@ -645,7 +649,8 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     (best M, solve_least_squares(A, y, M)): the first M of strictly
     smallest error, never one of non-finite error, and (None, None) if no
     error is finite.  Needs the truth, so this is an expository tool, not
-    a practical method.
+    a practical method.  f_true must be pure: its values on the grid are
+    those sup_error keeps (_grid_truth).
 
     The fits are the rows of one (L, L) matrix from one QR factorization
     (_prefix_fits), row M - 1 holding the M-term fit on its leading
@@ -657,14 +662,8 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     (_grid_error), but only the fits that can still win are measured
     (branch and bound):
 
-    * bound: each fit's error on every _BOUND_STRIDE-th grid point, one
-      product per block of at most _GRID_BLOCK_BYTES of rows of
-      eval_table(basis, L, points) (at least one row).  A maximum over
-      part of the grid is at most the maximum over all of it.  Both
-      routes agree with the exact table product within
-      16 L eps sum_i |z_i| ||phi_i||_inf (sup_error), and |a - f| rounds
-      by at most eps of itself, so the bound less 2 eps of itself and
-      twice that margin is at most the computed full error.
+    * bound: a lower bound of each fit's error from every
+      _BOUND_STRIDE-th grid point (_oracle_bounds).
     * order and prune: fits are measured in increasing order of bound,
       keeping the first M of smallest error, until a bound exceeds the
       best error or is not finite.  No fit left can then win: an
@@ -675,22 +674,9 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     over the whole grid only where two errors tie within rounding.
     """
     Z = _prefix_fits(A, y)
-    L = len(Z)
     grid = chebyshev_extrema(resolution)
-    fg = np.broadcast_to(np.asarray(f_true(grid)), grid.shape)
-    sub, fsub = grid[::_BOUND_STRIDE], fg[::_BOUND_STRIDE]
-    bound = np.zeros(L)
-    row_bytes = L * (16 if A.basis.is_complex else 8)
-    step = max(1, _GRID_BLOCK_BYTES // row_bytes)
-    for r0 in range(0, sub.size, step):
-        rows = slice(r0, r0 + step)
-        # Row M - 1 of approx holds the M-term fit on the block's points.
-        approx = Z @ eval_table(A.basis, L, sub[rows]).T
-        approx -= fsub[rows]
-        np.maximum(bound, np.max(np.abs(approx), axis=1), out=bound)
-    eps = np.finfo(float).eps
-    bound = bound * (1 - 2 * eps) \
-        - 32 * L * eps * (np.abs(Z) @ linf_norms(A.basis, L))
+    fg = np.broadcast_to(_grid_truth(f_true, resolution), grid.shape)
+    bound = _oracle_bounds(Z, A.basis, grid, fg)
     best, i_best = np.inf, -1
     for i in np.argsort(bound, kind="stable"):
         if not bound[i] <= best or bound[i] == np.inf:
@@ -701,6 +687,58 @@ def oracle_least_squares(A: SamplingMatrix, y, f_true, resolution: int = 10000):
     if i_best < 0:
         return None, None
     return i_best + 1, solve_least_squares(A, y, i_best + 1)
+
+
+def _oracle_bounds(Z, basis: BasisSpec, grid, fg) -> np.ndarray:
+    """Lower bounds of _grid_error(Z[i], basis, grid, fg), one per row of
+    the (L, L) fit matrix Z, grid = chebyshev_extrema(n), fg the truth
+    broadcast to the grid.
+
+    Each is the fit's error on every _BOUND_STRIDE-th grid point, one
+    product per block of at most _GRID_BLOCK_BYTES of table rows (at
+    least one row).  A maximum over part of the grid is at most the
+    maximum over all of it.  The Jacobi table is eval_table(basis, L,
+    points); the exponential one holds powers of the cached phasor
+    (_phasor_powers), each within about 2.3 k eps of exp(i pi k t) at
+    frequency |k| <= L / 2.  Both routes, and the full-grid ones of
+    _grid_error, agree with the exact table product within
+    16 L eps sum_i |z_i| ||phi_i||_inf (sup_error), and |a - f| rounds
+    by at most eps of itself, so the bound less 2 eps of itself and
+    twice that margin is at most the computed full error.
+    """
+    L = len(Z)
+    sub, fsub = grid[::_BOUND_STRIDE], fg[::_BOUND_STRIDE]
+    if basis.is_complex:
+        wsub = _grid_phasor(len(grid))[::_BOUND_STRIDE]
+    bound = np.zeros(L)
+    row_bytes = L * (16 if basis.is_complex else 8)
+    step = max(1, _GRID_BLOCK_BYTES // row_bytes)
+    for r0 in range(0, sub.size, step):
+        rows = slice(r0, r0 + step)
+        # Row M - 1 of approx holds the M-term fit on the block's points.
+        if basis.is_complex:
+            approx = Z @ _phasor_powers(wsub[rows], L)
+        else:
+            approx = Z @ eval_table(basis, L, sub[rows]).T
+        approx -= fsub[rows]
+        np.maximum(bound, np.max(np.abs(approx), axis=1), out=bound)
+    eps = np.finfo(float).eps
+    return bound * (1 - 2 * eps) \
+        - 32 * L * eps * (np.abs(Z) @ linf_norms(basis, L))
+
+
+def _phasor_powers(w, L: int) -> np.ndarray:
+    """The (L, len(w)) table of a size-L exponential system at the points
+    t of the phasor w = exp(i pi t), one row per stored frequency j, as
+    eval_table(fourier(), L, t).T holds it: w^j by repeated products for
+    j = 0 ... L - h - 1, h = floor(L / 2), and their conjugates for
+    -h ... -1.  Each product rounds by at most sqrt(5) eps, so the row of
+    frequency k is within about 2.3 |k| eps of exp(i pi k t)."""
+    h = L // 2
+    P = np.empty((h + 1, len(w)), dtype=complex)
+    P[0] = 1.0
+    np.cumprod(np.broadcast_to(w, (h, len(w))), axis=0, out=P[1:])
+    return np.concatenate([P[h:0:-1].conj(), P[:L - h]])
 
 
 def _dct1(x, n: int) -> np.ndarray:
@@ -736,14 +774,46 @@ def _chebyshev_matrix(basis: BasisSpec, K: int) -> np.ndarray:
     return T
 
 
+@lru_cache(maxsize=4)
+def _grid_phasor(n: int) -> np.ndarray:
+    """Read-only exp(i pi t) on t = chebyshev_extrema(n), the phasor that
+    _fourier_horner would compute there itself, bit for bit."""
+    w = _unit_phasor(chebyshev_extrema(n))
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=4)
+def _cached_truth(f_true, n: int) -> np.ndarray:
+    fg = np.array(f_true(chebyshev_extrema(n)))
+    fg.setflags(write=False)
+    return fg
+
+
+def _grid_truth(f_true, n: int) -> np.ndarray:
+    """f_true on chebyshev_extrema(n), as a read-only copy (0-d for a
+    scalar truth).  The last few (f_true, n) pairs are kept, so one
+    function measured against several fits is evaluated once; this
+    assumes f_true pure.  An unhashable f_true is evaluated every time."""
+    try:
+        hash(f_true)
+    except TypeError:
+        return _cached_truth.__wrapped__(f_true, n)
+    return _cached_truth(f_true, n)
+
+
 def _grid_error(z, basis: BasisSpec, grid, fg) -> float:
     """max |sum_i z_i phi_i - fg| on grid = chebyshev_extrema(n), fg the
     truth there: sup_error's route."""
     n, K = len(grid), len(z)
-    if basis.is_complex or not 1 < K < n:
-        approx = synthesize(z, basis, grid)
-    else:
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if basis.is_complex:
+        approx = _fourier_horner(z, grid, _grid_phasor(n))
+    elif 1 < K < n:
         approx = _dct1(_chebyshev_matrix(basis, K) @ z, n)[::-1]
+    else:
+        approx = synthesize(z, basis, grid)
     return float(np.max(np.abs(approx - fg)))
 
 
@@ -751,13 +821,17 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     """Max pointwise error of the synthesized approximant on a dense grid.
 
     The grid, chebyshev_extrema(resolution), clusters near the ends, where
-    polynomial approximants misbehave first.  A Jacobi expansion of
-    1 < K < n terms, K = len(z), n = resolution, is mapped to its
-    Chebyshev coefficients by one product with the cached (K, K) matrix
-    of _chebyshev_matrix; one DCT-I of size n, zero-padded, gives its
-    values on the grid.  The exponentials, K = 1 and K >= n take
-    synthesize, which sums the table's row blocks (Jacobi) or runs
-    Horner's rule (exponentials).  No (n, K) table is built.  The
+    polynomial approximants misbehave first.  f_true must be pure: its
+    values there are read from a small cache keyed by (f_true,
+    resolution) (_grid_truth), so a function measured against several
+    fits is evaluated once.  A Jacobi expansion of 1 < K < n terms,
+    K = len(z), n = resolution, is mapped to its Chebyshev coefficients by
+    one product with the cached (K, K) matrix of _chebyshev_matrix; one
+    DCT-I of size n, zero-padded, gives its values on the grid.  The
+    exponentials run Horner's rule in the cached, read-only phasor
+    exp(i pi t) of the grid (_grid_phasor), which synthesize would
+    compute itself; K = 1 and K >= n (Jacobi) take synthesize, which sums
+    the table's row blocks.  No (n, K) table is built.  The
     approximant agrees with eval_table(basis, K, grid) @ z within
     16 K eps sum_i |z_i| ||phi_i||_inf (tested up to K = 320), and the
     reported error carries that rounding.  At n = 10000 the DCT-I is an
@@ -765,7 +839,8 @@ def sup_error(f_true, z, basis: BasisSpec, resolution: int = 10000) -> float:
     call; a faster length moves the grid, and so every reported error.
     """
     grid = chebyshev_extrema(resolution)
-    return _grid_error(np.asarray(z), basis, grid, np.asarray(f_true(grid)))
+    return _grid_error(np.asarray(z), basis, grid,
+                       _grid_truth(f_true, resolution))
 
 
 def lp_oracle(A, y, w):

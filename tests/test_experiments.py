@@ -151,6 +151,20 @@ def test_comparison_runner_rows_and_determinism(tmp_path):
         assert banned not in meta.lower()
 
 
+def test_comparison_cell_evaluates_the_truth_once_on_the_grid(
+        tmp_path, monkeypatch):
+    # Seven sup_error calls and the oracle read one cached truth: f is
+    # called on the 10 samples and once on the 2000-point grid.
+    sizes, runge25 = [], get_function("runge25")
+    counted = experiments.TestFunction(
+        "runge25", lambda t: sizes.append(np.size(t)) or runge25(t), ())
+    monkeypatch.setattr(experiments, "get_function", lambda fid: counted)
+    run_comparison(ExperimentConfig(
+        experiment="compare", n_list=(10,), functions=("runge25",),
+        out_dir=str(tmp_path), eval_resolution=2000))
+    assert sizes == [10, 2000]
+
+
 def test_records_are_frozen():
     p = problem(basis.legendre(), [-0.5, 0.5], 2, np.ones(2), np.ones(2))
     records = [(get_function("runge25"), "id"),

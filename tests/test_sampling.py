@@ -7,13 +7,14 @@ search against its own advertised postcondition plus small frozen cases.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from problems import problem
 from wl1approx import sampling
 from wl1approx.basis import (chebyshev, eval_basis, eval_table, fourier,
                              frequencies, jacobi, legendre, linf_norms,
                              nested_rank)
-from wl1approx.grid import build_pointset, generate
+from wl1approx.grid import POINT_FAMILIES, build_pointset, generate
 from wl1approx.sampling import (MAX_TRUNCATION, SamplingMatrix,
                                 TruncationSearchError, WeightVector,
                                 build_matrix, choose_K, default_weights,
@@ -213,6 +214,57 @@ def test_choose_k_postcondition_and_growth():
     assert ks[10] == 20
     # at most superlinear growth between grid doublings
     assert ks[40] <= ks[20] * 2 ** 1.5
+
+
+def _doubling_rule(basis, ps, epsilon):
+    # choose_K before it stopped at full row rank: it always built the
+    # N x 2K matrix to compare numerical ranks.
+    K = max(1, ps.n)
+    s = np.linalg.svd(build_matrix(basis, ps, K).entries, compute_uv=False)
+    while True:
+        if 2 * K > MAX_TRUNCATION:
+            raise TruncationSearchError("cap")
+        s2 = np.linalg.svd(build_matrix(basis, ps, 2 * K).entries,
+                           compute_uv=False)
+        rank = sampling._numerical_rank(s)
+        if rank > 0 and rank == sampling._numerical_rank(s2) \
+                and s[rank - 1] > 1.0 - epsilon:
+            return K
+        K, s = 2 * K, s2
+
+
+@pytest.mark.parametrize("spec, points, sizes", [
+    (legendre(), generate("jittered", 40, seed=0), [40, 80, 160]),
+    # t = -1 and t = 1 give one exponential row: rank N - 1 < N.
+    (fourier(), generate("equispaced", 40), [40, 80]),
+    # Interior-search sup norms: the 2K matrix is cheaper.
+    (jacobi(-0.75, -0.75), generate("jittered", 40, seed=0),
+     [40, 80, 160, 320]),
+    # max(alpha, beta) >= -1/2: the norms are closed form.
+    (jacobi(-0.75, 1.0), generate("jittered", 40, seed=0), [40, 80, 160])],
+    ids=["legendre", "fourier-ends", "jacobi-interior", "jacobi-endpoint"])
+def test_choose_k_stops_at_full_row_rank(monkeypatch, spec, points, sizes):
+    # With full row rank and closed-form sup norms the search returns K
+    # without the N x 2K matrix; otherwise it builds 2K to compare ranks.
+    ps = build_pointset(points, spec)
+    built, build = [], sampling.build_matrix
+    monkeypatch.setattr(sampling, "build_matrix",
+                        lambda b, p, K: built.append(K) or build(b, p, K))
+    K = choose_K(spec, ps, 0.5)
+    assert built == sizes
+    assert K == _doubling_rule(spec, ps, 0.5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.sampled_from(POINT_FAMILIES),
+       st.sampled_from([legendre(), chebyshev(), jacobi(1.0, 0.0),
+                        jacobi(-0.75, -0.75), fourier()]),
+       st.integers(1, 80), st.sampled_from([0.1, 0.5, 0.9]),
+       st.integers(0, 9))
+def test_property_choose_k_matches_the_doubling_rule(kind, spec, N, epsilon,
+                                                     seed):
+    ps = build_pointset(generate(kind, N, seed=seed), spec)
+    assert choose_K(spec, ps, epsilon) == _doubling_rule(spec, ps, epsilon)
 
 
 def test_choose_k_validation():

@@ -423,9 +423,10 @@ def test_oracle_least_squares_matches_per_M_sweep(spec, N, noise):
 
 def test_oracle_least_squares_measures_few_fits_on_the_full_grid(
         monkeypatch):
-    # The bounds take every 8th point of the 10000-point grid; the fits
-    # that can still win are measured through the Chebyshev matrix, not
-    # the table.  A sweep of every fit over the grid takes 10000 points.
+    # The bounds take every 8th point of the 10000-point grid, all 1250
+    # in one block at L = 40; the fits that can still win are measured
+    # through the Chebyshev matrix, whose table has 40 points, not on the
+    # grid's table.  A sweep of every fit over the grid takes 10000.
     f = runge(25)
     p = problem(legendre(), generate("jittered", 40, seed=40), 160, f)
     A, y = p.A, p.y
@@ -442,8 +443,9 @@ def test_oracle_least_squares_measures_few_fits_on_the_full_grid(
 
     monkeypatch.setattr(solver_module, "eval_table", counted)
     monkeypatch.setattr(solver_module, "_grid_error", counted_error)
+    solver_module._chebyshev_matrix.cache_clear()
     M, z = oracle_least_squares(A, y, f, resolution=10000)
-    assert sum(points) <= 10000 // 4 and len(measured) <= 2
+    assert points == [1250, 40] and len(measured) <= 2
     np.testing.assert_array_equal(z, solve_least_squares(A, y, M))
 
 
@@ -497,6 +499,25 @@ def test_oracle_fits_every_prefix_from_one_qr(monkeypatch, spec, N, f, past):
             cond = np.linalg.cond(A.leading(M))
             assert np.max(np.abs(row[lead] - z)) \
                 <= 100 * cond * eps * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("spec, N, f", [
+    (jacobi(1.0, 0.0), 40, runge(25)), (fourier(), 40, cospi_expsin)],
+    ids=["jacobi:1,0-40", "fourier-40"])
+def test_oracle_bounds_are_lower_bounds(spec, N, f):
+    # Every fit's bound is at most its full-grid error, or the prune could
+    # skip the winner; the exponential bounds come from phasor powers.
+    # Off the rounding floor the bounds are close to the errors.
+    p = problem(spec, generate("jittered", N + spec.is_complex, seed=N)[:N],
+                2 * N + 1 if spec.is_complex else 4 * N, f)
+    A, y = p.A, p.y
+    grid = chebyshev_extrema(10000)
+    bound = solver_module._oracle_bounds(
+        solver_module._prefix_fits(A, y), spec, grid,
+        np.broadcast_to(f(grid), grid.shape))
+    errors = _oracle_errors(A, y, f)
+    assert np.all(bound <= errors)
+    assert np.median(bound / errors) > 0.9
 
 
 def test_oracle_least_squares_broadcasts_a_scalar_truth():
@@ -553,6 +574,8 @@ def test_synthesize_basics():
                 synthesize(z, spec, bad)
         with pytest.raises(ValueError):
             synthesize(np.zeros(0), spec, 0.3)
+        with pytest.raises(ValueError):
+            sup_error(np.cos, np.zeros(0), spec)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 8, 160, 320])
@@ -648,12 +671,53 @@ def test_sup_error_takes_the_cheaper_path(monkeypatch):
     sup_error(f, np.ones(160), jacobi(1, 0), resolution=200)
     assert matrix == [2, 23, 24, 320, 99, 160]
     assert synth == [1, 100, 160]
+    # The exponentials run Horner's rule on the grid's cached phasor.
+    phasors, horner = [], solver_module._fourier_horner
+    monkeypatch.setattr(solver_module, "_fourier_horner",
+                        lambda z, t, w: phasors.append(w) or horner(z, t, w))
     z = np.random.default_rng(1).normal(size=320) + 0j
-    grid = chebyshev_extrema(10000)
-    assert sup_error(f, z, fourier()) == np.max(np.abs(synthesize(
-        z, fourier(), grid)))
-    assert synth == [1, 100, 160, 320]
+    sup_error(f, z, fourier())
+    assert len(phasors) == 1 \
+        and phasors[0] is solver_module._grid_phasor(10000)
+    assert synth == [1, 100, 160]
     assert matrix == [2, 23, 24, 320, 99, 160]
+
+
+def test_error_grid_truth_and_phasor_are_cached_read_only():
+    # The truth on the grid is evaluated once per (f_true, n), the phasor
+    # exp(i pi t) once per n; both are read-only, so Horner's rule must
+    # conjugate into a new array, and it gives synthesize's bits.
+    grid = chebyshev_extrema(10000)
+    calls = []
+
+    def f(t):
+        calls.append(np.size(t))
+        return cospi_expsin(t)
+
+    w = solver_module._grid_phasor(10000)
+    fg = solver_module._grid_truth(f, 10000)
+    assert solver_module._grid_phasor(10000) is w
+    assert solver_module._grid_truth(f, 10000) is fg
+    assert not w.flags.writeable and not fg.flags.writeable
+    rng = np.random.default_rng(3)
+    for K in (1, 2, 7, 40, 161):
+        z = rng.normal(size=K) + 1j * rng.normal(size=K)
+        assert sup_error(f, z, fourier()) == np.max(np.abs(
+            synthesize(z, fourier(), grid) - cospi_expsin(grid)))
+    assert calls == [10000]
+    np.testing.assert_array_equal(w.real, np.cos(np.pi * grid))
+    np.testing.assert_array_equal(w.imag, np.sin(np.pi * grid))
+
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, t):
+            calls.append(np.size(t))
+            return cospi_expsin(t)
+
+    sup_error(Unhashable(), np.ones(3), fourier(), resolution=50)
+    sup_error(Unhashable(), np.ones(3), fourier(), resolution=50)
+    assert calls == [10000, 50, 50]
 
 
 def test_chebyshev_matrix_cache_is_bounded_and_read_only():
